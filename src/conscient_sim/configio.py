@@ -1,8 +1,9 @@
 """Flat `section.key = value` config files.
 
-Every tunable in the simulator has a dotted key; a config file lists any
-subset of them (blank lines and # comments ignored) and everything else takes
-its declared default. Unknown keys, duplicate keys, and type mismatches are
+Every tunable in the simulator has a dotted key `section.field`, one per
+scalar field of the config dataclasses; a config file lists any subset of them
+(blank lines and # comments ignored) and everything else takes its declared
+default. Unknown keys, duplicate keys, and type mismatches are
 rejected with the offending key and line number. Parsed values are echoed back
 in a canonical rendering so a manifest can reproduce the run exactly.
 """
@@ -10,8 +11,8 @@ in a canonical rendering so a manifest can reproduce the run exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Callable, Optional, get_type_hints
 
 from .agents import AgentConfig
 from .dreams import DreamConfig
@@ -76,98 +77,67 @@ def _render_list(v) -> str:
     return ",".join(str(x) for x in v)
 
 
+# config section -> its dataclass; a nested config field names its section, and
+# nested sections are listed after their parent
+_SECTIONS: dict[str, type] = {
+    "world": WorldConfig,
+    "agent": AgentConfig,
+    "dream": DreamConfig,
+    "emotion": EmotionParams,
+    "kernel": KernelConfig,
+    "ga": GAConfig,
+}
+
+# the edge-text fields are set through graph labels that `_load_edges` resolves
+_GRAPH_KEYS = {
+    "world.content_edges": "world.content_graph",
+    "world.style_edges": "world.style_graph",
+}
+
+# field type -> (cast, render, type name in error messages)
+_TYPES: dict[object, tuple[Callable[[str], object], Callable[[object], str], str]] = {
+    int: (_cast_int, _render_plain, "integer"),
+    float: (_cast_float, _render_float, "number"),
+    bool: (_cast_bool, _render_bool, "boolean"),
+    str: (_cast_str, _render_plain, "string"),
+    tuple[int, ...]: (_cast_int_list, _render_list, "integer list"),
+    tuple[str, ...]: (_cast_str_list, _render_list, "string list"),
+}
+
+
 @dataclass(frozen=True)
 class _Entry:
     key: str
+    section: str
+    field: str
+    default: object
     cast: Callable[[str], object]
     render: Callable[[object], str]
-    default: object
     typename: str
 
 
-def _entries() -> list[_Entry]:
-    w = WorldConfig()
-    a = AgentConfig()
-    d = DreamConfig()
-    e = EmotionParams()
-    k = KernelConfig()
-    g = GAConfig()
-
-    def i(key, default):
-        return _Entry(key, _cast_int, _render_plain, default, "integer")
-
-    def f(key, default):
-        return _Entry(key, _cast_float, _render_float, default, "number")
-
-    def b(key, default):
-        return _Entry(key, _cast_bool, _render_bool, default, "boolean")
-
-    def s(key, default):
-        return _Entry(key, _cast_str, _render_plain, default, "string")
-
-    def il(key, default):
-        return _Entry(key, _cast_int_list, _render_list, default, "integer list")
-
-    def sl(key, default):
-        return _Entry(key, _cast_str_list, _render_list, default, "string list")
-
-    return [
-        i("world.resolution", w.resolution),
-        i("world.n_agents", w.n_agents),
-        i("world.total_ticks", w.total_ticks),
-        i("world.reward_count", w.reward_count),
-        f("world.reward_peak", w.reward_peak),
-        f("world.reward_width", w.reward_width),
-        f("world.stimulus_probability", w.stimulus_probability),
-        sl("world.stimulus_modalities", w.stimulus_modalities),
-        i("world.feature_dim", w.feature_dim),
-        i("world.master_seed", w.master_seed),
-        s("world.content_graph", BUILTIN_GRAPH),
-        s("world.style_graph", BUILTIN_GRAPH),
-        i("agent.t_awake", a.t_awake),
-        i("agent.t_asleep", a.t_asleep),
-        i("agent.photo_period", a.photo_period),
-        f("agent.explore_rate", a.explore_rate),
-        i("agent.movement_budget", a.movement_budget),
-        f("agent.visit_peak", a.visit_peak),
-        f("agent.visit_width", a.visit_width),
-        f("agent.visit_reward", a.visit_reward),
-        f("agent.noise_sigma", a.noise_sigma),
-        i("agent.style_every", a.style_every),
-        f("agent.low_happiness_cutoff", a.low_happiness_cutoff),
-        i("dream.step_lower", d.step_lower),
-        i("dream.step_upper", d.step_upper),
-        i("dream.length", d.length),
-        f("dream.style_weight", d.style_weight),
-        f("emotion.delta_lower", e.delta_lower),
-        f("emotion.delta_upper", e.delta_upper),
-        f("emotion.fatigue_tick", e.fatigue_tick),
-        f("emotion.photo_fatigue_delta", e.photo_fatigue_delta),
-        f("emotion.sleep_decay", e.sleep_decay),
-        f("emotion.threshold", e.threshold),
-        f("emotion.courage_gain", e.courage_gain),
-        f("emotion.valence_high", e.valence_high),
-        f("emotion.valence_low", e.valence_low),
-        f("emotion.high_value_cutoff", e.high_value_cutoff),
-        f("emotion.curiosity_growth", e.curiosity_growth),
-        f("kernel.amplitude", k.amplitude),
-        f("kernel.lengthscale", k.lengthscale),
-        f("kernel.jitter", k.jitter),
-        i("ga.population_size", g.population_size),
-        i("ga.generations", g.generations),
-        i("ga.tournament_size", g.tournament_size),
-        f("ga.crossover_rate", g.crossover_rate),
-        f("ga.mutation_rate", g.mutation_rate),
-        f("ga.mutation_sigma", g.mutation_sigma),
-        i("ga.elite_count", g.elite_count),
-        il("ga.eval_seeds", g.eval_seeds),
-        i("ga.movement_budget", g.movement_budget),
-        b("ga.normalize_fitness", g.normalize_fitness),
-    ]
+def _table() -> tuple[list[_Entry], dict[str, list[str]]]:
+    """One entry per scalar field of each section, and each section's nested fields."""
+    entries: list[_Entry] = []
+    nested: dict[str, list[str]] = {}
+    for section, cls in _SECTIONS.items():
+        hints = get_type_hints(cls)
+        nested[section] = [f.name for f in fields(cls) if is_dataclass(hints[f.name])]
+        for f in fields(cls):
+            if f.name in nested[section]:
+                continue
+            key, default = f"{section}.{f.name}", f.default
+            if key in _GRAPH_KEYS:
+                key, default = _GRAPH_KEYS[key], BUILTIN_GRAPH
+            entries.append(_Entry(key, section, f.name, default, *_TYPES[hints[f.name]]))
+    return entries, nested
 
 
-ENTRIES: list[_Entry] = _entries()
+ENTRIES, _NESTED = _table()
 _BY_KEY: dict[str, _Entry] = {entry.key: entry for entry in ENTRIES}
+_BY_SECTION: dict[str, list[_Entry]] = {
+    section: [entry for entry in ENTRIES if entry.section == section] for section in _SECTIONS
+}
 
 
 @dataclass(eq=False)
@@ -202,6 +172,15 @@ def _load_edges(label: str, base_dir: str, key: str) -> tuple[str, str]:
         raise ConfigError(f"key {key}: cannot read graph file {path}: {exc}") from None
 
 
+def _canonical(entry: _Entry, raw: str, where: str) -> str:
+    try:
+        return entry.render(entry.cast(raw))
+    except ValueError:
+        raise ConfigError(
+            f"{where}: key {entry.key}: expected {entry.typename}, got {raw!r}"
+        ) from None
+
+
 def parse_config_text(
     text: str, base_dir: str = ".", overrides: Optional[dict[str, str]] = None
 ) -> ConfigBundle:
@@ -216,25 +195,17 @@ def parse_config_text(
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
         if key not in _BY_KEY:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        entry = _BY_KEY[key]
-        try:
-            parsed = entry.cast(val)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: key {key}: expected {entry.typename}, got {val!r}"
-            ) from None
-        values[key] = entry.render(parsed)
+        values[key] = _canonical(_BY_KEY[key], val.strip(), f"line {lineno}")
     if overrides:
         for key, val in overrides.items():
             if key not in _BY_KEY:
                 raise ConfigError(f"override: unknown key {key!r}")
-            values[key] = _BY_KEY[key].render(_BY_KEY[key].cast(val))
+            values[key] = _canonical(_BY_KEY[key], val, "override")
     return _build(values, base_dir)
 
 
@@ -248,83 +219,15 @@ def parse_config(path: str, overrides: Optional[dict[str, str]] = None) -> Confi
 
 
 def _build(values: dict[str, str], base_dir: str) -> ConfigBundle:
-    def get(key: str):
-        return _BY_KEY[key].cast(values[key])
-
-    kernel = KernelConfig(
-        amplitude=get("kernel.amplitude"),
-        lengthscale=get("kernel.lengthscale"),
-        jitter=get("kernel.jitter"),
-    )
-    emotion = EmotionParams(
-        delta_lower=get("emotion.delta_lower"),
-        delta_upper=get("emotion.delta_upper"),
-        fatigue_tick=get("emotion.fatigue_tick"),
-        photo_fatigue_delta=get("emotion.photo_fatigue_delta"),
-        sleep_decay=get("emotion.sleep_decay"),
-        threshold=get("emotion.threshold"),
-        courage_gain=get("emotion.courage_gain"),
-        valence_high=get("emotion.valence_high"),
-        valence_low=get("emotion.valence_low"),
-        high_value_cutoff=get("emotion.high_value_cutoff"),
-        curiosity_growth=get("emotion.curiosity_growth"),
-    )
-    dreamc = DreamConfig(
-        step_lower=get("dream.step_lower"),
-        step_upper=get("dream.step_upper"),
-        length=get("dream.length"),
-        style_weight=get("dream.style_weight"),
-    )
-    agent = AgentConfig(
-        t_awake=get("agent.t_awake"),
-        t_asleep=get("agent.t_asleep"),
-        photo_period=get("agent.photo_period"),
-        explore_rate=get("agent.explore_rate"),
-        movement_budget=get("agent.movement_budget"),
-        visit_peak=get("agent.visit_peak"),
-        visit_width=get("agent.visit_width"),
-        visit_reward=get("agent.visit_reward"),
-        noise_sigma=get("agent.noise_sigma"),
-        style_every=get("agent.style_every"),
-        low_happiness_cutoff=get("agent.low_happiness_cutoff"),
-        dream=dreamc,
-        emotion=emotion,
-        kernel=kernel,
-    )
-    content_edges, content_label = _load_edges(
-        str(get("world.content_graph")), base_dir, "world.content_graph"
-    )
-    style_edges, style_label = _load_edges(
-        str(get("world.style_graph")), base_dir, "world.style_graph"
-    )
-    values = dict(values)
-    values["world.content_graph"] = content_label
-    values["world.style_graph"] = style_label
-    world = WorldConfig(
-        resolution=get("world.resolution"),
-        n_agents=get("world.n_agents"),
-        total_ticks=get("world.total_ticks"),
-        reward_count=get("world.reward_count"),
-        reward_peak=get("world.reward_peak"),
-        reward_width=get("world.reward_width"),
-        stimulus_probability=get("world.stimulus_probability"),
-        stimulus_modalities=get("world.stimulus_modalities"),
-        feature_dim=get("world.feature_dim"),
-        master_seed=get("world.master_seed"),
-        agent=agent,
-        content_edges=content_edges,
-        style_edges=style_edges,
-    )
-    ga = GAConfig(
-        population_size=get("ga.population_size"),
-        generations=get("ga.generations"),
-        tournament_size=get("ga.tournament_size"),
-        crossover_rate=get("ga.crossover_rate"),
-        mutation_rate=get("ga.mutation_rate"),
-        mutation_sigma=get("ga.mutation_sigma"),
-        elite_count=get("ga.elite_count"),
-        eval_seeds=get("ga.eval_seeds"),
-        movement_budget=get("ga.movement_budget"),
-        normalize_fitness=get("ga.normalize_fitness"),
-    )
-    return ConfigBundle(world=world, ga=ga, effective=values)
+    """Construct each section from its keys, nested sections before their parents."""
+    effective = dict(values)
+    built: dict[str, object] = {}
+    for section in reversed(_SECTIONS):
+        kwargs = {name: built[name] for name in _NESTED[section]}
+        for entry in _BY_SECTION[section]:
+            value = entry.cast(values[entry.key])
+            if entry.key in _GRAPH_KEYS.values():
+                value, effective[entry.key] = _load_edges(value, base_dir, entry.key)
+            kwargs[entry.field] = value
+        built[section] = _SECTIONS[section](**kwargs)
+    return ConfigBundle(world=built["world"], ga=built["ga"], effective=effective)

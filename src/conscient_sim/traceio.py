@@ -25,6 +25,7 @@ from .world import (
     Metrics,
     PerceptRow,
     TraceRow,
+    row_metrics,
 )
 
 TRACE_HEADER = [
@@ -181,25 +182,12 @@ def summarize_rows(rows: list[TraceRow]) -> Metrics:
 
     Photos, dream frames, and interactions are counted from event tokens; an
     interaction appears on both partners' rows, so only the row with the lower
-    agent id counts it. Moves are successive position changes per agent.
+    agent id counts it. Moves and means come from `row_metrics`.
     """
     photos = 0
     dream_frames = 0
     interactions = 0
-    last_pos: dict[int, tuple[int, int]] = {}
-    moves: dict[int, int] = {}
-    sums = [0.0, 0.0, 0.0, 0.0, 0.0]
     for row in rows:
-        moves.setdefault(row.agent_id, 0)
-        prev = last_pos.get(row.agent_id)
-        if prev is not None and prev != (row.i, row.j):
-            moves[row.agent_id] += 1
-        last_pos[row.agent_id] = (row.i, row.j)
-        sums[0] += row.e_h
-        sums[1] += row.e_c
-        sums[2] += row.e_f
-        sums[3] += row.e_k
-        sums[4] += row.fatigue
         for token in row.events:
             if token.startswith("photo:"):
                 photos += 1
@@ -212,21 +200,7 @@ def summarize_rows(rows: list[TraceRow]) -> Metrics:
                     raise TraceError(f"malformed interaction token {token!r}") from None
                 if partner > row.agent_id:
                     interactions += 1
-    n = len(rows)
-    means = [s / n if n else 0.0 for s in sums]
-    per_agent = tuple(moves[aid] for aid in sorted(moves))
-    return Metrics(
-        interactions=interactions,
-        photos=photos,
-        dream_frames=dream_frames,
-        moves_per_agent=per_agent,
-        total_moves=sum(per_agent),
-        mean_happiness=means[0],
-        mean_curiosity=means[1],
-        mean_friendship=means[2],
-        mean_courage=means[3],
-        mean_fatigue=means[4],
-    )
+    return row_metrics(rows, interactions=interactions, photos=photos, dream_frames=dream_frames)
 
 
 def write_interactions_csv(path: str, records: Iterable[InteractionRecord]) -> None:

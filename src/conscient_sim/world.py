@@ -397,18 +397,18 @@ def run(config: WorldConfig) -> SimulationTrace:
     return world.snapshot_trace()
 
 
-def metrics(trace: SimulationTrace) -> Metrics:
-    """Summary statistics recomputed from the trace itself.
+def row_metrics(
+    rows: list[TraceRow], *, interactions: int, photos: int, dream_frames: int
+) -> Metrics:
+    """Metrics from trace rows plus event counts taken by the caller.
 
-    Moves are recounted from successive row positions (not from agent
-    counters); photo totals come from stored observed percepts; interaction
-    and dream totals come from their records.
+    Moves are successive position changes per agent, recounted from the rows
+    (not from agent counters); the emotion means run over every row.
     """
-    photos = sum(1 for p in trace.percept_rows if p.kind == "observed")
     last_pos: dict[int, tuple[int, int]] = {}
     moves: dict[int, int] = {}
     sums = [0.0, 0.0, 0.0, 0.0, 0.0]
-    for row in trace.rows:
+    for row in rows:
         moves.setdefault(row.agent_id, 0)
         prev = last_pos.get(row.agent_id)
         if prev is not None and prev != (row.i, row.j):
@@ -419,13 +419,13 @@ def metrics(trace: SimulationTrace) -> Metrics:
         sums[2] += row.e_f
         sums[3] += row.e_k
         sums[4] += row.fatigue
-    n = len(trace.rows)
+    n = len(rows)
     means = [s / n if n else 0.0 for s in sums]
     per_agent = tuple(moves[aid] for aid in sorted(moves))
     return Metrics(
-        interactions=len(trace.interactions),
+        interactions=interactions,
         photos=photos,
-        dream_frames=len(trace.dream_rows),
+        dream_frames=dream_frames,
         moves_per_agent=per_agent,
         total_moves=sum(per_agent),
         mean_happiness=means[0],
@@ -433,4 +433,19 @@ def metrics(trace: SimulationTrace) -> Metrics:
         mean_friendship=means[2],
         mean_courage=means[3],
         mean_fatigue=means[4],
+    )
+
+
+def metrics(trace: SimulationTrace) -> Metrics:
+    """Summary statistics recomputed from the trace itself.
+
+    Moves and means come from the rows (see `row_metrics`); photo totals come
+    from stored observed percepts; interaction and dream totals come from
+    their records.
+    """
+    return row_metrics(
+        trace.rows,
+        interactions=len(trace.interactions),
+        photos=sum(1 for p in trace.percept_rows if p.kind == "observed"),
+        dream_frames=len(trace.dream_rows),
     )

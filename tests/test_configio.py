@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conscient_sim.configio import (
@@ -110,6 +112,61 @@ def test_overrides_apply_and_validate():
     assert bundle.effective["world.master_seed"] == "99"
     with pytest.raises(ConfigError):
         parse_config_text("", overrides={"world.sheep": "1"})
+    for key, val, typename in (
+        ("world.master_seed", "abc", "integer"),
+        ("emotion.threshold", "nan", "number"),
+        ("ga.normalize_fitness", "yes", "boolean"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("", overrides={key: val})
+        assert str(exc.value) == f"override: key {key}: expected {typename}, got {val!r}"
+
+
+# where each section's dataclass sits in a parsed bundle
+_SECTION_IN_BUNDLE = {
+    "world": lambda b: b.world,
+    "agent": lambda b: b.world.agent,
+    "dream": lambda b: b.world.agent.dream,
+    "emotion": lambda b: b.world.agent.emotion,
+    "kernel": lambda b: b.world.agent.kernel,
+    "ga": lambda b: b.ga,
+}
+
+
+def _non_default(default):
+    """A value unlike the default that every config validation accepts."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default / 2 if default else 0.25
+    if isinstance(default[0], int):
+        return tuple(x + 1 for x in default)
+    return default[:1]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in ENTRIES if e.key not in ("world.content_graph", "world.style_graph")],
+    ids=lambda e: e.key,
+)
+def test_every_key_reaches_its_field(entry):
+    value = _non_default(entry.default)
+    assert value != entry.default
+    bundle = parse_config_text(f"{entry.key} = {entry.render(value)}\n")
+    section, name = entry.key.split(".")
+    assert getattr(_SECTION_IN_BUNDLE[section](bundle), name) == value
+
+
+def test_canonical_rendering_is_pinned():
+    # benchmark configs and manifest replays are written through this rendering
+    text = render_config(default_values())
+    assert len(text.splitlines()) == 51
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "2a7e2b3aaddd19948e1e9690fffc5d1be13a9173da02caec53435ed65e0eae14"
+    )
 
 
 def test_effective_values_are_canonical_fixpoint():
