@@ -10,7 +10,7 @@ with its field contaminated by fresh noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Protocol
 
 import numpy as np
@@ -32,7 +32,7 @@ from .fields import (
     ValueField,
     contaminate,
     local_bump,
-    moore_neighbors,
+    moore_neighborhood,
     steepest_neighbor,
 )
 from .semantics import Percept, PerceptStore, SemanticGraph, classify
@@ -149,7 +149,7 @@ def navigate_step(agent: Agent, rng: np.random.Generator) -> GridCell:
     if agent.moves_used >= cfg.movement_budget:
         return agent.position
     if float(rng.random()) < cfg.explore_rate:
-        nbrs = moore_neighbors(agent.position, agent.field.resolution)
+        nbrs = moore_neighborhood(agent.position, agent.field.resolution)
         target = nbrs[int(rng.integers(len(nbrs)))]
     else:
         target = steepest_neighbor(agent.field, agent.position)
@@ -221,7 +221,15 @@ def receive_percept(agent: Agent, percept: Percept) -> float:
     """
     cfg = agent.config
     evaluation = agent.field.value_at(percept.origin)
-    stored = agent.percepts.attach(replace(percept, kind="received"))
+    received = Percept(
+        id=percept.id,
+        features=percept.features,
+        category=percept.category,
+        origin=percept.origin,
+        tick=percept.tick,
+        kind="received",
+    )
+    stored = agent.percepts.attach(received)
     if stored:
         agent.received_count += 1
         agent.emotions = apply_event(

@@ -11,7 +11,7 @@ never mutated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,14 @@ class EmotionState:
                 raise ConfigError(f"emotion {name} must be in [0, 1], got {v}")
 
     def copy(self) -> "EmotionState":
-        return replace(self)
+        # Skips __post_init__: every update clamps to [0, 1] on its own.
+        new = object.__new__(EmotionState)
+        new.happiness = self.happiness
+        new.curiosity = self.curiosity
+        new.friendship = self.friendship
+        new.courage = self.courage
+        new.fatigue = self.fatigue
+        return new
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,6 +11,7 @@ mutated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, CovarianceDegeneracyError
 
-# Exact sampling factorizes an r^2 x r^2 covariance; memory grows as r^4.
+# Exact sampling factorizes an r^2 x r^2 covariance; memory grows as r^4, and
+# the last two factors stay cached.
 MAX_RESOLUTION = 128
 JITTER_CEILING = 1e-4
 
@@ -106,6 +108,15 @@ def sample_field(kernel: KernelConfig, resolution: int, rng: np.random.Generator
         raise ConfigError(
             f"exact sampling is bounded at resolution {MAX_RESOLUTION}, got {resolution}"
         )
+    draw = _covariance_factor(kernel, resolution) @ rng.standard_normal(resolution * resolution)
+    return ValueField(resolution, draw.reshape(resolution, resolution))
+
+
+# Keyed on the whole kernel, so every world sharing a kernel and resolution
+# shares one factor. A failed factorization raises and is not cached.
+@functools.lru_cache(maxsize=2)
+def _covariance_factor(kernel: KernelConfig, resolution: int) -> np.ndarray:
+    """Read-only lower Cholesky factor of the kernel's covariance."""
     n = resolution * resolution
     base = kernel_matrix(KernelConfig(kernel.amplitude, kernel.lengthscale, 0.0), resolution)
     jitter = kernel.jitter
@@ -119,8 +130,8 @@ def sample_field(kernel: KernelConfig, resolution: int, rng: np.random.Generator
                 raise CovarianceDegeneracyError(
                     f"covariance not positive definite up to jitter {JITTER_CEILING}"
                 ) from None
-    draw = chol @ rng.standard_normal(n)
-    return ValueField(resolution, draw.reshape(resolution, resolution))
+    chol.flags.writeable = False
+    return chol
 
 
 def bump_amount(peak: float, width: float, distance: float) -> float:
@@ -145,9 +156,18 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
         raise ConfigError(f"bump width must be > 0, got {width}")
     if not math.isfinite(peak):
         raise ConfigError(f"bump peak must be finite, got {peak}")
-    idx = np.arange(field.resolution, dtype=float)
-    d2 = (idx[:, None] - center.i) ** 2 + (idx[None, :] - center.j) ** 2
+    sq = _squared_offsets(field.resolution)
+    d2 = sq[center.i][:, None] + sq[center.j][None, :]
     return ValueField(field.resolution, field.values + peak * np.exp(-d2 / (2.0 * width * width)))
+
+
+@functools.lru_cache(maxsize=8)
+def _squared_offsets(resolution: int) -> np.ndarray:
+    """Read-only table sq[c, k] = (k - c)^2 over grid coordinates."""
+    idx = np.arange(resolution, dtype=float)
+    sq = (idx[None, :] - idx[:, None]) ** 2
+    sq.flags.writeable = False
+    return sq
 
 
 def contaminate(field: ValueField, sigma: float, rng: np.random.Generator) -> ValueField:
@@ -185,6 +205,12 @@ def gradient_at(field: ValueField, cell: GridCell) -> np.ndarray:
 
 def moore_neighbors(cell: GridCell, resolution: int) -> list[GridCell]:
     """In-bounds 8-neighborhood of a cell, ordered by (i, j)."""
+    return list(moore_neighborhood(cell, resolution))
+
+
+@functools.lru_cache(maxsize=MAX_RESOLUTION * MAX_RESOLUTION)
+def moore_neighborhood(cell: GridCell, resolution: int) -> tuple[GridCell, ...]:
+    """Shared, cached tuple form of `moore_neighbors` for the per-tick paths."""
     out = []
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
@@ -193,7 +219,7 @@ def moore_neighbors(cell: GridCell, resolution: int) -> list[GridCell]:
             ni, nj = cell.i + di, cell.j + dj
             if 0 <= ni < resolution and 0 <= nj < resolution:
                 out.append(GridCell(ni, nj))
-    return out
+    return tuple(out)
 
 
 def steepest_neighbor(field: ValueField, cell: GridCell) -> GridCell:
@@ -204,8 +230,9 @@ def steepest_neighbor(field: ValueField, cell: GridCell) -> GridCell:
     """
     best = cell
     best_val = field.value_at(cell)
-    for nb in moore_neighbors(cell, field.resolution):
-        v = field.value_at(nb)
+    values = field.values
+    for nb in moore_neighborhood(cell, field.resolution):
+        v = values.item(nb.i, nb.j)
         if v > best_val:
             best, best_val = nb, v
     return best

@@ -108,6 +108,11 @@ class GAConfig:
             )
         if not self.eval_seeds:
             raise ConfigError("ga.eval_seeds must not be empty")
+        for seed in self.eval_seeds:
+            if not (0 <= seed < 2**64):
+                raise ConfigError(
+                    f"ga.eval_seeds entries must be unsigned 64-bit integers, got {seed}"
+                )
         if self.movement_budget < 0:
             raise ConfigError(f"ga.movement_budget must be >= 0, got {self.movement_budget}")
 

@@ -9,8 +9,9 @@ stores are insertion-ordered memories grouped by category.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -73,12 +74,24 @@ blur dark
 
 @dataclass(frozen=True, eq=False)
 class SemanticGraph:
-    """Undirected category graph with per-category prototype features."""
+    """Undirected category graph with per-category prototype features.
+
+    `prototype_matrix` stacks the prototypes in node order; `_hop_rows` memoises
+    BFS hop counts per start node as `semantic_distance` asks for them.
+    """
 
     nodes: tuple[str, ...]
     adjacency: dict[str, tuple[str, ...]]
     prototypes: dict[str, np.ndarray]
     feature_dim: int
+    prototype_matrix: np.ndarray = field(init=False, repr=False)
+    _hop_rows: dict[str, dict[str, int]] = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        matrix = np.array([self.prototypes[n] for n in self.nodes], dtype=float)
+        matrix = matrix.reshape(len(self.nodes), self.feature_dim)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "prototype_matrix", matrix)
 
     def has_node(self, name: str) -> bool:
         return name in self.adjacency
@@ -143,21 +156,19 @@ def semantic_distance(graph: SemanticGraph, start: str, end: str) -> Optional[in
         raise UnknownCategoryError(start)
     if not graph.has_node(end):
         raise UnknownCategoryError(end)
-    if start == end:
-        return 0
-    seen = {start: 0}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        d = seen[node]
-        for nb in graph.neighbors(node):
-            if nb in seen:
-                continue
-            if nb == end:
-                return d + 1
-            seen[nb] = d + 1
-            queue.append(nb)
-    return None
+    hops = graph._hop_rows.get(start)
+    if hops is None:
+        hops = {start: 0}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            d = hops[node]
+            for nb in graph.neighbors(node):
+                if nb not in hops:
+                    hops[nb] = d + 1
+                    queue.append(nb)
+        graph._hop_rows[start] = hops
+    return hops.get(end)
 
 
 def classify(features: np.ndarray, graph: SemanticGraph) -> str:
@@ -174,8 +185,11 @@ def classify(features: np.ndarray, graph: SemanticGraph) -> str:
         raise ContractError("cannot classify against an empty graph")
     best = None
     best_d = float("inf")
-    for name in graph.nodes:  # sorted, so first strict win is the tie-break
-        d = float(np.linalg.norm(feats - graph.prototypes[name]))
+    # sqrt(x.dot(x)) per row is exactly what np.linalg.norm computes for a
+    # vector; a batched reduction sums in another order and can flip near-ties.
+    diffs = feats - graph.prototype_matrix
+    for name, row in zip(graph.nodes, diffs):  # sorted, so first strict win is the tie-break
+        d = math.sqrt(row.dot(row))
         if d < best_d:
             best, best_d = name, d
     assert best is not None

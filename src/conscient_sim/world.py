@@ -288,7 +288,7 @@ class World:
             e_f=e.friendship,
             e_k=e.courage,
             fatigue=e.fatigue,
-            field_value=agent.field.value_at(agent.position),
+            field_value=agent.field.values.item(agent.position.i, agent.position.j),
             events=events,
         )
 

@@ -8,6 +8,7 @@ not loosen them to make a failing build green.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 import time
 
@@ -35,6 +36,10 @@ from conscient_sim.traceio import (
     read_metrics_csv,
     read_trace_csv,
     summarize_rows,
+    write_dreams_csv,
+    write_interactions_csv,
+    write_metrics_csv,
+    write_percepts_csv,
     write_trace_csv,
 )
 from conscient_sim.world import WorldConfig, metrics, run
@@ -53,6 +58,36 @@ REFERENCE_CONFIG = WorldConfig(
 PINNED_INTERACTIONS = 20
 PINNED_PHOTOS = 460
 PINNED_DREAM_FRAMES = 5000
+
+# Eight agents on an 8 x 8 grid exchange 906 percepts in 200 ticks, so
+# receive_percept, local_bump and classify weigh far more here than in the
+# two-agent reference run.
+CROWDED_CONFIG = WorldConfig(
+    resolution=8,
+    n_agents=8,
+    total_ticks=200,
+    stimulus_probability=0.2,
+    master_seed=3,
+)
+
+# SHA-256 of every CSV `simulate` writes. A speed-up must leave these bytes
+# exactly as they are; moving one is a semantics change.
+PINNED_OUTPUT_SHA256 = {
+    "reference": {
+        "trace.csv": "7ca9a7b7451e4d76b83c56ef6e3095e33d6aa8a24ef8d6e0b59007c5632b1ecb",
+        "interactions.csv": "9a9f6b973e0f05a249bef1776253e38dac03276d859effb472630bf7e17ddc6e",
+        "dreams.csv": "dfe8dec5f1d6a9b125d3fa6e7bb46669271501383005d4f1bd8c538bbc920727",
+        "percepts.csv": "5026e48c8519ce3ecdc5c7ebf5a34035b8b842e36233c2b4b5b5a023cc580676",
+        "metrics.csv": "5ee0d74e355e05be41ca3c7983ffde7336bb76db8c8c6dd51feffa8649cf7f7e",
+    },
+    "crowded": {
+        "trace.csv": "cc626b73aa934c2e71b2a6289ece46c4d8def633399934ad77232d68e1f10f20",
+        "interactions.csv": "25a6b24199a5a56cbc92f8b56ad1294edda1bab063f070cc0b061b8d4997de5d",
+        "dreams.csv": "cc0adbc591524c26e9d6ca595bd5dd5ea6f7339a47e12df2014802cfa0224bb0",
+        "percepts.csv": "e7d1893b7181962664b9d14660238bfc61fde5e9cc9c51f83090435c71be8307",
+        "metrics.csv": "50b13c0cba0c396c9be545d73aa57b22a2b358447ccda8889c48473e96b8bc28",
+    },
+}
 
 
 @contextlib.contextmanager
@@ -212,6 +247,24 @@ def test_criterion_06_byte_identical_traces_and_pinned_count(tmp_path):
         assert m.interactions == PINNED_INTERACTIONS
         assert m.photos == PINNED_PHOTOS
         assert m.dream_frames == PINNED_DREAM_FRAMES
+
+
+@pytest.mark.parametrize("name", ["reference", "crowded"])
+def test_output_bytes_are_pinned(name, tmp_path):
+    trace = run({"reference": REFERENCE_CONFIG, "crowded": CROWDED_CONFIG}[name])
+    writers = {
+        "trace.csv": (write_trace_csv, trace.rows),
+        "interactions.csv": (write_interactions_csv, trace.interactions),
+        "dreams.csv": (write_dreams_csv, trace.dream_rows),
+        "percepts.csv": (write_percepts_csv, trace.percept_rows),
+        "metrics.csv": (write_metrics_csv, metrics(trace)),
+    }
+    digests = {}
+    for filename, (write, payload) in writers.items():
+        path = tmp_path / filename
+        write(str(path), payload)
+        digests[filename] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PINNED_OUTPUT_SHA256[name]
 
 
 def test_criterion_07_replay_summary_matches_live_metrics(tmp_path):

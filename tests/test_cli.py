@@ -66,6 +66,17 @@ def test_exit_code_1_names_bad_key_and_line(tmp_path, capsys):
     assert "world.gravity" in err and "line 2" in err
 
 
+def test_exit_code_1_on_negative_eval_seed(tmp_path, capsys):
+    # every evaluation would fail and score -inf; the config is rejected instead
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("world.total_ticks = 5\nga.eval_seeds = -1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = run_command(["optimize", "--config", str(bad), "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert "ga.eval_seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     rc = run_command(["simulate", "--config", cfg_path, "--seed", "7", "--out", str(out)])

@@ -25,10 +25,12 @@ def test_state_validation_and_copy():
         EmotionState(fatigue=-0.1)
     with pytest.raises(ConfigError):
         EmotionState(courage=float("nan"))
-    s = EmotionState(happiness=0.3)
+    s = EmotionState(happiness=0.3, curiosity=0.4, friendship=0.6, courage=0.7, fatigue=0.2)
     c = s.copy()
+    assert type(c) is EmotionState and c is not s and c == s
     c.happiness = 0.9
-    assert s.happiness == 0.3
+    c.fatigue = 1.0
+    assert s == EmotionState(0.3, 0.4, 0.6, 0.7, 0.2)
 
 
 def test_params_validation():

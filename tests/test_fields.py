@@ -59,6 +59,16 @@ def test_sample_field_determinism():
     assert not np.array_equal(a.values, c.values)
 
 
+def test_sample_field_matches_uncached_factor():
+    # oracle: factor the jittered covariance afresh for every draw
+    kernels = [KernelConfig(), KernelConfig(lengthscale=1.0), KernelConfig(amplitude=2.0)]
+    for kernel in kernels + kernels[:1]:  # the last draw follows an eviction
+        for seed in (0, 1):
+            chol = np.linalg.cholesky(kernel_matrix(kernel, 6))
+            want = (chol @ make_rng(seed).standard_normal(36)).reshape(6, 6)
+            assert np.array_equal(sample_field(kernel, 6, make_rng(seed)).values, want)
+
+
 def test_sample_field_marginal_law():
     # Monte-Carlo oracle: per-cell mean ~ 0 and variance ~ amplitude + jitter
     kernel = KernelConfig(amplitude=1.0, lengthscale=2.0)
@@ -96,8 +106,9 @@ def test_sample_field_resolution_limits():
 def test_sample_field_degenerate_covariance():
     # identical columns at this scale: escalated jitter drowns in rounding
     kernel = KernelConfig(amplitude=1e16, lengthscale=1e6, jitter=1e-8)
-    with pytest.raises(CovarianceDegeneracyError):
-        sample_field(kernel, 4, make_rng(5))
+    for _ in range(2):  # a failed factorization is not cached
+        with pytest.raises(CovarianceDegeneracyError):
+            sample_field(kernel, 4, make_rng(5))
 
 
 def test_jitter_escalation_recovers_rank_deficiency():
@@ -126,6 +137,19 @@ def test_local_bump_matches_profile_everywhere():
             assert bumped.values[i, j] == pytest.approx(bump_amount(-1.0, 1.0, d), abs=1e-12)
     assert bumped.values[2, 1] == pytest.approx(-1.0, abs=1e-9)
     assert bumped.values[2, 2] == pytest.approx(-math.exp(-0.5), abs=1e-9)
+
+
+def test_local_bump_matches_closed_form_bit_for_bit():
+    for r in (2, 5, 16, 33):
+        idx = np.arange(r, dtype=float)
+        base = ValueField(r, make_rng(r).normal(size=(r, r)))
+        for width in (0.5, 1.5, 2.0, 7.3):
+            for i in range(r):
+                for j in range(r):
+                    d2 = (idx[:, None] - i) ** 2 + (idx[None, :] - j) ** 2
+                    want = base.values + -0.5 * np.exp(-d2 / (2.0 * width * width))
+                    got = local_bump(base, GridCell(i, j), -0.5, width)
+                    assert np.array_equal(got.values, want)
 
 
 def test_local_bump_roundtrip_restores_field():
@@ -213,6 +237,10 @@ def test_moore_neighbors_bounds_and_order():
     assert mid == sorted(mid)
     corner = moore_neighbors(GridCell(0, 0), 5)
     assert corner == [GridCell(0, 1), GridCell(1, 0), GridCell(1, 1)]
+    # each call hands out a fresh list
+    corner.append(GridCell(4, 4))
+    corner.reverse()
+    assert moore_neighbors(GridCell(0, 0), 5) == [GridCell(0, 1), GridCell(1, 0), GridCell(1, 1)]
 
 
 def _climb_oracle(values: np.ndarray, i: int, j: int) -> tuple[int, int]:
@@ -234,11 +262,15 @@ def _climb_oracle(values: np.ndarray, i: int, j: int) -> tuple[int, int]:
 
 
 def test_steepest_neighbor_matches_enumeration_oracle():
-    for seed in (3, 17, 90):
-        rng = make_rng(seed)
-        field = ValueField(6, rng.normal(size=(6, 6)))
-        for i in range(6):
-            for j in range(6):
+    fields = [ValueField(6, make_rng(seed).normal(size=(6, 6))) for seed in (3, 17, 90)]
+    # integer values in {0, 1, 2}: ties between neighbours everywhere
+    for r in (2, 3, 6, 11):
+        for seed in (1, 2):
+            fields.append(ValueField(r, make_rng(seed).integers(0, 3, size=(r, r))))
+    for field in fields:
+        r = field.resolution
+        for i in range(r):
+            for j in range(r):
                 want = _climb_oracle(field.values, i, j)
                 got = steepest_neighbor(field, GridCell(i, j))
                 assert (got.i, got.j) == want

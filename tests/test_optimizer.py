@@ -236,6 +236,13 @@ def test_ga_config_validation():
         GAConfig(crossover_rate=1.5)
 
 
+def test_eval_seeds_must_be_unsigned_64_bit():
+    for bad in ((-1,), (11, 2**64)):
+        with pytest.raises(ConfigError, match="ga.eval_seeds"):
+            GAConfig(eval_seeds=bad)
+    assert GAConfig(eval_seeds=(0, 2**64 - 1)).eval_seeds == (0, 2**64 - 1)
+
+
 def test_evolve_deterministic():
     ga = GAConfig(
         population_size=4, generations=3, eval_seeds=(11,), movement_budget=50

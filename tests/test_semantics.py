@@ -129,18 +129,39 @@ def test_builtin_graphs_shape():
     assert semantic_distance(style, "dark", "neon") == 2
 
 
+def _classify_oracle(x, g):
+    # explicit per-prototype norms with lexicographic tie-break
+    best, best_d = None, float("inf")
+    for node in sorted(g.nodes):
+        d = float(np.linalg.norm(x - g.prototypes[node]))
+        if d < best_d:
+            best, best_d = node, d
+    return best
+
+
 def test_classify_matches_brute_force_oracle():
     g = _graph(["a b", "b c", "c d"], seed=12, dim=5)
     rng = make_rng(3)
     for _ in range(200):
         x = rng.random(5)
-        # oracle: explicit distance table with lexicographic tie-break
-        best, best_d = None, float("inf")
-        for node in sorted(g.nodes):
-            d = float(np.linalg.norm(x - g.prototypes[node]))
-            if d < best_d:
-                best, best_d = node, d
-        assert classify(x, g) == best
+        assert classify(x, g) == _classify_oracle(x, g)
+
+
+@pytest.mark.parametrize(
+    "edges", [BUILTIN_CONTENT_EDGES, BUILTIN_STYLE_EDGES], ids=["content", "style"]
+)
+def test_classify_matches_norm_loop_exactly_on_builtin_graphs(edges):
+    g = load_graph(edges, seed=41, feature_dim=16)
+    rng = make_rng(8)
+    vectors = [rng.random(16) for _ in range(10_000)]
+    # midpoints are equidistant from two prototypes: rounding decides them
+    vectors += [
+        (g.prototypes[a] + g.prototypes[b]) / 2.0
+        for k, a in enumerate(g.nodes)
+        for b in g.nodes[k + 1 :]
+    ]
+    for x in vectors:
+        assert classify(x, g) == _classify_oracle(x, g)
 
 
 def test_classify_exact_prototype_and_tie():
