@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional, Sequence
 
@@ -279,17 +280,15 @@ def _evaluate_population(
     base: WorldConfig,
     bounds: Sequence[BoundSpec],
     generation: int,
-    workers: int,
+    pool: Optional[ProcessPoolExecutor],
     trace_hook: Optional[TraceHook],
 ) -> list[FitnessReport]:
-    if workers <= 1 or trace_hook is not None:
-        # hooks cannot cross process boundaries; run them in-process
+    if pool is None:
         return [
             fitness(g, ga, base, bounds, generation, trace_hook) for g in population
         ]
     args = [(g.genes.tolist(), ga, base, tuple(bounds), generation) for g in population]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, args))
+    return list(pool.map(_worker, args))
 
 
 def _tournament(
@@ -322,46 +321,50 @@ def evolve(
     refilled by tournament selection, uniform crossover, and per-gene Gaussian
     mutation, with genes clipped back into [0, 1].
     """
-    n_workers = _resolve_workers(workers)
+    n_workers = min(_resolve_workers(workers), ga.population_size)
     rng = make_rng(derive_seed(seed, "ga"))
     d = len(bounds)
     population = [Genome(rng.random(d)) for _ in range(ga.population_size)]
     history: list[GenerationStats] = []
     best_overall: Optional[FitnessReport] = None
-    for gen in range(ga.generations):
-        reports = _evaluate_population(
-            population, ga, base, bounds, gen, n_workers, trace_hook
-        )
-        order = sorted(
-            range(len(reports)), key=lambda k: (-reports[k].fitness, k)
-        )
-        gen_best = reports[order[0]]
-        mean_fit = sum(r.fitness for r in reports) / len(reports)
-        history.append(
-            GenerationStats(
-                generation=gen,
-                best_fitness=gen_best.fitness,
-                mean_fitness=mean_fit,
-                best_genome=gen_best.genome.genes.copy(),
+    # one pool for the whole search, so each worker factors the covariance
+    # once; hooks cannot cross process boundaries, so they run in-process
+    parallel = n_workers > 1 and trace_hook is None
+    with ProcessPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
+        for gen in range(ga.generations):
+            reports = _evaluate_population(
+                population, ga, base, bounds, gen, pool, trace_hook
             )
-        )
-        if best_overall is None or gen_best.fitness > best_overall.fitness:
-            best_overall = gen_best
-        if gen == ga.generations - 1:
-            break
-        next_pop = [population[k].copy() for k in order[: ga.elite_count]]
-        while len(next_pop) < ga.population_size:
-            p1 = _tournament(reports, ga.tournament_size, rng).genome.genes
-            p2 = _tournament(reports, ga.tournament_size, rng).genome.genes
-            if float(rng.random()) < ga.crossover_rate:
-                mask = rng.random(d) < 0.5
-                child = np.where(mask, p1, p2)
-            else:
-                child = p1.copy()
-            mutate = rng.random(d) < ga.mutation_rate
-            noise = rng.normal(0.0, ga.mutation_sigma, size=d)
-            child = np.clip(np.where(mutate, child + noise, child), 0.0, 1.0)
-            next_pop.append(Genome(child))
-        population = next_pop
+            order = sorted(
+                range(len(reports)), key=lambda k: (-reports[k].fitness, k)
+            )
+            gen_best = reports[order[0]]
+            mean_fit = sum(r.fitness for r in reports) / len(reports)
+            history.append(
+                GenerationStats(
+                    generation=gen,
+                    best_fitness=gen_best.fitness,
+                    mean_fitness=mean_fit,
+                    best_genome=gen_best.genome.genes.copy(),
+                )
+            )
+            if best_overall is None or gen_best.fitness > best_overall.fitness:
+                best_overall = gen_best
+            if gen == ga.generations - 1:
+                break
+            next_pop = [population[k].copy() for k in order[: ga.elite_count]]
+            while len(next_pop) < ga.population_size:
+                p1 = _tournament(reports, ga.tournament_size, rng).genome.genes
+                p2 = _tournament(reports, ga.tournament_size, rng).genome.genes
+                if float(rng.random()) < ga.crossover_rate:
+                    mask = rng.random(d) < 0.5
+                    child = np.where(mask, p1, p2)
+                else:
+                    child = p1.copy()
+                mutate = rng.random(d) < ga.mutation_rate
+                noise = rng.normal(0.0, ga.mutation_sigma, size=d)
+                child = np.clip(np.where(mutate, child + noise, child), 0.0, 1.0)
+                next_pop.append(Genome(child))
+            population = next_pop
     assert best_overall is not None
     return best_overall, history

@@ -1,20 +1,20 @@
 """CSV serialization for traces, records, and metrics.
 
 Owns the on-disk schemas. Numbers render via repr so floats round-trip
-exactly and identical runs produce byte-identical files; writes go through a
-temp file and an atomic rename. `summarize_rows` recomputes a full metrics
-summary from trace rows alone, independently of the in-memory record lists,
-which is what the `metrics` subcommand and the consistency checks use.
+exactly and identical runs produce byte-identical files; rows stream through
+`csv.writer` into a temp file that is renamed into place. `summarize_rows`
+recomputes a full metrics summary from trace rows alone, independently of the
+in-memory record lists, which is what the `metrics` subcommand and the
+consistency checks use.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
-import tempfile
-from typing import Iterable, Optional
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -86,13 +86,34 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text then rename into place so readers never see partial files."""
+class _FloatMemo(dict):
+    """`_fmt` of each distinct value, rendered once: `memo[v] == _fmt(v)`.
+
+    Zero is never stored, because 0.0 and -0.0 compare equal as keys but
+    render differently.
+    """
+
+    def __missing__(self, v) -> str:
+        text = _fmt(v)
+        if v:
+            self[v] = text
+        return text
+
+
+@contextmanager
+def _atomic_open(path: str) -> Iterator[TextIO]:
+    """Yield a text handle on a temp file beside `path`, renamed into place on success.
+
+    Readers never see a partial file, and on any exception the temp file is
+    removed and `path` keeps its old bytes. The temp file is created with mode
+    0o666, so the kernel applies the umask just as `open(path, "w")` does.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,37 +121,41 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows: Iterable[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text then rename into place so readers never see partial files."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_trace_csv(path: str, rows: Iterable[TraceRow]) -> None:
-    atomic_write_text(
+    # emotions and field values repeat across agents and ticks
+    fmt = _FloatMemo()
+    _write_csv(
         path,
-        _csv_text(
-            TRACE_HEADER,
-            (
-                [
-                    r.tick,
-                    r.agent_id,
-                    r.i,
-                    r.j,
-                    r.mode,
-                    _fmt(r.e_h),
-                    _fmt(r.e_c),
-                    _fmt(r.e_f),
-                    _fmt(r.e_k),
-                    _fmt(r.fatigue),
-                    _fmt(r.field_value),
-                    ";".join(r.events),
-                ]
-                for r in rows
-            ),
+        TRACE_HEADER,
+        (
+            [
+                r.tick,
+                r.agent_id,
+                r.i,
+                r.j,
+                r.mode,
+                fmt[r.e_h],
+                fmt[r.e_c],
+                fmt[r.e_f],
+                fmt[r.e_k],
+                fmt[r.fatigue],
+                fmt[r.field_value],
+                ";".join(r.events),
+            ]
+            for r in rows
         ),
     )
 
@@ -204,70 +229,67 @@ def summarize_rows(rows: list[TraceRow]) -> Metrics:
 
 
 def write_interactions_csv(path: str, records: Iterable[InteractionRecord]) -> None:
-    atomic_write_text(
+    _write_csv(
         path,
-        _csv_text(
-            INTERACTIONS_HEADER,
-            (
-                [
-                    r.tick,
-                    r.agent_a,
-                    r.agent_b,
-                    r.cell.i,
-                    r.cell.j,
-                    r.sent_by_a,
-                    r.sent_by_b,
-                    _fmt(r.eval_by_a),
-                    _fmt(r.eval_by_b),
-                ]
-                for r in records
-            ),
+        INTERACTIONS_HEADER,
+        (
+            [
+                r.tick,
+                r.agent_a,
+                r.agent_b,
+                r.cell.i,
+                r.cell.j,
+                r.sent_by_a,
+                r.sent_by_b,
+                _fmt(r.eval_by_a),
+                _fmt(r.eval_by_b),
+            ]
+            for r in records
         ),
     )
 
 
 def write_dreams_csv(path: str, rows: Iterable[DreamFrameRow]) -> None:
-    atomic_write_text(
+    _write_csv(
         path,
-        _csv_text(
-            DREAMS_HEADER,
-            (
-                [
-                    r.agent_id,
-                    r.tick,
-                    r.frame_index,
-                    r.percept_id,
-                    r.content_category,
-                    r.style_category,
-                    r.origin_i,
-                    r.origin_j,
-                    "" if r.pair_distance is None else r.pair_distance,
-                    r.valence,
-                ]
-                for r in rows
-            ),
+        DREAMS_HEADER,
+        (
+            [
+                r.agent_id,
+                r.tick,
+                r.frame_index,
+                r.percept_id,
+                r.content_category,
+                r.style_category,
+                r.origin_i,
+                r.origin_j,
+                "" if r.pair_distance is None else r.pair_distance,
+                r.valence,
+            ]
+            for r in rows
         ),
     )
 
 
 def write_percepts_csv(path: str, rows: Iterable[PerceptRow]) -> None:
-    atomic_write_text(
+    # observed, style and received percepts share vectors: render each once,
+    # keyed on its float64 bytes (which tell 0.0 from -0.0)
+    rendered: dict[bytes, str] = {}
+
+    def features(vec) -> str:
+        vec = np.asarray(vec, dtype=np.float64)
+        key = vec.tobytes()
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = ";".join(map(_fmt, vec.tolist()))
+        return text
+
+    _write_csv(
         path,
-        _csv_text(
-            PERCEPTS_HEADER,
-            (
-                [
-                    r.agent_id,
-                    r.id,
-                    r.kind,
-                    r.category,
-                    r.i,
-                    r.j,
-                    r.tick,
-                    ";".join(_fmt(x) for x in r.features),
-                ]
-                for r in rows
-            ),
+        PERCEPTS_HEADER,
+        (
+            [r.agent_id, r.id, r.kind, r.category, r.i, r.j, r.tick, features(r.features)]
+            for r in rows
         ),
     )
 
@@ -311,10 +333,7 @@ def _render_metric(v) -> str:
 
 
 def write_metrics_csv(path: str, m: Metrics) -> None:
-    atomic_write_text(
-        path,
-        _csv_text(METRICS_HEADER, ([k, _render_metric(v)] for k, v in m.items())),
-    )
+    _write_csv(path, METRICS_HEADER, ([k, _render_metric(v)] for k, v in m.items()))
 
 
 def read_metrics_csv(path: str) -> Metrics:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conscient_sim import optimizer
 from conscient_sim.errors import ConfigError, ContractError
 from conscient_sim.optimizer import (
     DEFAULT_BOUNDS,
@@ -295,6 +296,30 @@ def test_evolve_parallel_matches_sequential():
     assert np.array_equal(best_seq.genome.genes, best_par.genome.genes)
     assert [h.best_fitness for h in hist_seq] == [h.best_fitness for h in hist_par]
     assert [h.mean_fitness for h in hist_seq] == [h.mean_fitness for h in hist_par]
+
+
+def test_evolve_builds_one_pool_capped_at_population_size(monkeypatch):
+    built = []
+
+    class CountingPool(optimizer.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", CountingPool)
+    ga = GAConfig(
+        population_size=2, generations=3, eval_seeds=(11,), movement_budget=50
+    )
+    best_seq, hist_seq = evolve(ga, SMALL_WORLD, seed=4, workers=1)
+    assert built == []
+    best_par, hist_par = evolve(ga, SMALL_WORLD, seed=4, workers=5)
+    assert built == [2]  # one pool for all generations, no more workers than genomes
+    assert best_seq.fitness == best_par.fitness
+    assert np.array_equal(best_seq.genome.genes, best_par.genome.genes)
+    assert [h.best_fitness for h in hist_seq] == [h.best_fitness for h in hist_par]
+    assert [h.mean_fitness for h in hist_seq] == [h.mean_fitness for h in hist_par]
+    for seq, par in zip(hist_seq, hist_par):
+        assert np.array_equal(seq.best_genome, par.best_genome)
 
 
 def test_evolve_trace_hook_budget_property():

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,11 @@ from conscient_sim.fields import GridCell
 from conscient_sim.semantics import Percept, PerceptStore, load_graph
 from conscient_sim.seeds import make_rng
 from conscient_sim.traceio import (
+    DREAMS_HEADER,
+    INTERACTIONS_HEADER,
+    PERCEPTS_HEADER,
+    TRACE_HEADER,
+    _fmt,
     atomic_write_text,
     read_manifest,
     read_metrics_csv,
@@ -25,7 +35,15 @@ from conscient_sim.traceio import (
     write_percepts_csv,
     write_trace_csv,
 )
-from conscient_sim.world import WorldConfig, metrics, run
+from conscient_sim.world import (
+    DreamFrameRow,
+    InteractionRecord,
+    PerceptRow,
+    TraceRow,
+    WorldConfig,
+    metrics,
+    run,
+)
 
 CFG = WorldConfig(resolution=8, n_agents=2, total_ticks=150, master_seed=2024)
 
@@ -168,13 +186,124 @@ def test_manifest_roundtrip_and_errors(tmp_path):
         read_manifest(str(tmp_path / "missing.json"))
 
 
-def test_atomic_write_leaves_no_temp_files(tmp_path):
+def test_atomic_write_leaves_no_temp_files(tmp_path, trace):
     path = tmp_path / "out.txt"
     atomic_write_text(str(path), "first\n")
     atomic_write_text(str(path), "second\n")
     assert path.read_text(encoding="utf-8") == "second\n"
+
+    # rows stream into the temp file, so a row source that fails part-way
+    # must leave the old file as it was and no temp file behind
+    def failing_rows():
+        yield from trace.rows
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_trace_csv(str(path), failing_rows())
+    assert path.read_text(encoding="utf-8") == "second\n"
     leftovers = [p.name for p in tmp_path.iterdir() if p.name != "out.txt"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_output_files_follow_the_umask(tmp_path, trace, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+            fh.write("x\n")
+        atomic_write_text(str(tmp_path / "text.txt"), "x\n")
+        write_trace_csv(str(tmp_path / "trace.csv"), trace.rows)
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes["plain.txt"] == 0o666 & ~umask  # what open(path, "w") gives
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+def _oracle_csv(header, rows) -> bytes:
+    """The renderer the writers replaced: csv.writer over `_fmt` into a StringIO."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def _oracle_trace(r: TraceRow) -> list:
+    floats = [r.e_h, r.e_c, r.e_f, r.e_k, r.fatigue, r.field_value]
+    return [r.tick, r.agent_id, r.i, r.j, r.mode, *map(_fmt, floats), ";".join(r.events)]
+
+
+def _oracle_interaction(r: InteractionRecord) -> list:
+    return [
+        r.tick, r.agent_a, r.agent_b, r.cell.i, r.cell.j, r.sent_by_a, r.sent_by_b,
+        _fmt(r.eval_by_a), _fmt(r.eval_by_b),
+    ]
+
+
+def _oracle_dream(r: DreamFrameRow) -> list:
+    distance = "" if r.pair_distance is None else r.pair_distance
+    return [
+        r.agent_id, r.tick, r.frame_index, r.percept_id, r.content_category,
+        r.style_category, r.origin_i, r.origin_j, distance, r.valence,
+    ]
+
+
+def _oracle_percept(r: PerceptRow) -> list:
+    features = ";".join(_fmt(x) for x in r.features)
+    return [r.agent_id, r.id, r.kind, r.category, r.i, r.j, r.tick, features]
+
+
+def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
+    # signed zeros in one column, an int and NumPy scalars in float columns,
+    # values that repeat, and strings that need CSV quoting
+    floats = [
+        0.0, -0.0, 1, 1.0, np.float64(0.1), np.float32(0.1), 0.1,
+        np.float64(-0.0), float("inf"), 1e-300, 0.1 + 0.2, 0.0, -0.0,
+    ]
+    trace_rows = [
+        TraceRow(
+            tick=t, agent_id=t % 3, i=1, j=2, mode="awake",
+            e_h=v, e_c=-v, e_f=floats[-1 - t], e_k=1, fatigue=np.float64(0.5),
+            field_value=v, events=("photo:a,b", 'int:1:q"x') if t % 2 else (),
+        )
+        for t, v in enumerate(floats)
+    ]
+    records = [
+        InteractionRecord(t, 0, 1, GridCell(t, 2), "a,b", 'q"x', v, floats[-1 - t])
+        for t, v in enumerate(floats)
+    ]
+    dream_rows = [
+        DreamFrameRow(0, t, t, "a,b", 'q"x', "plain", 1, 2, distance, -1)
+        for t, distance in enumerate([None, 0, 3, None])
+    ]
+    # one array shared by several rows, an equal copy, the same values with
+    # +0.0 for -0.0, a float32 vector and an all-zero one
+    shared = np.array([0.25, -0.0, 0.0, 1 / 3])
+    vectors = [
+        shared, shared.copy(), shared, np.array([0.25, 0.0, 0.0, 1 / 3]),
+        shared, shared.astype(np.float32), np.zeros(4),
+    ]
+    percept_rows = [
+        PerceptRow(t % 2, "a,b" if t % 2 else f"p{t}", "observed", 'q"x', 1, 2, t, vec)
+        for t, vec in enumerate(vectors)
+    ]
+    cases = [
+        (write_trace_csv, TRACE_HEADER, trace_rows, _oracle_trace),
+        (write_interactions_csv, INTERACTIONS_HEADER, records, _oracle_interaction),
+        (write_dreams_csv, DREAMS_HEADER, dream_rows, _oracle_dream),
+        (write_percepts_csv, PERCEPTS_HEADER, percept_rows, _oracle_percept),
+    ]
+    for writer, header, rows, oracle in cases:
+        path = tmp_path / f"{writer.__name__}.csv"
+        writer(str(path), rows)
+        assert path.read_bytes() == _oracle_csv(header, map(oracle, rows)), writer.__name__
+    # the rows did reach what they target
+    text = (tmp_path / "write_trace_csv.csv").read_text(encoding="utf-8")
+    assert ",-0.0," in text and ",0.0," in text and '"photo:a,b;int:1:q""x"' in text
+    percepts = (tmp_path / "write_percepts_csv.csv").read_text(encoding="utf-8")
+    assert "0.25;-0.0;0.0;" in percepts and "0.25;0.0;0.0;" in percepts
 
 
 def test_standalone_dream_rows_schema():
