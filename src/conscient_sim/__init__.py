@@ -9,13 +9,12 @@ for sociability. Same seed, same machine: identical output, byte for byte.
 __version__ = "0.1.0"
 
 from .agents import Agent, AgentConfig, agent_tick, navigate_step, receive_percept
-from .dreams import Dream, DreamConfig, DreamFrame, dream, dream_valence
+from .dreams import DreamConfig, DreamFrame, dream, dream_valence
 from .emotions import (
     EmotionEvent,
     EmotionParams,
     EmotionState,
     apply_event,
-    effective_step_bounds,
     should_sleep,
     tick_emotions,
 )
@@ -34,7 +33,6 @@ from .fields import (
     KernelConfig,
     ValueField,
     contaminate,
-    gradient_at,
     local_bump,
     sample_field,
     steepest_neighbor,
@@ -75,7 +73,6 @@ __all__ = [
     "agent_tick",
     "navigate_step",
     "receive_percept",
-    "Dream",
     "DreamConfig",
     "DreamFrame",
     "dream",
@@ -84,7 +81,6 @@ __all__ = [
     "EmotionParams",
     "EmotionState",
     "apply_event",
-    "effective_step_bounds",
     "should_sleep",
     "tick_emotions",
     "ConfigError",
@@ -99,7 +95,6 @@ __all__ = [
     "KernelConfig",
     "ValueField",
     "contaminate",
-    "gradient_at",
     "local_bump",
     "sample_field",
     "steepest_neighbor",

@@ -15,13 +15,12 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .dreams import Dream, DreamConfig, DreamFrame, DreamWalk, dream_valence
+from .dreams import DreamConfig, DreamFrame, DreamWalk, dream_valence
 from .emotions import (
     EmotionEvent,
     EmotionParams,
     EmotionState,
     apply_event,
-    effective_step_bounds,
     should_sleep,
     tick_emotions,
 )
@@ -113,12 +112,10 @@ class Agent:
     moves_used: int = 0
     percepts: PerceptStore = dc_field(default_factory=PerceptStore)
     styles: PerceptStore = dc_field(default_factory=PerceptStore)
-    dreams: list[Dream] = dc_field(default_factory=list)
     photo_count: int = 0
     dream_frame_count: int = 0
     received_count: int = 0
     _walk: Optional[DreamWalk] = dc_field(default=None, repr=False)
-    _sleep_frames: list[DreamFrame] = dc_field(default_factory=list, repr=False)
 
 
 @dataclass(eq=False)
@@ -269,7 +266,6 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
         if should_sleep(agent.emotions, agent.ticks_in_mode, cfg.t_awake, cfg.emotion, agent.rng):
             agent.mode = "asleep"
             agent.ticks_in_mode = 0
-            agent._sleep_frames = []
             if len(agent.percepts) > 0 and len(agent.styles) > 0:
                 agent._walk = DreamWalk(
                     agent.percepts,
@@ -284,12 +280,7 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
             out.events.append("sleep")
     else:
         if agent._walk is not None:
-            bounds = effective_step_bounds(
-                agent.emotions,
-                (cfg.dream.step_lower, cfg.dream.step_upper),
-                cfg.emotion.courage_gain,
-            )
-            frame = agent._walk.step(agent.rng, bounds)
+            frame = agent._walk.step(agent.rng)
             valence = dream_valence(
                 frame, agent.field, cfg.emotion.valence_high, cfg.emotion.valence_low
             )
@@ -306,7 +297,6 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
                 kind="dreamed",
             )
             agent.percepts.attach(dreamed)
-            agent._sleep_frames.append(frame)
             out.events.append(f"dream:{dreamed.id}")
             out.dream_frame = frame
             out.dream_valence = valence
@@ -317,12 +307,7 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
         agent.ticks_in_mode += 1
         if agent.ticks_in_mode >= cfg.t_asleep:
             agent.field = contaminate(agent.field, cfg.noise_sigma, agent.rng)
-            if agent._sleep_frames:
-                agent.dreams.append(
-                    Dream(frames=agent._sleep_frames, start_tick=tick - len(agent._sleep_frames) + 1)
-                )
             agent._walk = None
-            agent._sleep_frames = []
             agent.mode = "awake"
             agent.ticks_in_mode = 0
             out.events.append("wake")

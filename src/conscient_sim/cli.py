@@ -25,7 +25,7 @@ from .errors import ConfigError, SimulatorError
 from .fields import GridCell
 from .optimizer import evolve
 from .seeds import derive_seed, make_rng
-from .semantics import Percept, PerceptStore, load_graph
+from .semantics import Percept, PerceptStore
 from .traceio import (
     atomic_write_text,
     read_percepts_csv,
@@ -39,6 +39,7 @@ from .traceio import (
     write_percepts_csv,
     write_trace_csv,
 )
+from .world import load_graphs
 from .world import metrics as world_metrics
 from .world import run as run_world
 
@@ -125,16 +126,7 @@ def _cmd_dream(args) -> int:
     started = _now()
     bundle = parse_config(args.config)
     world_cfg = bundle.world
-    content_graph = load_graph(
-        world_cfg.content_edges,
-        derive_seed(world_cfg.master_seed, "content-graph"),
-        world_cfg.feature_dim,
-    )
-    style_graph = load_graph(
-        world_cfg.style_edges,
-        derive_seed(world_cfg.master_seed, "style-graph"),
-        world_cfg.feature_dim,
-    )
+    content_graph, style_graph = load_graphs(world_cfg)
     content_store = PerceptStore()
     style_store = PerceptStore()
     for row in read_percepts_csv(args.percept_log):
@@ -154,13 +146,11 @@ def _cmd_dream(args) -> int:
         )
         (style_store if row.kind == "style" else content_store).attach(percept)
     rng = make_rng(derive_seed(world_cfg.master_seed, "dream-cli"))
-    result = dream(
+    frames = dream(
         content_store, content_graph, style_store, style_graph, world_cfg.agent.dream, rng
     )
     os.makedirs(args.out, exist_ok=True)
-    write_dreams_csv(
-        os.path.join(args.out, "dreams.csv"), standalone_dream_rows(result.frames)
-    )
+    write_dreams_csv(os.path.join(args.out, "dreams.csv"), standalone_dream_rows(frames))
     manifest = _manifest(
         "dream",
         {"config": args.config, "percept_log": args.percept_log, "out": args.out},
@@ -169,7 +159,7 @@ def _cmd_dream(args) -> int:
     )
     manifest["outputs"] = ["dreams.csv"]
     write_manifest(os.path.join(args.out, "manifest.json"), manifest)
-    print(f"dreamed {len(result.frames)} frames -> {args.out}")
+    print(f"dreamed {len(frames)} frames -> {args.out}")
     return 0
 
 

@@ -50,20 +50,6 @@ class DreamFrame:
     pair_distance: Optional[int] = None
 
 
-@dataclass(eq=False)
-class Dream:
-    frames: list[DreamFrame]
-    start_tick: int = 0
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-
-def sample_step_size(config: DreamConfig, rng: np.random.Generator) -> int:
-    """Integer step size drawn uniformly from [step_lower, step_upper]."""
-    return int(rng.integers(config.step_lower, config.step_upper + 1))
-
-
 def walk_step(graph: SemanticGraph, current: str, omega: int, rng: np.random.Generator) -> str:
     """Take `omega` uniform neighbor hops from `current`; isolated nodes stay put.
 
@@ -175,18 +161,9 @@ class DreamWalk:
             cands = store.in_category(_nearest_populated(graph, category, store))
         return cands[int(rng.integers(len(cands)))]
 
-    def step(
-        self,
-        rng: np.random.Generator,
-        step_bounds: Optional[tuple[int, int]] = None,
-    ) -> DreamFrame:
-        """Advance both walks one frame; emotion hooks may override step bounds."""
-        if step_bounds is None:
-            lo, hi = self.config.step_lower, self.config.step_upper
-        else:
-            lo, hi = step_bounds
-            if lo < 0 or lo > hi:
-                raise ContractError(f"bad step bounds ({lo}, {hi})")
+    def step(self, rng: np.random.Generator) -> DreamFrame:
+        """Advance both walks one frame, each by a step drawn from the config."""
+        lo, hi = self.config.step_lower, self.config.step_upper
         omega_c = int(rng.integers(lo, hi + 1))
         self._content_cat = walk_step(self.content_graph, self._content_cat, omega_c, rng)
         omega_s = int(rng.integers(lo, hi + 1))
@@ -208,10 +185,10 @@ def dream(
     style_graph: SemanticGraph,
     config: DreamConfig,
     rng: np.random.Generator,
-) -> Dream:
+) -> list[DreamFrame]:
     """Generate config.length frames in one go. Stores must be non-empty."""
     walk = DreamWalk(content_store, content_graph, style_store, style_graph, config, rng)
-    return Dream(frames=[walk.step(rng) for _ in range(config.length)])
+    return [walk.step(rng) for _ in range(config.length)]
 
 
 def dream_valence(

@@ -26,10 +26,6 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 @dataclass(slots=True)
 class EmotionState:
     happiness: float = 0.5
@@ -65,6 +61,7 @@ class EmotionParams:
     photo_fatigue_delta: float = 0.02
     sleep_decay: float = 0.1
     threshold: float = 0.8
+    # No event moves courage, so nothing reads this gain; it stays a config key.
     courage_gain: float = 0.5
     valence_high: float = 0.5
     valence_low: float = -0.5
@@ -172,30 +169,6 @@ def tick_emotions(state: EmotionState, params: EmotionParams, mode: str) -> Emot
     else:
         new.fatigue = _clamp01(new.fatigue - params.sleep_decay)
     return new
-
-
-def effective_step_bounds(
-    state: EmotionState, base: tuple[int, int], courage_gain: float
-) -> tuple[int, int]:
-    """Dream step bounds scaled by courage: scale = 1 + gain * (2 courage - 1).
-
-    Full courage lengthens steps, full fear shortens them. Both bounds round
-    half-up; the lower bound clamps to >= 0, and whenever the unscaled upper
-    bound allows movement at all (>= 1) the scaled upper stays at least 1, so
-    fear cannot freeze the walk entirely.
-    """
-    lo_base, hi_base = base
-    if lo_base < 0 or lo_base > hi_base:
-        raise ConfigError(f"bad base step bounds {base}")
-    if courage_gain < 0:
-        raise ConfigError(f"courage_gain must be >= 0, got {courage_gain}")
-    scale = 1.0 + courage_gain * (2.0 * state.courage - 1.0)
-    lo = max(0, _round_half_up(lo_base * scale))
-    hi = _round_half_up(hi_base * scale)
-    if hi_base >= 1:
-        hi = max(hi, 1)
-    hi = max(hi, lo)
-    return lo, hi
 
 
 def should_sleep(

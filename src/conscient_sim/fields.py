@@ -79,9 +79,6 @@ class ValueField:
             raise ConfigError(f"cell {cell} outside {self.resolution}x{self.resolution} grid")
         return float(self.values[cell.i, cell.j])
 
-    def copy(self) -> "ValueField":
-        return ValueField(self.resolution, self.values.copy())
-
 
 def kernel_matrix(kernel: KernelConfig, resolution: int) -> np.ndarray:
     """Covariance over the r^2 grid cells in row-major order, jitter included."""
@@ -176,31 +173,6 @@ def contaminate(field: ValueField, sigma: float, rng: np.random.Generator) -> Va
         raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
     noise = rng.normal(0.0, sigma, size=field.values.shape)
     return ValueField(field.resolution, field.values + noise)
-
-
-def gradient_at(field: ValueField, cell: GridCell) -> np.ndarray:
-    """Finite-difference gradient (d/di, d/dj) in value per cell.
-
-    Central differences in the interior, one-sided on the boundary.
-    """
-    if not field.in_bounds(cell):
-        raise ConfigError(f"cell {cell} outside grid")
-    v = field.values
-    r = field.resolution
-    i, j = cell.i, cell.j
-    if 0 < i < r - 1:
-        gi = (v[i + 1, j] - v[i - 1, j]) / 2.0
-    elif i == 0:
-        gi = v[1, j] - v[0, j]
-    else:
-        gi = v[r - 1, j] - v[r - 2, j]
-    if 0 < j < r - 1:
-        gj = (v[i, j + 1] - v[i, j - 1]) / 2.0
-    elif j == 0:
-        gj = v[i, 1] - v[i, 0]
-    else:
-        gj = v[i, r - 1] - v[i, r - 2]
-    return np.array([gi, gj], dtype=float)
 
 
 def moore_neighbors(cell: GridCell, resolution: int) -> list[GridCell]:

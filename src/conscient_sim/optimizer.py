@@ -14,8 +14,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,35 +139,21 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def decode_genome(
-    genome: Genome, bounds: Sequence[BoundSpec] = DEFAULT_BOUNDS
-) -> dict[str, float]:
+def decode_genome(genome: Genome) -> dict[str, float]:
     """Linear map from [0, 1] genes to named parameter values."""
-    if genome.genes.shape != (len(bounds),):
+    if genome.genes.shape != (len(DEFAULT_BOUNDS),):
         raise ContractError(
             f"genome length {genome.genes.shape[0]} does not match "
-            f"bounds table length {len(bounds)}"
+            f"bounds table length {len(DEFAULT_BOUNDS)}"
         )
     out: dict[str, float] = {}
-    for g, spec in zip(genome.genes, bounds):
+    for g, spec in zip(genome.genes, DEFAULT_BOUNDS):
         val = spec.lo + float(g) * (spec.hi - spec.lo)
         out[spec.name] = float(_round_half_up(val)) if spec.integer else val
     for lo_name, hi_name in _SORTED_PAIRS:
-        if lo_name in out and hi_name in out and out[lo_name] > out[hi_name]:
+        if out[lo_name] > out[hi_name]:
             out[lo_name], out[hi_name] = out[hi_name], out[lo_name]
     return out
-
-
-def encode_params(
-    params: dict[str, float], bounds: Sequence[BoundSpec] = DEFAULT_BOUNDS
-) -> Genome:
-    """Inverse of decode_genome for in-range parameter values."""
-    genes = []
-    for spec in bounds:
-        if spec.name not in params:
-            raise ContractError(f"missing parameter {spec.name!r}")
-        genes.append((float(params[spec.name]) - spec.lo) / (spec.hi - spec.lo))
-    return Genome(np.array(genes))
 
 
 def configure_world(
@@ -210,7 +196,6 @@ def fitness(
     genome: Genome,
     ga: GAConfig,
     base: WorldConfig,
-    bounds: Sequence[BoundSpec] = DEFAULT_BOUNDS,
     generation: int = 0,
     trace_hook: Optional[TraceHook] = None,
 ) -> FitnessReport:
@@ -221,7 +206,7 @@ def fitness(
     the fraction of the theoretical interaction ceiling; the raw mean is kept
     on the report either way.
     """
-    params = decode_genome(genome, bounds)
+    params = decode_genome(genome)
     per_seed: list[Metrics] = []
     try:
         for seed in ga.eval_seeds:
@@ -256,8 +241,8 @@ def fitness(
 
 
 def _worker(args) -> FitnessReport:
-    genes, ga, base, bounds, generation = args
-    return fitness(Genome(np.array(genes)), ga, base, bounds, generation)
+    genes, ga, base, generation = args
+    return fitness(Genome(np.array(genes)), ga, base, generation)
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -278,16 +263,13 @@ def _evaluate_population(
     population: list[Genome],
     ga: GAConfig,
     base: WorldConfig,
-    bounds: Sequence[BoundSpec],
     generation: int,
     pool: Optional[ProcessPoolExecutor],
     trace_hook: Optional[TraceHook],
 ) -> list[FitnessReport]:
     if pool is None:
-        return [
-            fitness(g, ga, base, bounds, generation, trace_hook) for g in population
-        ]
-    args = [(g.genes.tolist(), ga, base, tuple(bounds), generation) for g in population]
+        return [fitness(g, ga, base, generation, trace_hook) for g in population]
+    args = [(g.genes.tolist(), ga, base, generation) for g in population]
     return list(pool.map(_worker, args))
 
 
@@ -310,7 +292,6 @@ def evolve(
     ga: GAConfig,
     base: WorldConfig,
     seed: int,
-    bounds: Sequence[BoundSpec] = DEFAULT_BOUNDS,
     workers: Optional[int] = None,
     trace_hook: Optional[TraceHook] = None,
 ) -> tuple[FitnessReport, list[GenerationStats]]:
@@ -321,9 +302,11 @@ def evolve(
     refilled by tournament selection, uniform crossover, and per-gene Gaussian
     mutation, with genes clipped back into [0, 1].
     """
+    if not (0 <= seed < 2**64):
+        raise ConfigError(f"search seed must be an unsigned 64-bit integer, got {seed}")
     n_workers = min(_resolve_workers(workers), ga.population_size)
     rng = make_rng(derive_seed(seed, "ga"))
-    d = len(bounds)
+    d = len(DEFAULT_BOUNDS)
     population = [Genome(rng.random(d)) for _ in range(ga.population_size)]
     history: list[GenerationStats] = []
     best_overall: Optional[FitnessReport] = None
@@ -332,9 +315,7 @@ def evolve(
     parallel = n_workers > 1 and trace_hook is None
     with ProcessPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
         for gen in range(ga.generations):
-            reports = _evaluate_population(
-                population, ga, base, bounds, gen, pool, trace_hook
-            )
+            reports = _evaluate_population(population, ga, base, gen, pool, trace_hook)
             order = sorted(
                 range(len(reports)), key=lambda k: (-reports[k].fitness, k)
             )

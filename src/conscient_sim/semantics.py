@@ -102,10 +102,6 @@ class SemanticGraph:
         except KeyError:
             raise UnknownCategoryError(name) from None
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
-
 
 def load_graph(source: str, seed: int, feature_dim: int = DEFAULT_FEATURE_DIM) -> SemanticGraph:
     """Parse a newline-delimited `nodeA nodeB` edge list into a graph.

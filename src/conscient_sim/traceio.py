@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -384,7 +384,7 @@ def read_manifest(path: str) -> dict:
         raise TraceError(f"cannot read manifest {path}: {exc}") from None
 
 
-def standalone_dream_rows(frames, valences: Optional[list[int]] = None) -> list[DreamFrameRow]:
+def standalone_dream_rows(frames) -> list[DreamFrameRow]:
     """Adapt bare dream frames (no agent, no field) to the dreams.csv schema."""
     rows = []
     for idx, frame in enumerate(frames, start=1):
@@ -399,7 +399,7 @@ def standalone_dream_rows(frames, valences: Optional[list[int]] = None) -> list[
                 origin_i=frame.content_origin.i,
                 origin_j=frame.content_origin.j,
                 pair_distance=frame.pair_distance,
-                valence=0 if valences is None else valences[idx - 1],
+                valence=0,
             )
         )
     return rows

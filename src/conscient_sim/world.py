@@ -154,7 +154,6 @@ class PerceptRow:
 class SimulationTrace:
     """Everything a run produced, self-describing and replayable."""
 
-    master_seed: int
     config: WorldConfig
     rows: list[TraceRow]
     interactions: list[InteractionRecord]
@@ -196,6 +195,14 @@ class Metrics:
         return out
 
 
+def load_graphs(config: WorldConfig) -> tuple[SemanticGraph, SemanticGraph]:
+    """The (content, style) graphs of a world, seeded from its master seed."""
+    ms, fd = config.master_seed, config.feature_dim
+    content = load_graph(config.content_edges, derive_seed(ms, "content-graph"), fd)
+    style = load_graph(config.style_edges, derive_seed(ms, "style-graph"), fd)
+    return content, style
+
+
 class World:
     """Mutable simulation state; see `build_world` and `run`."""
 
@@ -204,12 +211,7 @@ class World:
         self.tick = 0
         ms = config.master_seed
         fd = config.feature_dim
-        self.content_graph: SemanticGraph = load_graph(
-            config.content_edges, derive_seed(ms, "content-graph"), fd
-        )
-        self.style_graph: SemanticGraph = load_graph(
-            config.style_edges, derive_seed(ms, "style-graph"), fd
-        )
+        self.content_graph, self.style_graph = load_graphs(config)
         r = config.resolution
         rng = make_rng(derive_seed(ms, "world"))
         spawn_idx = rng.choice(r * r, size=config.n_agents, replace=False)
@@ -351,7 +353,6 @@ class World:
                         )
                     )
         return SimulationTrace(
-            master_seed=self.config.master_seed,
             config=self.config,
             rows=list(self.rows),
             interactions=list(self.interactions),

@@ -330,19 +330,18 @@ def test_sleep_produces_dream_frames_and_percepts():
     ctx = FakeWorld()
     agent = _agent(np.zeros((4, 4)), config=_sleepy_config())
     _seed_stores(agent, ctx)
+    dream_ticks = []
     for tick in range(1, 6):
         out = agent_tick(agent, ctx, tick)
         if agent.mode == "asleep" or "wake" in out.events:
             if out.dream_frame is not None:
+                dream_ticks.append(tick)
                 assert out.dream_valence in (-1, 0, 1)
                 assert out.dream_percept_id is not None
                 assert out.dream_percept_id in agent.percepts
+    # asleep on ticks 4 and 5: one dream frame each
+    assert dream_ticks == [4, 5]
     assert agent.dream_frame_count == 2
-    assert len(agent.dreams) == 1
-    d = agent.dreams[0]
-    assert len(d) == 2
-    # asleep on ticks 4 and 5: the recorded dream spans them
-    assert d.start_tick == 4
     dreamed = agent.percepts.get("a1-d1")
     assert dreamed is not None and dreamed.kind == "dreamed"
 
@@ -356,7 +355,6 @@ def test_dreamless_sleep_when_stores_empty():
         assert not any(e.startswith("dream:") for e in out.events)
         saw_dreamless = saw_dreamless or ("dreamless" in out.events)
     assert saw_dreamless
-    assert agent.dreams == []
     assert agent.dream_frame_count == 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -74,6 +75,17 @@ def test_exit_code_1_on_negative_eval_seed(tmp_path, capsys):
     rc = run_command(["optimize", "--config", str(bad), "--seed", "1", "--out", str(out)])
     assert rc == 1
     assert "ga.eval_seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_exit_code_1_on_out_of_range_search_seed(tmp_path, capsys, seed):
+    cfg = tmp_path / "opt.cfg"
+    cfg.write_text("world.total_ticks = 5\nga.population_size = 2\nga.generations = 1\n")
+    out = tmp_path / "o"
+    rc = run_command(["optimize", "--config", str(cfg), "--seed", seed, "--out", str(out)])
+    assert rc == 1
+    assert seed in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -169,6 +181,9 @@ def test_dream_subcommand_replays_from_percept_log(tmp_path, cfg_path, capsys):
     ) == 0
     capsys.readouterr()
     assert (d1 / "dreams.csv").read_bytes() == (d2 / "dreams.csv").read_bytes()
+    # pins the graph seeding too: a wrong graph label walks other categories
+    digest = hashlib.sha256((d1 / "dreams.csv").read_bytes()).hexdigest()
+    assert digest == "580a8c8be2debd06cce70b9aaea3bb42954952742038980ec116d7a74f54d156"
 
 
 def test_dream_subcommand_needs_populated_log(tmp_path, cfg_path, capsys):

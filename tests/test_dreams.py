@@ -1,4 +1,4 @@
-"""Dream walks: step sizes, graph walks, blending, valence."""
+"""Dream walks: graph walks, blending, valence."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from conscient_sim.dreams import (
     blend,
     dream,
     dream_valence,
-    sample_step_size,
     walk_step,
 )
 from conscient_sim.errors import (
@@ -51,18 +50,6 @@ def test_dream_config_validation():
         DreamConfig(length=-1)
     with pytest.raises(ConfigError):
         DreamConfig(style_weight=1.5)
-
-
-def test_sample_step_size_degenerate_and_range():
-    fixed = DreamConfig(step_lower=2, step_upper=2)
-    rng = make_rng(0)
-    assert all(sample_step_size(fixed, rng) == 2 for _ in range(50))
-    cfg = DreamConfig(step_lower=1, step_upper=3)
-    rng = make_rng(1)
-    draws = [sample_step_size(cfg, rng) for _ in range(3000)]
-    assert set(draws) == {1, 2, 3}
-    for v in (1, 2, 3):
-        assert abs(draws.count(v) / 3000 - 1 / 3) < 0.05
 
 
 def test_walk_step_contracts():
@@ -168,16 +155,13 @@ def test_dream_walk_zero_bounds_freeze_categories():
     sg = _graph(["dark bright"])
     content = _store(_percept("p1", "b"))
     style = _store(_percept("s1", "dark", kind="style"))
-    walk = DreamWalk(content, g, style, sg, DreamConfig(), make_rng(3))
+    frozen = DreamConfig(step_lower=0, step_upper=0)
+    walk = DreamWalk(content, g, style, sg, frozen, make_rng(3))
     for _ in range(10):
-        frame = walk.step(make_rng(0), step_bounds=(0, 0))
+        frame = walk.step(make_rng(0))
         assert frame.content_category == "b"
         assert frame.style_category == "dark"
         assert frame.pair_distance == 0
-    with pytest.raises(ContractError):
-        walk.step(make_rng(0), step_bounds=(2, 1))
-    with pytest.raises(ContractError):
-        walk.step(make_rng(0), step_bounds=(-1, 0))
 
 
 def test_dream_initial_categories_cover_populated_set():
@@ -205,13 +189,13 @@ def test_dream_length_and_determinism():
     d2 = dream(content, g, style, sg, cfg, make_rng(42))
     d3 = dream(content, g, style, sg, cfg, make_rng(43))
     assert len(d1) == 6
-    assert [f.content_category for f in d1.frames] == [f.content_category for f in d2.frames]
-    for f1, f2 in zip(d1.frames, d2.frames):
+    assert [f.content_category for f in d1] == [f.content_category for f in d2]
+    for f1, f2 in zip(d1, d2):
         assert np.array_equal(f1.features, f2.features)
         assert f1.pair_distance == f2.pair_distance
     assert any(
         f1.content_category != f3.content_category or not np.array_equal(f1.features, f3.features)
-        for f1, f3 in zip(d1.frames, d3.frames)
+        for f1, f3 in zip(d1, d3)
     )
 
 
@@ -238,8 +222,8 @@ def test_dream_pair_distances_respect_step_bound():
     cfg = DreamConfig(step_lower=0, step_upper=3, length=20)
     for seed in range(30):
         d = dream(content, g, style, sg, cfg, make_rng(seed))
-        cats = [f.content_category for f in d.frames]
-        for a, b, frame in zip(cats, cats[1:], d.frames[1:]):
+        cats = [f.content_category for f in d]
+        for a, b, frame in zip(cats, cats[1:], d[1:]):
             oracle = semantic_distance(g, a, b)
             assert oracle is not None and oracle <= 3
             assert frame.pair_distance == oracle

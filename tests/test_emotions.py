@@ -1,4 +1,4 @@
-"""Emotion state updates: event deltas, time, step scaling, sleep gate."""
+"""Emotion state updates: event deltas, time, sleep gate."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from conscient_sim.emotions import (
     EmotionParams,
     EmotionState,
     apply_event,
-    effective_step_bounds,
     should_sleep,
     tick_emotions,
 )
@@ -156,32 +155,6 @@ def test_bounds_hold_under_long_fuzz():
             state = tick_emotions(state, params, "awake" if r < 0.85 else "asleep")
         for v in (state.happiness, state.curiosity, state.friendship, state.courage, state.fatigue):
             assert 0.0 <= v <= 1.0
-
-
-def test_effective_step_bounds_scaling():
-    # frozen from the scale formula 1 + gain * (2 courage - 1), rounding half-up
-    brave = EmotionState(courage=1.0)
-    assert effective_step_bounds(brave, (1, 3), 0.5) == (2, 5)
-    neutral = EmotionState(courage=0.5)
-    assert effective_step_bounds(neutral, (1, 3), 0.5) == (1, 3)
-    timid = EmotionState(courage=0.25)
-    assert effective_step_bounds(timid, (1, 3), 1.0) == (1, 2)
-    # half-up rounding: 0.5 scale on (1, 5) gives (0.5, 2.5) -> (1, 3)
-    assert effective_step_bounds(timid, (1, 5), 1.0) == (1, 3)
-
-
-def test_effective_step_bounds_floors():
-    # zero courage at full gain collapses the scale; movement survives
-    afraid = EmotionState(courage=0.0)
-    assert effective_step_bounds(afraid, (1, 2), 1.0) == (0, 1)
-    assert effective_step_bounds(afraid, (2, 6), 1.0) == (0, 1)
-    # a walk that could never move stays frozen
-    assert effective_step_bounds(afraid, (0, 0), 1.0) == (0, 0)
-    assert effective_step_bounds(EmotionState(courage=1.0), (0, 0), 1.0) == (0, 0)
-    with pytest.raises(ConfigError):
-        effective_step_bounds(afraid, (3, 1), 0.5)
-    with pytest.raises(ConfigError):
-        effective_step_bounds(afraid, (1, 2), -0.5)
 
 
 def test_should_sleep_cap_and_zero_fatigue():

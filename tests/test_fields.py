@@ -14,7 +14,6 @@ from conscient_sim.fields import (
     ValueField,
     bump_amount,
     contaminate,
-    gradient_at,
     kernel_matrix,
     local_bump,
     moore_neighbors,
@@ -189,46 +188,6 @@ def test_contaminate_noise_scale():
     noisy = contaminate(base, 0.5, make_rng(404))
     sd = float(np.std(noisy.values - base.values))
     assert abs(sd - 0.5) < 0.05
-
-
-def _stencil_oracle(values: np.ndarray, i: int, j: int) -> tuple[float, float]:
-    # independent re-statement of the finite-difference scheme
-    r = values.shape[0]
-    if i == 0:
-        gi = values[1, j] - values[0, j]
-    elif i == r - 1:
-        gi = values[r - 1, j] - values[r - 2, j]
-    else:
-        gi = (values[i + 1, j] - values[i - 1, j]) / 2.0
-    if j == 0:
-        gj = values[i, 1] - values[i, 0]
-    elif j == r - 1:
-        gj = values[i, r - 1] - values[i, r - 2]
-    else:
-        gj = (values[i, j + 1] - values[i, j - 1]) / 2.0
-    return gi, gj
-
-
-def test_gradient_matches_stencil_oracle_everywhere():
-    rng = make_rng(61)
-    field = ValueField(7, rng.normal(size=(7, 7)))
-    for i in range(7):
-        for j in range(7):
-            want = _stencil_oracle(field.values, i, j)
-            got = gradient_at(field, GridCell(i, j))
-            assert got[0] == want[0] and got[1] == want[1]
-
-
-def test_gradient_linear_ramp_exact():
-    # f(i, j) = j: gradient is (0, 1) everywhere, boundaries included
-    vals = np.tile(np.arange(5, dtype=float), (5, 1))
-    field = ValueField(5, vals)
-    for i in range(5):
-        for j in range(5):
-            g = gradient_at(field, GridCell(i, j))
-            assert g[0] == 0.0 and g[1] == 1.0
-    with pytest.raises(ConfigError):
-        gradient_at(field, GridCell(5, 0))
 
 
 def test_moore_neighbors_bounds_and_order():

@@ -16,7 +16,6 @@ from conscient_sim.optimizer import (
     _tournament,
     configure_world,
     decode_genome,
-    encode_params,
     evolve,
     fitness,
 )
@@ -93,29 +92,6 @@ def test_decode_sorts_inverted_pairs():
 def test_decode_length_contract():
     with pytest.raises(ContractError):
         decode_genome(Genome(np.zeros(3)))
-
-
-def test_encode_decode_roundtrip():
-    params = {
-        "t_awake": 30.0,
-        "t_asleep": 10.0,
-        "step_lower": 1.0,
-        "step_upper": 3.0,
-        "sleep_threshold": 0.8,
-        "explore_rate": 0.3,
-        "noise_sigma": 0.05,
-        "delta_lower": 0.02,
-        "delta_upper": 0.08,
-        "style_weight": 0.5,
-        "visit_peak": -0.5,
-        "courage_gain": 0.5,
-        "high_value_cutoff": 0.0,
-    }
-    again = decode_genome(encode_params(params))
-    for name, value in params.items():
-        assert again[name] == pytest.approx(value, abs=1e-9)
-    with pytest.raises(ContractError):
-        encode_params({"t_awake": 30.0})
 
 
 def test_configure_world_places_every_parameter():
@@ -242,6 +218,13 @@ def test_eval_seeds_must_be_unsigned_64_bit():
         with pytest.raises(ConfigError, match="ga.eval_seeds"):
             GAConfig(eval_seeds=bad)
     assert GAConfig(eval_seeds=(0, 2**64 - 1)).eval_seeds == (0, 2**64 - 1)
+
+
+def test_evolve_rejects_out_of_range_search_seed():
+    ga = GAConfig(population_size=2, generations=1, eval_seeds=(11,))
+    for bad in (-3, 2**64):
+        with pytest.raises(ConfigError, match=str(bad)):
+            evolve(ga, SMALL_WORLD, seed=bad)
 
 
 def test_evolve_deterministic():

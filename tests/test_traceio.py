@@ -313,10 +313,10 @@ def test_standalone_dream_rows_schema():
     content.attach(Percept("p1", np.zeros(3), "a", GridCell(1, 2), tick=1, kind="observed"))
     style = PerceptStore()
     style.attach(Percept("s1", np.zeros(3), "dark", GridCell(0, 0), tick=1, kind="style"))
-    d = dream(content, g, style, sg, DreamConfig(length=3), make_rng(4))
-    rows = standalone_dream_rows(d.frames, valences=[1, 0, -1])
+    frames = dream(content, g, style, sg, DreamConfig(length=3), make_rng(4))
+    rows = standalone_dream_rows(frames)
     assert [r.tick for r in rows] == [1, 2, 3]
     assert [r.frame_index for r in rows] == [1, 2, 3]
-    assert [r.valence for r in rows] == [1, 0, -1]
+    assert [r.valence for r in rows] == [0, 0, 0]
     assert all(r.agent_id == 0 and r.percept_id == "" for r in rows)
     assert rows[0].origin_i == 1 and rows[0].origin_j == 2
