@@ -22,10 +22,9 @@ from . import __version__
 from .configio import ConfigBundle, parse_config
 from .dreams import dream
 from .errors import ConfigError, SimulatorError
-from .fields import GridCell
 from .optimizer import evolve
 from .seeds import derive_seed, make_rng
-from .semantics import Percept, PerceptStore
+from .semantics import PerceptStore
 from .traceio import (
     atomic_write_text,
     read_percepts_csv,
@@ -129,22 +128,16 @@ def _cmd_dream(args) -> int:
     content_graph, style_graph = load_graphs(world_cfg)
     content_store = PerceptStore()
     style_store = PerceptStore()
-    for row in read_percepts_csv(args.percept_log):
-        graph = style_graph if row.kind == "style" else content_graph
-        if not graph.has_node(row.category):
+    for _, p in read_percepts_csv(args.percept_log):
+        kind = "style" if p.kind == "style" else "content"
+        if not (style_graph if kind == "style" else content_graph).has_node(p.category):
+            raise ConfigError(f"percept {p.id}: category {p.category!r} not in the {kind} graph")
+        if len(p.features) != world_cfg.feature_dim:
             raise ConfigError(
-                f"percept {row.id}: category {row.category!r} not in the "
-                f"{'style' if row.kind == 'style' else 'content'} graph"
+                f"percept {p.id}: {len(p.features)} features, but world.feature_dim "
+                f"is {world_cfg.feature_dim}"
             )
-        percept = Percept(
-            id=row.id,
-            features=row.features,
-            category=row.category,
-            origin=GridCell(row.i, row.j),
-            tick=row.tick,
-            kind=row.kind,
-        )
-        (style_store if row.kind == "style" else content_store).attach(percept)
+        (style_store if kind == "style" else content_store).attach(p)
     rng = make_rng(derive_seed(world_cfg.master_seed, "dream-cli"))
     frames = dream(
         content_store, content_graph, style_store, style_graph, world_cfg.agent.dream, rng

@@ -2,9 +2,10 @@
 
 Every tunable in the simulator has a dotted key `section.field`, one per
 scalar field of the config dataclasses; a config file lists any subset of them
-(blank lines and # comments ignored) and everything else takes its declared
-default. Unknown keys, duplicate keys, and type mismatches are
-rejected with the offending key and line number. Parsed values are echoed back
+and everything else takes its declared default. Blank lines and lines whose
+first non-blank character is `#` are ignored; there are no trailing comments,
+so `key = 6 # six` gives `key` the value `6 # six`. Unknown keys, duplicate
+keys, and type mismatches are rejected with the offending key and line number. Parsed values are echoed back
 in a canonical rendering so a manifest can reproduce the run exactly.
 """
 

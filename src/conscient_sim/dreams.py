@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, EmptyStoreError, UnknownCategoryError
 from .fields import GridCell, ValueField
-from .semantics import Percept, PerceptStore, SemanticGraph, semantic_distance
+from .semantics import Percept, PerceptStore, SemanticGraph, hop_counts, semantic_distance
 
 
 @dataclass(frozen=True)
@@ -90,31 +90,15 @@ def blend(content: Percept, style: Percept, style_weight: float) -> DreamFrame:
 
 
 def _nearest_populated(graph: SemanticGraph, start: str, store: PerceptStore) -> str:
-    """Closest category (by BFS) holding at least one percept.
+    """Closest category (by hop count) holding at least one percept.
 
     Ties at the same distance resolve lexicographically; if nothing populated
     is reachable, the smallest populated category overall is used.
     """
-    populated = set(store.categories())
-    if start in populated:
-        return start
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt: list[str] = []
-        hits: list[str] = []
-        for node in frontier:
-            for nb in graph.neighbors(node):
-                if nb in seen:
-                    continue
-                seen.add(nb)
-                nxt.append(nb)
-                if nb in populated:
-                    hits.append(nb)
-        if hits:
-            return min(hits)
-        frontier = nxt
-    return min(populated)
+    hops = hop_counts(graph, start)
+    populated = store.categories()
+    reachable = [(hops[c], c) for c in populated if c in hops]
+    return min(reachable)[1] if reachable else populated[0]
 
 
 class DreamWalk:

@@ -10,6 +10,7 @@ CONSCIENT_SIM_THREADS environment variable caps worker count (0 = auto).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -240,11 +241,6 @@ def fitness(
     )
 
 
-def _worker(args) -> FitnessReport:
-    genes, ga, base, generation = args
-    return fitness(Genome(np.array(genes)), ga, base, generation)
-
-
 def _resolve_workers(workers: Optional[int]) -> int:
     if workers is None:
         raw = os.environ.get(ENV_THREADS, "1")
@@ -269,8 +265,8 @@ def _evaluate_population(
 ) -> list[FitnessReport]:
     if pool is None:
         return [fitness(g, ga, base, generation, trace_hook) for g in population]
-    args = [(g.genes.tolist(), ga, base, generation) for g in population]
-    return list(pool.map(_worker, args))
+    evaluate = functools.partial(fitness, ga=ga, base=base, generation=generation)
+    return list(pool.map(evaluate, population))
 
 
 def _tournament(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterator, Optional
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class SemanticGraph:
     """Undirected category graph with per-category prototype features.
 
     `prototype_matrix` stacks the prototypes in node order; `_hop_rows` memoises
-    BFS hop counts per start node as `semantic_distance` asks for them.
+    BFS hop counts per start node as `hop_counts` is asked for them.
     """
 
     nodes: tuple[str, ...]
@@ -146,12 +146,11 @@ def load_graph(source: str, seed: int, feature_dim: int = DEFAULT_FEATURE_DIM) -
     )
 
 
-def semantic_distance(graph: SemanticGraph, start: str, end: str) -> Optional[int]:
-    """Edge count on a shortest path, or None when unreachable."""
-    if not graph.has_node(start):
-        raise UnknownCategoryError(start)
-    if not graph.has_node(end):
-        raise UnknownCategoryError(end)
+def hop_counts(graph: SemanticGraph, start: str) -> dict[str, int]:
+    """Edge count on a shortest path from `start` to every node it reaches.
+
+    Memoised per start node on the graph; callers must not mutate the result.
+    """
     hops = graph._hop_rows.get(start)
     if hops is None:
         hops = {start: 0}
@@ -164,7 +163,16 @@ def semantic_distance(graph: SemanticGraph, start: str, end: str) -> Optional[in
                     hops[nb] = d + 1
                     queue.append(nb)
         graph._hop_rows[start] = hops
-    return hops.get(end)
+    return hops
+
+
+def semantic_distance(graph: SemanticGraph, start: str, end: str) -> Optional[int]:
+    """Edge count on a shortest path, or None when unreachable."""
+    if not graph.has_node(start):
+        raise UnknownCategoryError(start)
+    if not graph.has_node(end):
+        raise UnknownCategoryError(end)
+    return hop_counts(graph, start).get(end)
 
 
 def classify(features: np.ndarray, graph: SemanticGraph) -> str:
@@ -218,23 +226,21 @@ class PerceptStore:
     """
 
     def __init__(self) -> None:
-        self._by_id: dict[str, Percept] = {}
-        self._order: list[Percept] = []
+        self._by_id: dict[str, Percept] = {}  # insertion order is attach order
         self._by_category: dict[str, list[Percept]] = {}
 
     def attach(self, percept: Percept) -> bool:
         if percept.id in self._by_id:
             return False
         self._by_id[percept.id] = percept
-        self._order.append(percept)
         self._by_category.setdefault(percept.category, []).append(percept)
         return True
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._by_id)
 
     def __iter__(self) -> Iterator[Percept]:
-        return iter(self._order)
+        return iter(self._by_id.values())
 
     def __contains__(self, percept_id: str) -> bool:
         return percept_id in self._by_id
@@ -249,12 +255,9 @@ class PerceptStore:
     def in_category(self, category: str) -> tuple[Percept, ...]:
         return tuple(self._by_category.get(category, ()))
 
-    def latest(self, kinds: Optional[Iterable[str]] = None) -> Optional[Percept]:
+    def latest(self, kinds: Optional[Container[str]] = None) -> Optional[Percept]:
         """Most recently attached percept, optionally restricted to kinds."""
-        if kinds is None:
-            return self._order[-1] if self._order else None
-        wanted = frozenset(kinds)
-        for p in reversed(self._order):
-            if p.kind in wanted:
+        for p in reversed(self._by_id.values()):
+            if kinds is None or p.kind in kinds:
                 return p
         return None

@@ -14,19 +14,14 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO, get_type_hints
 
 import numpy as np
 
 from .errors import TraceError
-from .world import (
-    DreamFrameRow,
-    InteractionRecord,
-    Metrics,
-    PerceptRow,
-    TraceRow,
-    row_metrics,
-)
+from .fields import GridCell
+from .semantics import Percept
+from .world import DreamFrameRow, InteractionRecord, Metrics, TraceRow, row_metrics
 
 TRACE_HEADER = [
     "tick",
@@ -160,46 +155,58 @@ def write_trace_csv(path: str, rows: Iterable[TraceRow]) -> None:
     )
 
 
-def read_trace_csv(path: str) -> list[TraceRow]:
-    """Parse and validate a trace file; rows must be ordered by (tick, agent)."""
+def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, cells) for each data row of a CSV file.
+
+    A file that cannot be read, a header other than `header` and a row of
+    the wrong width raise `TraceError` naming `what`, the path and the line.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != TRACE_HEADER:
-                raise TraceError(f"unexpected trace header {header}")
-            rows = []
-            prev = None
-            for lineno, rec in enumerate(reader, start=2):
-                if len(rec) != len(TRACE_HEADER):
-                    raise TraceError(f"line {lineno}: expected {len(TRACE_HEADER)} columns")
-                try:
-                    row = TraceRow(
-                        tick=int(rec[0]),
-                        agent_id=int(rec[1]),
-                        i=int(rec[2]),
-                        j=int(rec[3]),
-                        mode=rec[4],
-                        e_h=float(rec[5]),
-                        e_c=float(rec[6]),
-                        e_f=float(rec[7]),
-                        e_k=float(rec[8]),
-                        fatigue=float(rec[9]),
-                        field_value=float(rec[10]),
-                        events=tuple(t for t in rec[11].split(";") if t),
+            got = next(reader, None)
+            if got != header:
+                raise TraceError(f"{what} {path}, line 1: unexpected header {got}")
+            for lineno, cells in enumerate(reader, start=2):
+                if len(cells) != len(header):
+                    raise TraceError(
+                        f"{what} {path}, line {lineno}: expected {len(header)} columns"
                     )
-                except ValueError as exc:
-                    raise TraceError(f"line {lineno}: {exc}") from None
-                if row.mode not in ("awake", "asleep"):
-                    raise TraceError(f"line {lineno}: unknown mode {row.mode!r}")
-                key = (row.tick, row.agent_id)
-                if prev is not None and key <= prev:
-                    raise TraceError(f"line {lineno}: rows not ordered by (tick, agent_id)")
-                prev = key
-                rows.append(row)
-            return rows
+                yield lineno, cells
     except OSError as exc:
-        raise TraceError(f"cannot read trace file {path}: {exc}") from None
+        raise TraceError(f"cannot read {what} {path}: {exc}") from None
+
+
+def read_trace_csv(path: str) -> list[TraceRow]:
+    """Parse and validate a trace file; rows must be ordered by (tick, agent)."""
+    rows = []
+    prev = None
+    for lineno, rec in _read_csv(path, TRACE_HEADER, "trace file"):
+        try:
+            row = TraceRow(
+                tick=int(rec[0]),
+                agent_id=int(rec[1]),
+                i=int(rec[2]),
+                j=int(rec[3]),
+                mode=rec[4],
+                e_h=float(rec[5]),
+                e_c=float(rec[6]),
+                e_f=float(rec[7]),
+                e_k=float(rec[8]),
+                fatigue=float(rec[9]),
+                field_value=float(rec[10]),
+                events=tuple(t for t in rec[11].split(";") if t),
+            )
+            if row.mode not in ("awake", "asleep"):
+                raise ValueError(f"unknown mode {row.mode!r}")
+            key = (row.tick, row.agent_id)
+            if prev is not None and key <= prev:
+                raise ValueError("rows not ordered by (tick, agent_id)")
+        except ValueError as exc:
+            raise TraceError(f"trace file {path}, line {lineno}: {exc}") from None
+        prev = key
+        rows.append(row)
+    return rows
 
 
 def summarize_rows(rows: list[TraceRow]) -> Metrics:
@@ -271,7 +278,8 @@ def write_dreams_csv(path: str, rows: Iterable[DreamFrameRow]) -> None:
     )
 
 
-def write_percepts_csv(path: str, rows: Iterable[PerceptRow]) -> None:
+def write_percepts_csv(path: str, rows: Iterable[tuple[int, Percept]]) -> None:
+    """One row per (owner agent id, percept) pair."""
     # observed, style and received percepts share vectors: render each once,
     # keyed on its float64 bytes (which tell 0.0 from -0.0)
     rendered: dict[bytes, str] = {}
@@ -288,44 +296,30 @@ def write_percepts_csv(path: str, rows: Iterable[PerceptRow]) -> None:
         path,
         PERCEPTS_HEADER,
         (
-            [r.agent_id, r.id, r.kind, r.category, r.i, r.j, r.tick, features(r.features)]
-            for r in rows
+            [aid, p.id, p.kind, p.category, p.origin.i, p.origin.j, p.tick, features(p.features)]
+            for aid, p in rows
         ),
     )
 
 
-def read_percepts_csv(path: str) -> list[PerceptRow]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != PERCEPTS_HEADER:
-                raise TraceError(f"unexpected percept log header {header}")
-            rows = []
-            for lineno, rec in enumerate(reader, start=2):
-                if len(rec) != len(PERCEPTS_HEADER):
-                    raise TraceError(f"line {lineno}: expected {len(PERCEPTS_HEADER)} columns")
-                try:
-                    feats = np.array(
-                        [float(x) for x in rec[7].split(";") if x], dtype=float
-                    )
-                    rows.append(
-                        PerceptRow(
-                            agent_id=int(rec[0]),
-                            id=rec[1],
-                            kind=rec[2],
-                            category=rec[3],
-                            i=int(rec[4]),
-                            j=int(rec[5]),
-                            tick=int(rec[6]),
-                            features=feats,
-                        )
-                    )
-                except ValueError as exc:
-                    raise TraceError(f"line {lineno}: {exc}") from None
-            return rows
-    except OSError as exc:
-        raise TraceError(f"cannot read percept log {path}: {exc}") from None
+def read_percepts_csv(path: str) -> list[tuple[int, Percept]]:
+    """(owner agent id, percept) pairs of a percept log, in file order."""
+    percepts = []
+    for lineno, rec in _read_csv(path, PERCEPTS_HEADER, "percept log"):
+        try:
+            feats = np.array([float(x) for x in rec[7].split(";") if x], dtype=float)
+            percept = Percept(
+                id=rec[1],
+                features=feats,
+                category=rec[3],
+                origin=GridCell(int(rec[4]), int(rec[5])),
+                tick=int(rec[6]),
+                kind=rec[2],
+            )
+            percepts.append((int(rec[0]), percept))
+        except ValueError as exc:
+            raise TraceError(f"percept log {path}, line {lineno}: {exc}") from None
+    return percepts
 
 
 def _render_metric(v) -> str:
@@ -337,37 +331,20 @@ def write_metrics_csv(path: str, m: Metrics) -> None:
 
 
 def read_metrics_csv(path: str) -> Metrics:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != METRICS_HEADER:
-                raise TraceError(f"unexpected metrics header {header}")
-            kv = {}
-            for rec in reader:
-                if len(rec) != 2:
-                    raise TraceError(f"malformed metrics row {rec}")
-                kv[rec[0]] = rec[1]
-    except OSError as exc:
-        raise TraceError(f"cannot read metrics file {path}: {exc}") from None
+    kv = dict(cells for _, cells in _read_csv(path, METRICS_HEADER, "metrics file"))
     try:
         moves = []
         k = 0
         while f"moves_agent_{k}" in kv:
             moves.append(int(kv[f"moves_agent_{k}"]))
             k += 1
-        return Metrics(
-            interactions=int(kv["interactions"]),
-            photos=int(kv["photos"]),
-            dream_frames=int(kv["dream_frames"]),
-            moves_per_agent=tuple(moves),
-            total_moves=int(kv["total_moves"]),
-            mean_happiness=float(kv["mean_happiness"]),
-            mean_curiosity=float(kv["mean_curiosity"]),
-            mean_friendship=float(kv["mean_friendship"]),
-            mean_courage=float(kv["mean_courage"]),
-            mean_fatigue=float(kv["mean_fatigue"]),
-        )
+        # every field but the moves tuple is an int or a float
+        values = {
+            name: cast(kv[name])
+            for name, cast in get_type_hints(Metrics).items()
+            if name != "moves_per_agent"
+        }
+        return Metrics(moves_per_agent=tuple(moves), **values)
     except (KeyError, ValueError) as exc:
         raise TraceError(f"incomplete metrics file {path}: {exc}") from None
 
@@ -386,20 +363,4 @@ def read_manifest(path: str) -> dict:
 
 def standalone_dream_rows(frames) -> list[DreamFrameRow]:
     """Adapt bare dream frames (no agent, no field) to the dreams.csv schema."""
-    rows = []
-    for idx, frame in enumerate(frames, start=1):
-        rows.append(
-            DreamFrameRow(
-                agent_id=0,
-                tick=idx,
-                frame_index=idx,
-                percept_id="",
-                content_category=frame.content_category,
-                style_category=frame.style_category,
-                origin_i=frame.content_origin.i,
-                origin_j=frame.content_origin.j,
-                pair_distance=frame.pair_distance,
-                valence=0,
-            )
-        )
-    return rows
+    return [DreamFrameRow.of(frame, 0, k, k) for k, frame in enumerate(frames, start=1)]

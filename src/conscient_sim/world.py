@@ -11,18 +11,20 @@ The full run is captured in a replayable trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Optional
 
 import numpy as np
 
 from .agents import Agent, AgentConfig, agent_tick, most_recent_sendable, receive_percept
+from .dreams import DreamFrame
 from .errors import ConfigError
 from .fields import MAX_RESOLUTION, GridCell, local_bump, sample_field
 from .seeds import derive_seed, make_rng
 from .semantics import (
     BUILTIN_CONTENT_EDGES,
     BUILTIN_STYLE_EDGES,
+    Percept,
     SemanticGraph,
     load_graph,
 )
@@ -137,37 +139,56 @@ class DreamFrameRow:
     pair_distance: Optional[int]
     valence: int
 
-
-@dataclass(frozen=True, eq=False)
-class PerceptRow:
-    agent_id: int
-    id: str
-    kind: str
-    category: str
-    i: int
-    j: int
-    tick: int
-    features: np.ndarray
+    @classmethod
+    def of(
+        cls,
+        frame: DreamFrame,
+        agent_id: int,
+        tick: int,
+        frame_index: int,
+        percept_id: str = "",
+        valence: int = 0,
+    ) -> DreamFrameRow:
+        """The dreams.csv row of one frame."""
+        origin = frame.content_origin
+        return cls(
+            agent_id,
+            tick,
+            frame_index,
+            percept_id,
+            frame.content_category,
+            frame.style_category,
+            origin.i,
+            origin.j,
+            frame.pair_distance,
+            valence,
+        )
 
 
 @dataclass(eq=False)
 class SimulationTrace:
-    """Everything a run produced, self-describing and replayable."""
+    """Everything a run produced, self-describing and replayable.
+
+    `percept_rows` pairs each stored percept with its owner's agent id, agent
+    by agent, content store before style store.
+    """
 
     config: WorldConfig
     rows: list[TraceRow]
     interactions: list[InteractionRecord]
     dream_rows: list[DreamFrameRow]
-    percept_rows: list[PerceptRow]
+    percept_rows: list[tuple[int, Percept]]
 
 
 @dataclass(frozen=True)
 class Metrics:
+    """Run summary; field order is the `metrics.csv` row order."""
+
     interactions: int
     photos: int
     dream_frames: int
-    moves_per_agent: tuple[int, ...]
     total_moves: int
+    moves_per_agent: tuple[int, ...]
     mean_happiness: float
     mean_curiosity: float
     mean_friendship: float
@@ -175,23 +196,14 @@ class Metrics:
     mean_fatigue: float
 
     def items(self) -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = [
-            ("interactions", self.interactions),
-            ("photos", self.photos),
-            ("dream_frames", self.dream_frames),
-            ("total_moves", self.total_moves),
-        ]
-        for aid, m in enumerate(self.moves_per_agent):
-            out.append((f"moves_agent_{aid}", m))
-        out.extend(
-            [
-                ("mean_happiness", self.mean_happiness),
-                ("mean_curiosity", self.mean_curiosity),
-                ("mean_friendship", self.mean_friendship),
-                ("mean_courage", self.mean_courage),
-                ("mean_fatigue", self.mean_fatigue),
-            ]
-        )
+        """(name, value) per field, with one `moves_agent_<k>` per agent."""
+        out: list[tuple[str, object]] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "moves_per_agent":
+                out.extend((f"moves_agent_{aid}", m) for aid, m in enumerate(value))
+            else:
+                out.append((f.name, value))
         return out
 
 
@@ -317,47 +329,31 @@ class World:
         for agent in self.agents:
             out = outcomes[agent.id]
             if out.dream_frame is not None:
-                frame = out.dream_frame
                 self.dream_rows.append(
-                    DreamFrameRow(
-                        agent_id=agent.id,
-                        tick=t,
-                        frame_index=agent.dream_frame_count,
-                        percept_id=out.dream_percept_id or "",
-                        content_category=frame.content_category,
-                        style_category=frame.style_category,
-                        origin_i=frame.content_origin.i,
-                        origin_j=frame.content_origin.j,
-                        pair_distance=frame.pair_distance,
-                        valence=out.dream_valence or 0,
+                    DreamFrameRow.of(
+                        out.dream_frame,
+                        agent.id,
+                        t,
+                        agent.dream_frame_count,
+                        out.dream_percept_id,
+                        out.dream_valence,
                     )
                 )
             self.rows.append(self._row_for(agent, t, tuple(out.events)))
         self.tick = t
 
     def snapshot_trace(self) -> SimulationTrace:
-        percept_rows = []
-        for agent in self.agents:
-            for store in (agent.percepts, agent.styles):
-                for p in store:
-                    percept_rows.append(
-                        PerceptRow(
-                            agent_id=agent.id,
-                            id=p.id,
-                            kind=p.kind,
-                            category=p.category,
-                            i=p.origin.i,
-                            j=p.origin.j,
-                            tick=p.tick,
-                            features=p.features,
-                        )
-                    )
         return SimulationTrace(
             config=self.config,
             rows=list(self.rows),
             interactions=list(self.interactions),
             dream_rows=list(self.dream_rows),
-            percept_rows=percept_rows,
+            percept_rows=[
+                (agent.id, p)
+                for agent in self.agents
+                for store in (agent.percepts, agent.styles)
+                for p in store
+            ],
         )
 
 
@@ -427,8 +423,8 @@ def row_metrics(
         interactions=interactions,
         photos=photos,
         dream_frames=dream_frames,
-        moves_per_agent=per_agent,
         total_moves=sum(per_agent),
+        moves_per_agent=per_agent,
         mean_happiness=means[0],
         mean_curiosity=means[1],
         mean_friendship=means[2],
@@ -447,6 +443,6 @@ def metrics(trace: SimulationTrace) -> Metrics:
     return row_metrics(
         trace.rows,
         interactions=len(trace.interactions),
-        photos=sum(1 for p in trace.percept_rows if p.kind == "observed"),
+        photos=sum(1 for _, p in trace.percept_rows if p.kind == "observed"),
         dream_frames=len(trace.dream_rows),
     )

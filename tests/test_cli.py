@@ -186,6 +186,38 @@ def test_dream_subcommand_replays_from_percept_log(tmp_path, cfg_path, capsys):
     assert digest == "580a8c8be2debd06cce70b9aaea3bb42954952742038980ec116d7a74f54d156"
 
 
+def test_dream_subcommand_rejects_percepts_of_another_width(tmp_path, cfg_path, capsys):
+    sim_out = tmp_path / "sim"
+    assert run_command(["simulate", "--config", cfg_path, "--seed", "7", "--out", str(sim_out)]) == 0
+    capsys.readouterr()
+    log = sim_out / "percepts.csv"
+    narrow_cfg = tmp_path / "narrow.cfg"
+    narrow_cfg.write_text(BASE_CONFIG + "world.feature_dim = 4\n", encoding="utf-8")
+    # a 16-wide log under a 4-wide config
+    out = tmp_path / "d4"
+    assert run_command(
+        ["dream", "--config", str(narrow_cfg), "--percept-log", str(log), "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    first_id = log.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
+    assert err.startswith("error:") and f"percept {first_id}:" in err
+    assert "16 features" in err and "world.feature_dim is 4" in err
+    assert not (out / "dreams.csv").exists()
+    # one 2-wide row in an otherwise matching log
+    lines = log.read_text(encoding="utf-8").splitlines()
+    cells = lines[-1].split(",")
+    cells[-1] = "0.5;0.5"
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n", encoding="utf-8")
+    out = tmp_path / "d2"
+    assert run_command(
+        ["dream", "--config", cfg_path, "--percept-log", str(mixed), "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert f"percept {cells[1]}: 2 features" in err and "world.feature_dim is 16" in err
+    assert not (out / "dreams.csv").exists()
+
+
 def test_dream_subcommand_needs_populated_log(tmp_path, cfg_path, capsys):
     empty_log = tmp_path / "percepts.csv"
     empty_log.write_text(

@@ -21,7 +21,14 @@ from conscient_sim.errors import (
     UnknownCategoryError,
 )
 from conscient_sim.fields import GridCell, ValueField
-from conscient_sim.semantics import Percept, PerceptStore, load_graph, semantic_distance
+from conscient_sim.semantics import (
+    BUILTIN_CONTENT_EDGES,
+    BUILTIN_STYLE_EDGES,
+    Percept,
+    PerceptStore,
+    load_graph,
+    semantic_distance,
+)
 from conscient_sim.seeds import make_rng
 
 
@@ -137,6 +144,44 @@ def test_nearest_populated_walks_out_and_breaks_ties():
     far = _store(_percept("p1", "d"), _percept("p2", "c"))
     # nothing populated reachable from a: smallest populated category wins
     assert _nearest_populated(split, "a", far) == "c"
+
+
+def _level_bfs_nearest(graph, start, populated):
+    """The level-by-level search `_nearest_populated` used before hop counts."""
+    if start in populated:
+        return start
+    seen = {start}
+    level = [start]
+    while level:
+        nxt, hits = [], []
+        for node in level:
+            for nb in graph.neighbors(node):
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+                    if nb in populated:
+                        hits.append(nb)
+        if hits:
+            return min(hits)
+        level = nxt
+    return min(populated)
+
+
+def test_nearest_populated_matches_level_bfs_oracle():
+    three_parts = "a b\nb c\nc a\nd e\ne f\nf g\nh i"
+    rng = make_rng(31)
+    cases = 0
+    for source in (BUILTIN_CONTENT_EDGES, BUILTIN_STYLE_EDGES, three_parts):
+        g = load_graph(source, seed=0, feature_dim=3)
+        for _ in range(60):
+            size = int(rng.integers(1, len(g.nodes) + 1))
+            populated = sorted(rng.choice(g.nodes, size=size, replace=False).tolist())
+            store = _store(*(_percept(f"p-{c}", c) for c in populated))
+            for start in g.nodes:
+                want = _level_bfs_nearest(g, start, set(populated))
+                assert _nearest_populated(g, start, store) == want, (start, populated)
+                cases += 1
+    assert cases == 60 * (30 + 8 + 9)
 
 
 def test_dream_walk_requires_populated_stores():

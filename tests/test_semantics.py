@@ -13,6 +13,7 @@ from conscient_sim.semantics import (
     Percept,
     PerceptStore,
     classify,
+    hop_counts,
     load_graph,
     semantic_distance,
 )
@@ -113,6 +114,16 @@ def test_semantic_distance_edge_cases():
     assert semantic_distance(g, "a", "c") is None
     with pytest.raises(UnknownCategoryError):
         semantic_distance(g, "a", "zz")
+
+
+def test_hop_counts_is_the_memoised_row_semantic_distance_reads():
+    g = _graph(["a b", "b c", "d e"])
+    row = hop_counts(g, "a")
+    assert row == {"a": 0, "b": 1, "c": 2}
+    assert hop_counts(g, "a") is row  # one BFS per start node
+    assert semantic_distance(g, "a", "c") == row["c"]
+    with pytest.raises(UnknownCategoryError):
+        hop_counts(g, "zz")
 
 
 def test_builtin_graphs_shape():

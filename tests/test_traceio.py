@@ -38,7 +38,6 @@ from conscient_sim.traceio import (
 from conscient_sim.world import (
     DreamFrameRow,
     InteractionRecord,
-    PerceptRow,
     TraceRow,
     WorldConfig,
     metrics,
@@ -151,12 +150,29 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
     write_percepts_csv(str(path), trace.percept_rows)
     back = read_percepts_csv(str(path))
     assert len(back) == len(trace.percept_rows)
-    for a, b in zip(trace.percept_rows, back):
-        assert (a.agent_id, a.id, a.kind, a.category) == (b.agent_id, b.id, b.kind, b.category)
-        assert (a.i, a.j, a.tick) == (b.i, b.j, b.tick)
+    for (aid, a), (bid, b) in zip(trace.percept_rows, back):
+        assert (aid, a.id, a.kind, a.category) == (bid, b.id, b.kind, b.category)
+        assert (a.origin, a.tick) == (b.origin, b.tick)
         assert np.array_equal(a.features, b.features)  # repr round-trip is exact
     with pytest.raises(TraceError):
         read_percepts_csv(str(tmp_path / "missing.csv"))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,p1,bogus,dog,1,2,3,0.5;0.5", "unknown percept kind 'bogus'"),
+        ("0,p1,observed,dog,1,2,-4,0.5;0.5", "percept tick must be >= 0, got -4"),
+    ],
+    ids=["kind", "tick"],
+)
+def test_read_percepts_csv_rejects_what_a_percept_rejects(tmp_path, row, message):
+    path = tmp_path / "percepts.csv"
+    path.write_text(",".join(PERCEPTS_HEADER) + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(TraceError) as exc:
+        read_percepts_csv(str(path))
+    assert "line 2" in str(exc.value) and message in str(exc.value)
+    assert str(path) in str(exc.value)
 
 
 def test_metrics_csv_roundtrip(tmp_path, trace):
@@ -250,9 +266,10 @@ def _oracle_dream(r: DreamFrameRow) -> list:
     ]
 
 
-def _oracle_percept(r: PerceptRow) -> list:
-    features = ";".join(_fmt(x) for x in r.features)
-    return [r.agent_id, r.id, r.kind, r.category, r.i, r.j, r.tick, features]
+def _oracle_percept(pair: tuple[int, Percept]) -> list:
+    aid, p = pair
+    features = ";".join(_fmt(x) for x in p.features)
+    return [aid, p.id, p.kind, p.category, p.origin.i, p.origin.j, p.tick, features]
 
 
 def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
@@ -286,7 +303,7 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
         shared, shared.astype(np.float32), np.zeros(4),
     ]
     percept_rows = [
-        PerceptRow(t % 2, "a,b" if t % 2 else f"p{t}", "observed", 'q"x', 1, 2, t, vec)
+        (t % 2, Percept("a,b" if t % 2 else f"p{t}", vec, 'q"x', GridCell(1, 2), t, "observed"))
         for t, vec in enumerate(vectors)
     ]
     cases = [

@@ -236,8 +236,8 @@ def test_run_is_deterministic():
     assert t1.interactions == t2.interactions
     assert t1.dream_rows == t2.dream_rows
     assert len(t1.percept_rows) == len(t2.percept_rows)
-    for p, q in zip(t1.percept_rows, t2.percept_rows):
-        assert p.id == q.id and p.agent_id == q.agent_id
+    for (pa, p), (qa, q) in zip(t1.percept_rows, t2.percept_rows):
+        assert p.id == q.id and pa == qa
         assert np.array_equal(p.features, q.features)
     t3 = run(WorldConfig(resolution=8, n_agents=2, total_ticks=60, master_seed=78))
     assert t3.rows != t1.rows
@@ -273,16 +273,16 @@ def test_percept_rows_provenance():
     cfg = WorldConfig(resolution=8, n_agents=2, total_ticks=80, master_seed=40)
     trace = run(cfg)
     w = build_world(cfg)  # fresh features oracle
-    kinds = {p.kind for p in trace.percept_rows}
+    kinds = {p.kind for _, p in trace.percept_rows}
     assert "observed" in kinds
-    for p in trace.percept_rows:
+    for _, p in trace.percept_rows:
         if p.kind == "observed":
-            assert np.array_equal(p.features, w.cell_features(GridCell(p.i, p.j)))
+            assert np.array_equal(p.features, w.cell_features(p.origin))
         assert np.all(p.features >= 0.0) and np.all(p.features <= 1.0)
-        assert 0 <= p.i < 8 and 0 <= p.j < 8
+        assert 0 <= p.origin.i < 8 and 0 <= p.origin.j < 8
     # ids are globally unique within an agent's combined stores
     for aid in (0, 1):
-        ids = [p.id for p in trace.percept_rows if p.agent_id == aid]
+        ids = [p.id for owner, p in trace.percept_rows if owner == aid]
         assert len(ids) == len(set(ids))
 
 
@@ -290,7 +290,7 @@ def test_dream_rows_reference_attached_percepts():
     cfg = WorldConfig(resolution=8, n_agents=2, total_ticks=200, master_seed=7)
     trace = run(cfg)
     assert trace.dream_rows, "expected at least one dream frame in 200 ticks"
-    percept_ids = {p.id for p in trace.percept_rows}
+    percept_ids = {p.id for _, p in trace.percept_rows}
     for row in trace.dream_rows:
         assert row.percept_id in percept_ids
         assert row.valence in (-1, 0, 1)
