@@ -135,14 +135,15 @@ def logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def navigate_step(agent: Agent, rng: np.random.Generator) -> GridCell:
+def navigate_step(agent: Agent) -> GridCell:
     """One movement decision: explore a random neighbor or climb the field.
 
     At most one cell per tick. Nothing happens once the movement budget is
     spent; hill-climbing from a local peak also stays put (and costs no
-    budget). Moving while unhappy costs extra fatigue.
+    budget). Moving while unhappy costs extra fatigue. Draws come from the
+    agent's own stream.
     """
-    cfg = agent.config
+    cfg, rng = agent.config, agent.rng
     if agent.moves_used >= cfg.movement_budget:
         return agent.position
     if float(rng.random()) < cfg.explore_rate:
@@ -161,9 +162,7 @@ def navigate_step(agent: Agent, rng: np.random.Generator) -> GridCell:
     return agent.position
 
 
-def maybe_take_photo(
-    agent: Agent, ctx: WorldContext, tick: int, rng: np.random.Generator
-) -> Optional[Percept]:
+def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Percept]:
     """Photograph the current cell if the cadence and the field allow it.
 
     Decisions only happen every photo_period-th awake tick. The take chance is
@@ -176,7 +175,7 @@ def maybe_take_photo(
     if (agent.ticks_in_mode + 1) % cfg.photo_period != 0:
         return None
     value = agent.field.value_at(agent.position)
-    if float(rng.random()) >= logistic(value):
+    if float(agent.rng.random()) >= logistic(value):
         return None
     features = ctx.cell_features(agent.position)
     agent.photo_count += 1
@@ -202,7 +201,7 @@ def maybe_take_photo(
         )
     agent.field = local_bump(agent.field, agent.position, cfg.visit_peak, cfg.visit_width)
     agent.emotions = apply_event(
-        agent.emotions, EmotionEvent("photo_taken", value), cfg.emotion, rng
+        agent.emotions, EmotionEvent("photo_taken", value), cfg.emotion, agent.rng
     )
     return percept
 
@@ -248,8 +247,8 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
     cfg = agent.config
     out = AgentTickOutcome(events=[])
     if agent.mode == "awake":
-        navigate_step(agent, agent.rng)
-        photo = maybe_take_photo(agent, ctx, tick, agent.rng)
+        navigate_step(agent)
+        photo = maybe_take_photo(agent, ctx, tick)
         if photo is not None:
             out.events.append(f"photo:{photo.id}")
         stim = ctx.take_stimulus(agent.position)

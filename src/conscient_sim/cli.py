@@ -176,7 +176,6 @@ def _cmd_optimize(args) -> int:
     manifest["outputs"] = ["ga_history.csv"]
     manifest["results"] = {
         "best_fitness": best.fitness,
-        "best_mean_interactions": best.mean_interactions,
         "best_generation": best.generation,
         "best_genome": [float(g) for g in best.genome.genes],
     }

@@ -38,15 +38,6 @@ def _cast_float(raw: str) -> float:
     return v
 
 
-def _cast_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    raise ValueError("expected true or false")
-
-
 def _cast_str(raw: str) -> str:
     return raw
 
@@ -68,10 +59,6 @@ def _render_plain(v) -> str:
 
 def _render_float(v) -> str:
     return repr(float(v))
-
-
-def _render_bool(v) -> str:
-    return "true" if v else "false"
 
 
 def _render_list(v) -> str:
@@ -99,7 +86,6 @@ _GRAPH_KEYS = {
 _TYPES: dict[object, tuple[Callable[[str], object], Callable[[object], str], str]] = {
     int: (_cast_int, _render_plain, "integer"),
     float: (_cast_float, _render_float, "number"),
-    bool: (_cast_bool, _render_bool, "boolean"),
     str: (_cast_str, _render_plain, "string"),
     tuple[int, ...]: (_cast_int_list, _render_list, "integer list"),
     tuple[str, ...]: (_cast_str_list, _render_list, "string list"),

@@ -101,6 +101,16 @@ def _nearest_populated(graph: SemanticGraph, start: str, store: PerceptStore) ->
     return min(reachable)[1] if reachable else populated[0]
 
 
+def _pick(
+    store: PerceptStore, graph: SemanticGraph, category: str, rng: np.random.Generator
+) -> Percept:
+    """A uniform draw from the category's bucket, or the nearest populated one's."""
+    cands = store.in_category(category)
+    if not cands:
+        cands = store.in_category(_nearest_populated(graph, category, store))
+    return cands[int(rng.integers(len(cands)))]
+
+
 class DreamWalk:
     """Incremental dream state: current categories on both graphs.
 
@@ -133,18 +143,6 @@ class DreamWalk:
         self._style_cat = scats[int(rng.integers(len(scats)))]
         self._prev_frame_cat = self._content_cat
 
-    def _pick(
-        self,
-        store: PerceptStore,
-        graph: SemanticGraph,
-        category: str,
-        rng: np.random.Generator,
-    ) -> Percept:
-        cands = store.in_category(category)
-        if not cands:
-            cands = store.in_category(_nearest_populated(graph, category, store))
-        return cands[int(rng.integers(len(cands)))]
-
     def step(self, rng: np.random.Generator) -> DreamFrame:
         """Advance both walks one frame, each by a step drawn from the config."""
         lo, hi = self.config.step_lower, self.config.step_upper
@@ -152,8 +150,8 @@ class DreamWalk:
         self._content_cat = walk_step(self.content_graph, self._content_cat, omega_c, rng)
         omega_s = int(rng.integers(lo, hi + 1))
         self._style_cat = walk_step(self.style_graph, self._style_cat, omega_s, rng)
-        content_p = self._pick(self.content_store, self.content_graph, self._content_cat, rng)
-        style_p = self._pick(self.style_store, self.style_graph, self._style_cat, rng)
+        content_p = _pick(self.content_store, self.content_graph, self._content_cat, rng)
+        style_p = _pick(self.style_store, self.style_graph, self._style_cat, rng)
         frame = blend(content_p, style_p, self.config.style_weight)
         frame.pair_distance = semantic_distance(
             self.content_graph, self._prev_frame_cat, frame.content_category

@@ -1,6 +1,7 @@
 """Genetic optimizer over agent hyperparameters.
 
-Genomes are vectors in [0, 1]^d decoded linearly into named agent parameters.
+Genomes are vectors in [0, 1]^d decoded linearly into agent parameters, each
+gene named by the config key it sets.
 Fitness of a genome is the mean interaction count over a fixed list of
 evaluation seeds (common random numbers across genomes), with the movement
 budget applied to every agent. Evaluation is a pure function of (genome,
@@ -39,26 +40,30 @@ class BoundSpec:
             raise ConfigError(f"bad bounds for {self.name}: [{self.lo}, {self.hi}]")
 
 
-# Decode order is the gene order. Integer genes round half-up after the linear
-# map; the (step_lower, step_upper) and (delta_lower, delta_upper) pairs are
-# sorted after decoding so any genome yields a valid config.
+# Each gene is named by the config key it sets, and decode order is the gene
+# order. Integer genes round half-up after the linear map; the step and delta
+# (lower, upper) pairs are sorted after decoding so any genome yields a valid
+# config.
 DEFAULT_BOUNDS: tuple[BoundSpec, ...] = (
-    BoundSpec("t_awake", 5, 60, integer=True),
-    BoundSpec("t_asleep", 2, 30, integer=True),
-    BoundSpec("step_lower", 0, 3, integer=True),
-    BoundSpec("step_upper", 1, 6, integer=True),
-    BoundSpec("sleep_threshold", 0.1, 0.95),
-    BoundSpec("explore_rate", 0.0, 1.0),
-    BoundSpec("noise_sigma", 0.0, 1.0),
-    BoundSpec("delta_lower", 0.0, 0.1),
-    BoundSpec("delta_upper", 0.02, 0.3),
-    BoundSpec("style_weight", 0.0, 1.0),
-    BoundSpec("visit_peak", -2.0, -0.1),
-    BoundSpec("courage_gain", 0.0, 1.0),
-    BoundSpec("high_value_cutoff", -1.0, 1.0),
+    BoundSpec("agent.t_awake", 5, 60, integer=True),
+    BoundSpec("agent.t_asleep", 2, 30, integer=True),
+    BoundSpec("dream.step_lower", 0, 3, integer=True),
+    BoundSpec("dream.step_upper", 1, 6, integer=True),
+    BoundSpec("emotion.threshold", 0.1, 0.95),
+    BoundSpec("agent.explore_rate", 0.0, 1.0),
+    BoundSpec("agent.noise_sigma", 0.0, 1.0),
+    BoundSpec("emotion.delta_lower", 0.0, 0.1),
+    BoundSpec("emotion.delta_upper", 0.02, 0.3),
+    BoundSpec("dream.style_weight", 0.0, 1.0),
+    BoundSpec("agent.visit_peak", -2.0, -0.1),
+    BoundSpec("emotion.courage_gain", 0.0, 1.0),
+    BoundSpec("emotion.high_value_cutoff", -1.0, 1.0),
 )
 
-_SORTED_PAIRS = (("step_lower", "step_upper"), ("delta_lower", "delta_upper"))
+_SORTED_PAIRS = (
+    ("dream.step_lower", "dream.step_upper"),
+    ("emotion.delta_lower", "emotion.delta_upper"),
+)
 
 
 @dataclass(eq=False)
@@ -89,7 +94,6 @@ class GAConfig:
     elite_count: int = 1
     eval_seeds: tuple[int, ...] = (11, 12, 13)
     movement_budget: int = 400
-    normalize_fitness: bool = False
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -123,7 +127,6 @@ class GAConfig:
 class FitnessReport:
     genome: Genome
     fitness: float
-    mean_interactions: float
     per_seed: list[Metrics]
     generation: int
 
@@ -140,54 +143,39 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def decode_genome(genome: Genome) -> dict[str, float]:
-    """Linear map from [0, 1] genes to named parameter values."""
+def decode_genome(genome: Genome) -> dict[str, float | int]:
+    """Linear map from [0, 1] genes to `{config key: value}`."""
     if genome.genes.shape != (len(DEFAULT_BOUNDS),):
         raise ContractError(
             f"genome length {genome.genes.shape[0]} does not match "
             f"bounds table length {len(DEFAULT_BOUNDS)}"
         )
-    out: dict[str, float] = {}
+    out: dict[str, float | int] = {}
     for g, spec in zip(genome.genes, DEFAULT_BOUNDS):
         val = spec.lo + float(g) * (spec.hi - spec.lo)
-        out[spec.name] = float(_round_half_up(val)) if spec.integer else val
-    for lo_name, hi_name in _SORTED_PAIRS:
-        if out[lo_name] > out[hi_name]:
-            out[lo_name], out[hi_name] = out[hi_name], out[lo_name]
+        out[spec.name] = _round_half_up(val) if spec.integer else val
+    for lo_key, hi_key in _SORTED_PAIRS:
+        if out[lo_key] > out[hi_key]:
+            out[lo_key], out[hi_key] = out[hi_key], out[lo_key]
     return out
 
 
 def configure_world(
-    base: WorldConfig, params: dict[str, float], movement_budget: int
+    base: WorldConfig, params: dict[str, float | int], movement_budget: int
 ) -> WorldConfig:
-    """Overlay decoded parameters and the GA movement budget on a base config."""
+    """Overlay decoded `{config key: value}` parameters and the GA movement budget."""
+    by_section: dict[str, dict[str, float | int]] = {
+        "agent": {"movement_budget": movement_budget},
+        "dream": {},
+        "emotion": {},
+    }
+    for key, value in params.items():
+        section, _, name = key.partition(".")
+        by_section[section][name] = value
     agent = base.agent
-    dream = replace(
-        agent.dream,
-        step_lower=int(params["step_lower"]),
-        step_upper=int(params["step_upper"]),
-        style_weight=params["style_weight"],
-    )
-    emotion = replace(
-        agent.emotion,
-        delta_lower=params["delta_lower"],
-        delta_upper=params["delta_upper"],
-        threshold=params["sleep_threshold"],
-        courage_gain=params["courage_gain"],
-        high_value_cutoff=params["high_value_cutoff"],
-    )
-    new_agent = replace(
-        agent,
-        t_awake=int(params["t_awake"]),
-        t_asleep=int(params["t_asleep"]),
-        explore_rate=params["explore_rate"],
-        noise_sigma=params["noise_sigma"],
-        visit_peak=params["visit_peak"],
-        movement_budget=movement_budget,
-        dream=dream,
-        emotion=emotion,
-    )
-    return replace(base, agent=new_agent)
+    dream = replace(agent.dream, **by_section["dream"])
+    emotion = replace(agent.emotion, **by_section["emotion"])
+    return replace(base, agent=replace(agent, dream=dream, emotion=emotion, **by_section["agent"]))
 
 
 TraceHook = Callable[[Genome, int, SimulationTrace], None]
@@ -203,9 +191,7 @@ def fitness(
     """Mean interaction count over the evaluation seeds.
 
     A simulation error marks the genome with -inf fitness (worst rank) rather
-    than aborting the search. With ga.normalize_fitness the fitness becomes
-    the fraction of the theoretical interaction ceiling; the raw mean is kept
-    on the report either way.
+    than aborting the search.
     """
     params = decode_genome(genome)
     per_seed: list[Metrics] = []
@@ -219,26 +205,9 @@ def fitness(
                 trace_hook(genome, seed, trace)
             per_seed.append(metrics(trace))
     except SimulatorError:
-        return FitnessReport(
-            genome=genome,
-            fitness=float("-inf"),
-            mean_interactions=float("-inf"),
-            per_seed=per_seed,
-            generation=generation,
-        )
-    raw = sum(m.interactions for m in per_seed) / len(per_seed)
-    value = raw
-    if ga.normalize_fitness:
-        pairs = base.n_agents * (base.n_agents - 1) // 2
-        ceiling = base.total_ticks * pairs
-        value = raw / ceiling if ceiling > 0 else 0.0
-    return FitnessReport(
-        genome=genome,
-        fitness=value,
-        mean_interactions=raw,
-        per_seed=per_seed,
-        generation=generation,
-    )
+        return FitnessReport(genome, float("-inf"), per_seed, generation)
+    value = sum(m.interactions for m in per_seed) / len(per_seed)
+    return FitnessReport(genome, value, per_seed, generation)
 
 
 def _resolve_workers(workers: Optional[int]) -> int:

@@ -158,8 +158,9 @@ def write_trace_csv(path: str, rows: Iterable[TraceRow]) -> None:
 def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, cells) for each data row of a CSV file.
 
-    A file that cannot be read, a header other than `header` and a row of
-    the wrong width raise `TraceError` naming `what`, the path and the line.
+    A file that cannot be read, a line `csv` cannot parse (such as a field
+    over its size limit), a header other than `header` and a row of the wrong
+    width raise `TraceError` naming `what`, the path and the line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -175,6 +176,8 @@ def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, li
                 yield lineno, cells
     except OSError as exc:
         raise TraceError(f"cannot read {what} {path}: {exc}") from None
+    except csv.Error as exc:
+        raise TraceError(f"{what} {path}, line {reader.line_num}: {exc}") from None
 
 
 def read_trace_csv(path: str) -> list[TraceRow]:
@@ -331,22 +334,30 @@ def write_metrics_csv(path: str, m: Metrics) -> None:
 
 
 def read_metrics_csv(path: str) -> Metrics:
-    kv = dict(cells for _, cells in _read_csv(path, METRICS_HEADER, "metrics file"))
-    try:
-        moves = []
-        k = 0
-        while f"moves_agent_{k}" in kv:
-            moves.append(int(kv[f"moves_agent_{k}"]))
-            k += 1
-        # every field but the moves tuple is an int or a float
-        values = {
-            name: cast(kv[name])
-            for name, cast in get_type_hints(Metrics).items()
-            if name != "moves_per_agent"
-        }
-        return Metrics(moves_per_agent=tuple(moves), **values)
-    except (KeyError, ValueError) as exc:
-        raise TraceError(f"incomplete metrics file {path}: {exc}") from None
+    """Parse a metrics file; every metric once, `moves_agent_<k>` in order."""
+    # every field but the moves tuple is an int or a float
+    casts = {n: cast for n, cast in get_type_hints(Metrics).items() if n != "moves_per_agent"}
+    values: dict[str, object] = {}
+    n_moves = 0
+    for lineno, (name, raw) in _read_csv(path, METRICS_HEADER, "metrics file"):
+        where = f"metrics file {path}, line {lineno}"
+        if name == f"moves_agent_{n_moves}":
+            cast, n_moves = int, n_moves + 1
+        elif name.startswith("moves_agent_"):
+            raise TraceError(f"{where}: expected moves_agent_{n_moves}, got {name}")
+        elif name in casts and name not in values:
+            cast = casts[name]
+        else:
+            raise TraceError(f"{where}: unknown or repeated metric {name!r}")
+        try:
+            values[name] = cast(raw)
+        except ValueError as exc:
+            raise TraceError(f"{where}: {exc}") from None
+    missing = [n for n in casts if n not in values]
+    if missing:
+        raise TraceError(f"incomplete metrics file {path}: missing {', '.join(missing)}")
+    moves = tuple(values.pop(f"moves_agent_{k}") for k in range(n_moves))
+    return Metrics(moves_per_agent=moves, **values)
 
 
 def write_manifest(path: str, manifest: dict) -> None:

@@ -125,6 +125,25 @@ class TraceRow:
     field_value: float
     events: tuple[str, ...]
 
+    @classmethod
+    def of(cls, agent: Agent, tick: int, events: tuple[str, ...]) -> TraceRow:
+        """The trace.csv row of an agent's state at the end of a tick."""
+        e = agent.emotions
+        return cls(
+            tick=tick,
+            agent_id=agent.id,
+            i=agent.position.i,
+            j=agent.position.j,
+            mode=agent.mode,
+            e_h=e.happiness,
+            e_c=e.curiosity,
+            e_f=e.friendship,
+            e_k=e.courage,
+            fatigue=e.fatigue,
+            field_value=agent.field.values.item(agent.position.i, agent.position.j),
+            events=events,
+        )
+
 
 @dataclass(frozen=True)
 class DreamFrameRow:
@@ -167,13 +186,12 @@ class DreamFrameRow:
 
 @dataclass(eq=False)
 class SimulationTrace:
-    """Everything a run produced, self-describing and replayable.
+    """Everything a run produced, in the order it was produced.
 
     `percept_rows` pairs each stored percept with its owner's agent id, agent
     by agent, content store before style store.
     """
 
-    config: WorldConfig
     rows: list[TraceRow]
     interactions: list[InteractionRecord]
     dream_rows: list[DreamFrameRow]
@@ -270,7 +288,7 @@ class World:
         self.dream_rows: list[DreamFrameRow] = []
         # Tick 0 rows snapshot the initial state before anything happens.
         for agent in self.agents:
-            self.rows.append(self._row_for(agent, 0, ()))
+            self.rows.append(TraceRow.of(agent, 0, ()))
 
     # -- agent environment hooks ------------------------------------------
 
@@ -288,23 +306,6 @@ class World:
         return self.stimuli.pop(cell, None)
 
     # -- scheduling --------------------------------------------------------
-
-    def _row_for(self, agent: Agent, tick: int, events: tuple[str, ...]) -> TraceRow:
-        e = agent.emotions
-        return TraceRow(
-            tick=tick,
-            agent_id=agent.id,
-            i=agent.position.i,
-            j=agent.position.j,
-            mode=agent.mode,
-            e_h=e.happiness,
-            e_c=e.curiosity,
-            e_f=e.friendship,
-            e_k=e.courage,
-            fatigue=e.fatigue,
-            field_value=agent.field.values.item(agent.position.i, agent.position.j),
-            events=events,
-        )
 
     def step(self) -> None:
         """One world tick: agents act in id order, then co-located pairs meet."""
@@ -339,12 +340,11 @@ class World:
                         out.dream_valence,
                     )
                 )
-            self.rows.append(self._row_for(agent, t, tuple(out.events)))
+            self.rows.append(TraceRow.of(agent, t, tuple(out.events)))
         self.tick = t
 
     def snapshot_trace(self) -> SimulationTrace:
         return SimulationTrace(
-            config=self.config,
             rows=list(self.rows),
             interactions=list(self.interactions),
             dream_rows=list(self.dream_rows),

@@ -112,12 +112,12 @@ def test_navigate_pure_ascent_matches_hill_climb_oracle():
     want = climb(vals, 6, 6)
     got = [(6, 6)]
     for _ in range(len(want) - 1):
-        pos = navigate_step(agent, agent.rng)
+        pos = navigate_step(agent)
         got.append((pos.i, pos.j))
     assert got == want
     # at the local peak the agent stays and spends no budget
     used = agent.moves_used
-    assert navigate_step(agent, agent.rng) == agent.position
+    assert navigate_step(agent) == agent.position
     assert agent.moves_used == used == len(want) - 1
 
 
@@ -127,7 +127,7 @@ def test_navigate_explore_is_uniform_over_neighbors():
     counts = {}
     for seed in range(2000):
         agent = _agent(vals, seed=seed, config=cfg, position=GridCell(2, 2))
-        pos = navigate_step(agent, agent.rng)
+        pos = navigate_step(agent)
         counts[(pos.i, pos.j)] = counts.get((pos.i, pos.j), 0) + 1
     assert len(counts) == 8
     for n in counts.values():
@@ -138,11 +138,11 @@ def test_navigate_budget_exhaustion():
     vals = np.zeros((6, 6))
     frozen = _agent(vals, config=AgentConfig(explore_rate=1.0, movement_budget=0))
     for _ in range(10):
-        assert navigate_step(frozen, frozen.rng) == GridCell(0, 0)
+        assert navigate_step(frozen) == GridCell(0, 0)
     assert frozen.moves_used == 0
     capped = _agent(vals, seed=3, config=AgentConfig(explore_rate=1.0, movement_budget=4))
     for _ in range(20):
-        navigate_step(capped, capped.rng)
+        navigate_step(capped)
     assert capped.moves_used == 4
 
 
@@ -150,10 +150,10 @@ def test_navigate_low_happiness_move_costs_fatigue():
     ramp = np.tile(np.arange(5, dtype=float), (5, 1))
     cfg = AgentConfig(explore_rate=0.0, low_happiness_cutoff=0.2)
     sad = _agent(ramp, config=cfg, position=GridCell(2, 1), happiness=0.1)
-    navigate_step(sad, sad.rng)
+    navigate_step(sad)
     assert sad.emotions.fatigue == pytest.approx(cfg.emotion.fatigue_tick)
     fine = _agent(ramp, config=cfg, position=GridCell(2, 1), happiness=0.2)
-    navigate_step(fine, fine.rng)
+    navigate_step(fine)
     assert fine.emotions.fatigue == 0.0
 
 
@@ -164,7 +164,7 @@ def test_photo_cadence_gates_attempts():
     agent = _agent(vals, config=cfg)
     for ticks_in_mode in range(9):
         agent.ticks_in_mode = ticks_in_mode
-        got = maybe_take_photo(agent, ctx, tick=1, rng=agent.rng)
+        got = maybe_take_photo(agent, ctx, tick=1)
         if (ticks_in_mode + 1) % 3 == 0:
             assert got is not None
         else:
@@ -177,11 +177,11 @@ def test_photo_chance_follows_field_value():
     cfg = AgentConfig(photo_period=1)
     lo = _agent(np.full((4, 4), -50.0), config=cfg)
     for _ in range(300):
-        assert maybe_take_photo(lo, ctx, 1, lo.rng) is None
+        assert maybe_take_photo(lo, ctx, 1) is None
     taken = 0
     for seed in range(2000):
         mid = _agent(np.zeros((4, 4)), seed=seed, config=cfg)
-        if maybe_take_photo(mid, ctx, 1, mid.rng) is not None:
+        if maybe_take_photo(mid, ctx, 1) is not None:
             taken += 1
     assert abs(taken / 2000 - 0.5) < 0.04
 
@@ -191,7 +191,7 @@ def test_photo_postconditions():
     cfg = AgentConfig(photo_period=1, visit_peak=-0.5, style_every=2)
     agent = _agent(np.full((5, 5), 50.0), config=cfg, position=GridCell(2, 3))
     before = agent.field.value_at(GridCell(2, 3))
-    p = maybe_take_photo(agent, ctx, tick=7, rng=agent.rng)
+    p = maybe_take_photo(agent, ctx, tick=7)
     assert p is not None
     assert p.id == "a1-p1" and p.kind == "observed" and p.tick == 7
     assert p.origin == GridCell(2, 3)
@@ -205,7 +205,7 @@ def test_photo_postconditions():
     assert p.id in agent.percepts
     assert len(agent.styles) == 0
     # second photo duplicates into the style store
-    p2 = maybe_take_photo(agent, ctx, tick=8, rng=agent.rng)
+    p2 = maybe_take_photo(agent, ctx, tick=8)
     assert p2 is not None and len(agent.styles) == 1
     style = agent.styles.get("a1-s2")
     assert style is not None and style.kind == "style"
@@ -217,11 +217,11 @@ def test_photo_emotion_direction_tracks_value():
     cfg = AgentConfig(photo_period=1)
     rich = _agent(np.full((4, 4), 50.0), config=cfg)
     h0 = rich.emotions.happiness
-    maybe_take_photo(rich, ctx, 1, rich.rng)
+    maybe_take_photo(rich, ctx, 1)
     assert rich.emotions.happiness > h0
     # negative-value cells are still photographed sometimes, and sadden
     poor = _agent(np.full((4, 4), -0.01), seed=8, config=cfg)
-    while maybe_take_photo(poor, ctx, 1, poor.rng) is None:
+    while maybe_take_photo(poor, ctx, 1) is None:
         pass
     assert poor.emotions.happiness < h0
     assert poor.emotions.fatigue == pytest.approx(cfg.emotion.photo_fatigue_delta)

@@ -218,6 +218,23 @@ def test_dream_subcommand_rejects_percepts_of_another_width(tmp_path, cfg_path, 
     assert not (out / "dreams.csv").exists()
 
 
+def test_dream_subcommand_reports_a_field_over_the_csv_limit(tmp_path, cfg_path, capsys):
+    log = tmp_path / "percepts.csv"
+    features = ";".join(["0.5"] * 50_000)  # 200,000 characters
+    log.write_text(
+        "agent_id,id,kind,category,i,j,tick,features\n"
+        f"0,p1,observed,dog,1,2,3,{features}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "d"
+    assert run_command(
+        ["dream", "--config", cfg_path, "--percept-log", str(log), "--out", str(out)]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"percept log {log}, line 2:" in err
+    assert not (out / "dreams.csv").exists()
+
+
 def test_dream_subcommand_needs_populated_log(tmp_path, cfg_path, capsys):
     empty_log = tmp_path / "percepts.csv"
     empty_log.write_text(

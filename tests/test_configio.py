@@ -43,7 +43,6 @@ agent.t_awake = 25
 dream.length = 5
 emotion.threshold = 0.6
 ga.eval_seeds = 7, 8, 9
-ga.normalize_fitness = true
 """
     bundle = parse_config_text(text)
     assert bundle.world.resolution == 12
@@ -53,7 +52,6 @@ ga.normalize_fitness = true
     assert bundle.world.agent.dream.length == 5
     assert bundle.world.agent.emotion.threshold == 0.6
     assert bundle.ga.eval_seeds == (7, 8, 9)
-    assert bundle.ga.normalize_fitness is True
 
 
 def test_unknown_key_names_key_and_line():
@@ -78,9 +76,6 @@ def test_type_mismatch_names_key_line_and_type():
     with pytest.raises(ConfigError) as exc:
         parse_config_text("emotion.threshold = maybe\n")
     assert "number" in str(exc.value)
-    with pytest.raises(ConfigError) as exc:
-        parse_config_text("ga.normalize_fitness = yes\n")
-    assert "boolean" in str(exc.value)
 
 
 def test_missing_equals_sign_rejected():
@@ -115,7 +110,6 @@ def test_overrides_apply_and_validate():
     for key, val, typename in (
         ("world.master_seed", "abc", "integer"),
         ("emotion.threshold", "nan", "number"),
-        ("ga.normalize_fitness", "yes", "boolean"),
     ):
         with pytest.raises(ConfigError) as exc:
             parse_config_text("", overrides={key: val})
@@ -135,8 +129,6 @@ _SECTION_IN_BUNDLE = {
 
 def _non_default(default):
     """A value unlike the default that every config validation accepts."""
-    if isinstance(default, bool):
-        return not default
     if isinstance(default, int):
         return default + 1
     if isinstance(default, float):
@@ -162,10 +154,10 @@ def test_every_key_reaches_its_field(entry):
 def test_canonical_rendering_is_pinned():
     # benchmark configs and manifest replays are written through this rendering
     text = render_config(default_values())
-    assert len(text.splitlines()) == 51
+    assert len(text.splitlines()) == 50
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "2a7e2b3aaddd19948e1e9690fffc5d1be13a9173da02caec53435ed65e0eae14"
+        == "4c93d93c2a0b9c1a7474e355858c337b4537bd0dcf9683632fbcb98481a0b1bb"
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conscient_sim import optimizer
+from conscient_sim.configio import ENTRIES
 from conscient_sim.errors import ConfigError, ContractError
 from conscient_sim.optimizer import (
     DEFAULT_BOUNDS,
@@ -48,45 +49,53 @@ def test_genome_validation():
     assert g.genes[0] == 0.0
 
 
+def test_every_gene_is_a_numeric_config_key():
+    types = {entry.key: entry.typename for entry in ENTRIES}
+    for spec in DEFAULT_BOUNDS:
+        assert types[spec.name] == ("integer" if spec.integer else "number"), spec.name
+
+
 def test_decode_endpoints():
     d = len(DEFAULT_BOUNDS)
     lo = decode_genome(Genome(np.zeros(d)))
     hi = decode_genome(Genome(np.ones(d)))
     for spec in DEFAULT_BOUNDS:
-        if spec.name in ("step_lower", "delta_lower"):
+        if spec.name in ("dream.step_lower", "emotion.delta_lower"):
             continue  # pair sorting may move these, checked separately
         assert lo[spec.name] == pytest.approx(min(spec.lo, spec.hi))
         assert hi[spec.name] == pytest.approx(max(spec.lo, spec.hi))
     # at all-zeros / all-ones the pairs are already ordered
-    assert (lo["step_lower"], lo["step_upper"]) == (0.0, 1.0)
-    assert (hi["step_lower"], hi["step_upper"]) == (3.0, 6.0)
+    assert (lo["dream.step_lower"], lo["dream.step_upper"]) == (0, 1)
+    assert (hi["dream.step_lower"], hi["dream.step_upper"]) == (3, 6)
 
 
 def test_decode_midpoint_rounds_half_up():
     d = len(DEFAULT_BOUNDS)
     mid = decode_genome(Genome(np.full(d, 0.5)))
     # 5 + 0.5 * 55 = 32.5 rounds up to 33, not to even
-    assert mid["t_awake"] == 33.0
-    assert mid["t_asleep"] == 16.0
-    assert mid["step_lower"] == 2.0
-    assert mid["step_upper"] == 4.0
-    assert mid["sleep_threshold"] == pytest.approx(0.525)
-    assert mid["visit_peak"] == pytest.approx(-1.05)
-    assert mid["high_value_cutoff"] == pytest.approx(0.0)
+    assert mid["agent.t_awake"] == 33
+    assert mid["agent.t_asleep"] == 16
+    assert mid["dream.step_lower"] == 2
+    assert mid["dream.step_upper"] == 4
+    for spec in DEFAULT_BOUNDS:
+        assert type(mid[spec.name]) is (int if spec.integer else float), spec.name
+    assert mid["emotion.threshold"] == pytest.approx(0.525)
+    assert mid["agent.visit_peak"] == pytest.approx(-1.05)
+    assert mid["emotion.high_value_cutoff"] == pytest.approx(0.0)
 
 
 def test_decode_sorts_inverted_pairs():
     d = len(DEFAULT_BOUNDS)
     genes = np.full(d, 0.5)
     names = [s.name for s in DEFAULT_BOUNDS]
-    genes[names.index("step_lower")] = 1.0  # decodes to 3
-    genes[names.index("step_upper")] = 0.0  # decodes to 1
-    genes[names.index("delta_lower")] = 1.0  # decodes to 0.1
-    genes[names.index("delta_upper")] = 0.0  # decodes to 0.02
+    genes[names.index("dream.step_lower")] = 1.0  # decodes to 3
+    genes[names.index("dream.step_upper")] = 0.0  # decodes to 1
+    genes[names.index("emotion.delta_lower")] = 1.0  # decodes to 0.1
+    genes[names.index("emotion.delta_upper")] = 0.0  # decodes to 0.02
     out = decode_genome(Genome(genes))
-    assert (out["step_lower"], out["step_upper"]) == (1.0, 3.0)
-    assert out["delta_lower"] == pytest.approx(0.02)
-    assert out["delta_upper"] == pytest.approx(0.1)
+    assert (out["dream.step_lower"], out["dream.step_upper"]) == (1, 3)
+    assert out["emotion.delta_lower"] == pytest.approx(0.02)
+    assert out["emotion.delta_upper"] == pytest.approx(0.1)
 
 
 def test_decode_length_contract():
@@ -94,24 +103,23 @@ def test_decode_length_contract():
         decode_genome(Genome(np.zeros(3)))
 
 
+# where each gene's section sits in a world config
+_SECTION_IN_WORLD = {
+    "agent": lambda w: w.agent,
+    "dream": lambda w: w.agent.dream,
+    "emotion": lambda w: w.agent.emotion,
+}
+
+
 def test_configure_world_places_every_parameter():
-    params = decode_genome(Genome(np.full(len(DEFAULT_BOUNDS), 0.25)))
+    params = decode_genome(Genome(np.full(len(DEFAULT_BOUNDS), 0.1)))
     cfg = configure_world(SMALL_WORLD, params, movement_budget=123)
-    a = cfg.agent
-    assert a.t_awake == int(params["t_awake"])
-    assert a.t_asleep == int(params["t_asleep"])
-    assert a.explore_rate == pytest.approx(params["explore_rate"])
-    assert a.noise_sigma == pytest.approx(params["noise_sigma"])
-    assert a.visit_peak == pytest.approx(params["visit_peak"])
-    assert a.movement_budget == 123
-    assert a.dream.step_lower == int(params["step_lower"])
-    assert a.dream.step_upper == int(params["step_upper"])
-    assert a.dream.style_weight == pytest.approx(params["style_weight"])
-    assert a.emotion.delta_lower == pytest.approx(params["delta_lower"])
-    assert a.emotion.delta_upper == pytest.approx(params["delta_upper"])
-    assert a.emotion.threshold == pytest.approx(params["sleep_threshold"])
-    assert a.emotion.courage_gain == pytest.approx(params["courage_gain"])
-    assert a.emotion.high_value_cutoff == pytest.approx(params["high_value_cutoff"])
+    for key, value in params.items():
+        section, name = key.split(".")
+        assert getattr(_SECTION_IN_WORLD[section](SMALL_WORLD), name) != value, key
+        got = getattr(_SECTION_IN_WORLD[section](cfg), name)
+        assert got == value and type(got) is type(value), key
+    assert cfg.agent.movement_budget == 123
     # world-level settings pass through untouched
     assert cfg.resolution == SMALL_WORLD.resolution
     assert cfg.total_ticks == SMALL_WORLD.total_ticks
@@ -129,19 +137,9 @@ def test_fitness_equals_independent_reruns():
     for seed in ga.eval_seeds:
         cfg = replace(configure_world(SMALL_WORLD, params, 60), master_seed=seed)
         counts.append(metrics(run(cfg)).interactions)
-    assert report.mean_interactions == pytest.approx(sum(counts) / 3)
-    assert report.fitness == report.mean_interactions
+    assert report.fitness == pytest.approx(sum(counts) / 3)
     assert len(report.per_seed) == 3
     assert [m.interactions for m in report.per_seed] == counts
-
-
-def test_fitness_normalization():
-    ga = GAConfig(eval_seeds=(11,), movement_budget=60, normalize_fitness=True)
-    genome = Genome(np.full(len(DEFAULT_BOUNDS), 0.5))
-    report = fitness(genome, ga, SMALL_WORLD)
-    ceiling = SMALL_WORLD.total_ticks  # one pair of agents
-    assert report.fitness == pytest.approx(report.mean_interactions / ceiling)
-    assert 0.0 <= report.fitness <= 1.0
 
 
 def test_fitness_simulation_error_ranks_worst():

@@ -1,8 +1,9 @@
-"""Package hygiene: the public export list and unused imports.
+"""Package hygiene: the public export list, unused imports and parameters.
 
-No linter ships with the toolchain, so these AST checks stand in for the two
+No linter ships with the toolchain, so these AST checks stand in for the
 rules that matter when code is deleted: every exported name still resolves,
-and no module keeps importing a name it no longer uses.
+no module keeps importing a name it no longer uses, and no function keeps a
+parameter it never reads.
 """
 
 from __future__ import annotations
@@ -64,3 +65,34 @@ def test_module_uses_every_name_it_imports(path):
         name: line for name, line in _imported_names(tree).items() if name not in used
     }
     assert unused == {}, f"{path.name} imports names it never uses"
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """`function(parameter)` for each parameter its function body never reads."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = [
+            stmt
+            for stmt in fn.body
+            if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+        ]
+        if not body:
+            continue  # a stub whose body is only `...` (and a docstring)
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out += [f"{fn.name}({p.arg})" for p in params if p is not None and p.arg not in read]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_reads_every_parameter(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _unread_parameters(tree) == [], f"{path.name} has parameters it never reads"

@@ -163,8 +163,10 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
     [
         ("0,p1,bogus,dog,1,2,3,0.5;0.5", "unknown percept kind 'bogus'"),
         ("0,p1,observed,dog,1,2,-4,0.5;0.5", "percept tick must be >= 0, got -4"),
+        # 200,000 characters, over csv's default field size limit
+        ("0,p1,observed,dog,1,2,3," + ";".join(["0.5"] * 50_000), "field larger than field limit"),
     ],
-    ids=["kind", "tick"],
+    ids=["kind", "tick", "csv-limit"],
 )
 def test_read_percepts_csv_rejects_what_a_percept_rejects(tmp_path, row, message):
     path = tmp_path / "percepts.csv"
@@ -183,6 +185,30 @@ def test_metrics_csv_roundtrip(tmp_path, trace):
     text = path.read_text(encoding="utf-8")
     assert text.startswith("metric,value\n")
     assert "moves_agent_0" in text and "moves_agent_1" in text
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:3] + ["bogus,7"] + lines[3:], "unknown or repeated metric 'bogus'"),
+        (
+            lambda lines: [ln.replace("moves_agent_1,", "moves_agent_2,") for ln in lines],
+            "expected moves_agent_1, got moves_agent_2",
+        ),
+        (lambda lines: lines + [lines[1]], "unknown or repeated metric 'interactions'"),
+    ],
+    ids=["unknown", "gap", "repeated"],
+)
+def test_read_metrics_csv_rejects_rows_it_would_drop(tmp_path, trace, edit, message):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(str(path), metrics(trace))
+    good = path.read_text(encoding="utf-8").splitlines()
+    lines = edit(good)
+    bad_line = next(k for k, (a, b) in enumerate(zip(lines, good + [""]), start=1) if a != b)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceError) as exc:
+        read_metrics_csv(str(path))
+    assert str(exc.value) == f"metrics file {path}, line {bad_line}: {message}"
 
 
 def test_manifest_roundtrip_and_errors(tmp_path):
