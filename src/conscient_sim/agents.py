@@ -15,7 +15,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .dreams import DreamConfig, DreamFrame, DreamWalk, dream_valence
+from .dreams import DreamConfig, DreamFrameRow, DreamWalk, dream_valence
 from .emotions import (
     EmotionEvent,
     EmotionParams,
@@ -116,16 +116,6 @@ class Agent:
     dream_frame_count: int = 0
     received_count: int = 0
     _walk: Optional[DreamWalk] = dc_field(default=None, repr=False)
-
-
-@dataclass(eq=False)
-class AgentTickOutcome:
-    """What one tick produced, for the trace."""
-
-    events: list[str]
-    dream_frame: Optional[DreamFrame] = None
-    dream_valence: Optional[int] = None
-    dream_percept_id: Optional[str] = None
 
 
 def logistic(x: float) -> float:
@@ -242,15 +232,18 @@ def most_recent_sendable(agent: Agent) -> Optional[Percept]:
     return agent.percepts.latest(SENDABLE_KINDS)
 
 
-def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
-    """Advance one agent by one tick; returns trace events and any dream frame."""
+def agent_tick(
+    agent: Agent, ctx: WorldContext, tick: int
+) -> tuple[list[str], Optional[DreamFrameRow]]:
+    """Advance one agent by one tick; returns its trace events and its dream row, if any."""
     cfg = agent.config
-    out = AgentTickOutcome(events=[])
+    events: list[str] = []
+    dream_row = None
     if agent.mode == "awake":
         navigate_step(agent)
         photo = maybe_take_photo(agent, ctx, tick)
         if photo is not None:
-            out.events.append(f"photo:{photo.id}")
+            events.append(f"photo:{photo.id}")
         stim = ctx.take_stimulus(agent.position)
         if stim is not None:
             agent.emotions = apply_event(
@@ -259,7 +252,7 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
                 cfg.emotion,
                 agent.rng,
             )
-            out.events.append(f"stim:{stim.modality}")
+            events.append(f"stim:{stim.modality}")
         agent.emotions = tick_emotions(agent.emotions, cfg.emotion, "awake")
         agent.ticks_in_mode += 1
         if should_sleep(agent.emotions, agent.ticks_in_mode, cfg.t_awake, cfg.emotion, agent.rng):
@@ -276,7 +269,7 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
                 )
             else:
                 agent._walk = None  # dreamless sleep
-            out.events.append("sleep")
+            events.append("sleep")
     else:
         if agent._walk is not None:
             frame = agent._walk.step(agent.rng)
@@ -296,12 +289,12 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
                 kind="dreamed",
             )
             agent.percepts.attach(dreamed)
-            out.events.append(f"dream:{dreamed.id}")
-            out.dream_frame = frame
-            out.dream_valence = valence
-            out.dream_percept_id = dreamed.id
+            events.append(f"dream:{dreamed.id}")
+            dream_row = DreamFrameRow.of(
+                frame, agent.id, tick, agent.dream_frame_count, dreamed.id, valence
+            )
         else:
-            out.events.append("dreamless")
+            events.append("dreamless")
         agent.emotions = tick_emotions(agent.emotions, cfg.emotion, "asleep")
         agent.ticks_in_mode += 1
         if agent.ticks_in_mode >= cfg.t_asleep:
@@ -309,5 +302,5 @@ def agent_tick(agent: Agent, ctx: WorldContext, tick: int) -> AgentTickOutcome:
             agent._walk = None
             agent.mode = "awake"
             agent.ticks_in_mode = 0
-            out.events.append("wake")
-    return out
+            events.append("wake")
+    return events, dream_row

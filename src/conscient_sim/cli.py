@@ -75,17 +75,28 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _manifest(command: str, args_dict: dict, bundle: ConfigBundle, started: str) -> dict:
+def _manifest(args, bundle: ConfigBundle, started: str, outputs: list[str]) -> dict:
+    """A command's manifest: its parsed flags, effective config and output file names."""
+    arguments = vars(args).copy()
     return {
-        "command": command,
+        "command": arguments.pop("command"),
         "tool": "conscient-sim",
         "version": __version__,
-        "arguments": args_dict,
+        "arguments": arguments,
         "master_seed": bundle.world.master_seed,
         "started_at": started,
         "finished_at": _now(),
         "effective_config": dict(bundle.effective),
+        "outputs": outputs,
     }
+
+
+def _write_outputs(out_dir: str, outputs: dict) -> list[str]:
+    """Write each `file name: (writer, payload)` into `out_dir`; returns the names in order."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (write, payload) in outputs.items():
+        write(os.path.join(out_dir, name), payload)
+    return list(outputs)
 
 
 def _cmd_simulate(args) -> int:
@@ -93,25 +104,17 @@ def _cmd_simulate(args) -> int:
     bundle = parse_config(args.config, overrides={"world.master_seed": str(args.seed)})
     trace = run_world(bundle.world)
     summary = world_metrics(trace)
-    os.makedirs(args.out, exist_ok=True)
-    write_trace_csv(os.path.join(args.out, "trace.csv"), trace.rows)
-    write_interactions_csv(os.path.join(args.out, "interactions.csv"), trace.interactions)
-    write_dreams_csv(os.path.join(args.out, "dreams.csv"), trace.dream_rows)
-    write_percepts_csv(os.path.join(args.out, "percepts.csv"), trace.percept_rows)
-    write_metrics_csv(os.path.join(args.out, "metrics.csv"), summary)
-    manifest = _manifest(
-        "simulate",
-        {"config": args.config, "seed": args.seed, "out": args.out},
-        bundle,
-        started,
+    outputs = _write_outputs(
+        args.out,
+        {
+            "trace.csv": (write_trace_csv, trace.rows),
+            "interactions.csv": (write_interactions_csv, trace.interactions),
+            "dreams.csv": (write_dreams_csv, trace.dream_rows),
+            "percepts.csv": (write_percepts_csv, trace.percept_rows),
+            "metrics.csv": (write_metrics_csv, summary),
+        },
     )
-    manifest["outputs"] = [
-        "trace.csv",
-        "interactions.csv",
-        "dreams.csv",
-        "percepts.csv",
-        "metrics.csv",
-    ]
+    manifest = _manifest(args, bundle, started, outputs)
     write_manifest(os.path.join(args.out, "manifest.json"), manifest)
     print(
         f"simulated {bundle.world.total_ticks} ticks, {bundle.world.n_agents} agents: "
@@ -142,15 +145,10 @@ def _cmd_dream(args) -> int:
     frames = dream(
         content_store, content_graph, style_store, style_graph, world_cfg.agent.dream, rng
     )
-    os.makedirs(args.out, exist_ok=True)
-    write_dreams_csv(os.path.join(args.out, "dreams.csv"), standalone_dream_rows(frames))
-    manifest = _manifest(
-        "dream",
-        {"config": args.config, "percept_log": args.percept_log, "out": args.out},
-        bundle,
-        started,
+    outputs = _write_outputs(
+        args.out, {"dreams.csv": (write_dreams_csv, standalone_dream_rows(frames))}
     )
-    manifest["outputs"] = ["dreams.csv"]
+    manifest = _manifest(args, bundle, started, outputs)
     write_manifest(os.path.join(args.out, "manifest.json"), manifest)
     print(f"dreamed {len(frames)} frames -> {args.out}")
     return 0
@@ -160,20 +158,14 @@ def _cmd_optimize(args) -> int:
     started = _now()
     bundle = parse_config(args.config)
     best, history = evolve(bundle.ga, bundle.world, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     lines = ["generation,best_fitness,mean_fitness,best_genome"]
     for h in history:
         genome = ";".join(repr(float(g)) for g in h.best_genome)
         lines.append(f"{h.generation},{repr(h.best_fitness)},{repr(h.mean_fitness)},{genome}")
-    atomic_write_text(os.path.join(args.out, "ga_history.csv"), "\n".join(lines) + "\n")
-    manifest = _manifest(
-        "optimize",
-        {"config": args.config, "seed": args.seed, "out": args.out},
-        bundle,
-        started,
-    )
+    text = "\n".join(lines) + "\n"
+    outputs = _write_outputs(args.out, {"ga_history.csv": (atomic_write_text, text)})
+    manifest = _manifest(args, bundle, started, outputs)
     manifest["master_seed"] = args.seed
-    manifest["outputs"] = ["ga_history.csv"]
     manifest["results"] = {
         "best_fitness": best.fitness,
         "best_generation": best.generation,

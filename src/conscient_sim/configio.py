@@ -155,7 +155,7 @@ def _load_edges(label: str, base_dir: str, key: str) -> tuple[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read(), path
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"key {key}: cannot read graph file {path}: {exc}") from None
 
 
@@ -200,7 +200,7 @@ def parse_config(path: str, overrides: Optional[dict[str, str]] = None) -> Confi
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)), overrides=overrides)
 

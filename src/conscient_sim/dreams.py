@@ -50,6 +50,45 @@ class DreamFrame:
     pair_distance: Optional[int] = None
 
 
+@dataclass(frozen=True)
+class DreamFrameRow:
+    agent_id: int
+    tick: int
+    frame_index: int
+    percept_id: str
+    content_category: str
+    style_category: str
+    origin_i: int
+    origin_j: int
+    pair_distance: Optional[int]
+    valence: int
+
+    @classmethod
+    def of(
+        cls,
+        frame: DreamFrame,
+        agent_id: int,
+        tick: int,
+        frame_index: int,
+        percept_id: str,
+        valence: int,
+    ) -> DreamFrameRow:
+        """The dreams.csv row of one frame."""
+        origin = frame.content_origin
+        return cls(
+            agent_id,
+            tick,
+            frame_index,
+            percept_id,
+            frame.content_category,
+            frame.style_category,
+            origin.i,
+            origin.j,
+            frame.pair_distance,
+            valence,
+        )
+
+
 def walk_step(graph: SemanticGraph, current: str, omega: int, rng: np.random.Generator) -> str:
     """Take `omega` uniform neighbor hops from `current`; isolated nodes stay put.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,12 +114,10 @@ def sample_field(kernel: KernelConfig, resolution: int, rng: np.random.Generator
 @functools.lru_cache(maxsize=2)
 def _covariance_factor(kernel: KernelConfig, resolution: int) -> np.ndarray:
     """Read-only lower Cholesky factor of the kernel's covariance."""
-    n = resolution * resolution
-    base = kernel_matrix(KernelConfig(kernel.amplitude, kernel.lengthscale, 0.0), resolution)
     jitter = kernel.jitter
     while True:
         try:
-            chol = np.linalg.cholesky(base + jitter * np.eye(n))
+            chol = np.linalg.cholesky(kernel_matrix(replace(kernel, jitter=jitter), resolution))
             break
         except np.linalg.LinAlgError:
             jitter = max(jitter, 1e-12) * 10.0

@@ -18,10 +18,11 @@ from typing import Iterable, Iterator, TextIO, get_type_hints
 
 import numpy as np
 
+from .dreams import DreamFrameRow
 from .errors import TraceError
 from .fields import GridCell
 from .semantics import Percept
-from .world import DreamFrameRow, InteractionRecord, Metrics, TraceRow, row_metrics
+from .world import InteractionRecord, Metrics, TraceRow, row_metrics
 
 TRACE_HEADER = [
     "tick",
@@ -158,9 +159,10 @@ def write_trace_csv(path: str, rows: Iterable[TraceRow]) -> None:
 def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, cells) for each data row of a CSV file.
 
-    A file that cannot be read, a line `csv` cannot parse (such as a field
-    over its size limit), a header other than `header` and a row of the wrong
-    width raise `TraceError` naming `what`, the path and the line.
+    A file that cannot be read or is not UTF-8, a line `csv` cannot parse
+    (such as a field over its size limit), a header other than `header` and a
+    row of the wrong width raise `TraceError` naming `what`, the path and,
+    except for undecodable bytes, the line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -174,7 +176,8 @@ def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, li
                         f"{what} {path}, line {lineno}: expected {len(header)} columns"
                     )
                 yield lineno, cells
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # no line number: the decoder reads ahead of `reader.line_num`
         raise TraceError(f"cannot read {what} {path}: {exc}") from None
     except csv.Error as exc:
         raise TraceError(f"{what} {path}, line {reader.line_num}: {exc}") from None
@@ -368,10 +371,10 @@ def read_manifest(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise TraceError(f"cannot read manifest {path}: {exc}") from None
 
 
 def standalone_dream_rows(frames) -> list[DreamFrameRow]:
     """Adapt bare dream frames (no agent, no field) to the dreams.csv schema."""
-    return [DreamFrameRow.of(frame, 0, k, k) for k, frame in enumerate(frames, start=1)]
+    return [DreamFrameRow.of(frame, 0, k, k, "", 0) for k, frame in enumerate(frames, start=1)]

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .agents import Agent, AgentConfig, agent_tick, most_recent_sendable, receive_percept
-from .dreams import DreamFrame
+from .dreams import DreamFrameRow
 from .errors import ConfigError
 from .fields import MAX_RESOLUTION, GridCell, local_bump, sample_field
 from .seeds import derive_seed, make_rng
@@ -142,45 +142,6 @@ class TraceRow:
             fatigue=e.fatigue,
             field_value=agent.field.values.item(agent.position.i, agent.position.j),
             events=events,
-        )
-
-
-@dataclass(frozen=True)
-class DreamFrameRow:
-    agent_id: int
-    tick: int
-    frame_index: int
-    percept_id: str
-    content_category: str
-    style_category: str
-    origin_i: int
-    origin_j: int
-    pair_distance: Optional[int]
-    valence: int
-
-    @classmethod
-    def of(
-        cls,
-        frame: DreamFrame,
-        agent_id: int,
-        tick: int,
-        frame_index: int,
-        percept_id: str = "",
-        valence: int = 0,
-    ) -> DreamFrameRow:
-        """The dreams.csv row of one frame."""
-        origin = frame.content_origin
-        return cls(
-            agent_id,
-            tick,
-            frame_index,
-            percept_id,
-            frame.content_category,
-            frame.style_category,
-            origin.i,
-            origin.j,
-            frame.pair_distance,
-            valence,
         )
 
 
@@ -310,9 +271,12 @@ class World:
     def step(self) -> None:
         """One world tick: agents act in id order, then co-located pairs meet."""
         t = self.tick + 1
-        outcomes = {}
+        events: list[list[str]] = []  # indexed by agent id
         for agent in self.agents:
-            outcomes[agent.id] = agent_tick(agent, self, t)
+            agent_events, dream_row = agent_tick(agent, self, t)
+            events.append(agent_events)
+            if dream_row is not None:
+                self.dream_rows.append(dream_row)
         groups: dict[GridCell, list[Agent]] = {}
         for agent in self.agents:
             if agent.mode == "awake":
@@ -325,22 +289,10 @@ class World:
                     if rec is None:
                         continue
                     self.interactions.append(rec)
-                    outcomes[rec.agent_a].events.append(f"int:{rec.agent_b}:{rec.sent_by_b}")
-                    outcomes[rec.agent_b].events.append(f"int:{rec.agent_a}:{rec.sent_by_a}")
+                    events[rec.agent_a].append(f"int:{rec.agent_b}:{rec.sent_by_b}")
+                    events[rec.agent_b].append(f"int:{rec.agent_a}:{rec.sent_by_a}")
         for agent in self.agents:
-            out = outcomes[agent.id]
-            if out.dream_frame is not None:
-                self.dream_rows.append(
-                    DreamFrameRow.of(
-                        out.dream_frame,
-                        agent.id,
-                        t,
-                        agent.dream_frame_count,
-                        out.dream_percept_id,
-                        out.dream_valence,
-                    )
-                )
-            self.rows.append(TraceRow.of(agent, t, tuple(out.events)))
+            self.rows.append(TraceRow.of(agent, t, tuple(events[agent.id])))
         self.tick = t
 
     def snapshot_trace(self) -> SimulationTrace:

@@ -317,8 +317,8 @@ def test_tick_mode_cycle_at_caps():
     _seed_stores(agent, ctx)
     events = []
     for tick in range(1, 11):
-        out = agent_tick(agent, ctx, tick)
-        events.append((tick, agent.mode, tuple(out.events)))
+        tick_events, _ = agent_tick(agent, ctx, tick)
+        events.append((tick, agent.mode, tuple(tick_events)))
     modes = [m for _, m, _ in events]
     assert modes == ["awake", "awake", "asleep", "asleep", "awake"] * 2
     assert events[2][2][-1] == "sleep"
@@ -332,13 +332,15 @@ def test_sleep_produces_dream_frames_and_percepts():
     _seed_stores(agent, ctx)
     dream_ticks = []
     for tick in range(1, 6):
-        out = agent_tick(agent, ctx, tick)
-        if agent.mode == "asleep" or "wake" in out.events:
-            if out.dream_frame is not None:
-                dream_ticks.append(tick)
-                assert out.dream_valence in (-1, 0, 1)
-                assert out.dream_percept_id is not None
-                assert out.dream_percept_id in agent.percepts
+        events, dream_row = agent_tick(agent, ctx, tick)
+        if dream_row is not None:
+            dream_ticks.append(tick)
+            assert dream_row.agent_id == agent.id
+            assert dream_row.tick == tick
+            assert dream_row.frame_index == agent.dream_frame_count
+            assert dream_row.valence in (-1, 0, 1)
+            assert dream_row.percept_id in agent.percepts
+            assert f"dream:{dream_row.percept_id}" in events
     # asleep on ticks 4 and 5: one dream frame each
     assert dream_ticks == [4, 5]
     assert agent.dream_frame_count == 2
@@ -351,9 +353,10 @@ def test_dreamless_sleep_when_stores_empty():
     agent = _agent(np.zeros((4, 4)), config=_sleepy_config())
     saw_dreamless = False
     for tick in range(1, 6):
-        out = agent_tick(agent, ctx, tick)
-        assert not any(e.startswith("dream:") for e in out.events)
-        saw_dreamless = saw_dreamless or ("dreamless" in out.events)
+        events, dream_row = agent_tick(agent, ctx, tick)
+        assert dream_row is None
+        assert not any(e.startswith("dream:") for e in events)
+        saw_dreamless = saw_dreamless or ("dreamless" in events)
     assert saw_dreamless
     assert agent.dream_frame_count == 0
 
@@ -367,8 +370,8 @@ def test_wake_contaminates_field():
     for tick in range(1, 6):
         if agent.mode == "asleep" and before is None:
             before = agent.field.values.copy()
-        out = agent_tick(agent, ctx, tick)
-        if "wake" in out.events:
+        events, _ = agent_tick(agent, ctx, tick)
+        if "wake" in events:
             assert before is not None
             assert not np.array_equal(agent.field.values, before)
             return
@@ -381,10 +384,10 @@ def test_stimulus_consumed_and_logged():
     cfg = _sleepy_config(t_awake=30, movement_budget=0)
     agent = _agent(np.zeros((4, 4)), config=cfg)
     c0 = agent.emotions.curiosity
-    out = agent_tick(agent, ctx, 1)
-    assert "stim:image" in out.events
+    events, _ = agent_tick(agent, ctx, 1)
+    assert "stim:image" in events
     assert agent.emotions.curiosity < c0 + cfg.emotion.curiosity_growth
     assert ctx.stimuli == {}
     # nothing left to consume on the next tick
-    out2 = agent_tick(agent, ctx, 2)
-    assert not any(e.startswith("stim:") for e in out2.events)
+    events, _ = agent_tick(agent, ctx, 2)
+    assert not any(e.startswith("stim:") for e in events)

@@ -67,6 +67,36 @@ def test_exit_code_1_names_bad_key_and_line(tmp_path, capsys):
     assert "world.gravity" in err and "line 2" in err
 
 
+def _assert_error_line(argv, prefix, capsys):
+    capsys.readouterr()
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
+
+def test_exit_code_1_on_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"world.total_ticks = 5\n# caf\xff\n")
+    argv = ["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")]
+    _assert_error_line(argv, f"cannot read config file {cfg}: ", capsys)
+
+
+def test_exit_code_1_on_non_utf8_graph_file(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_bytes(b"sun moon\nmoon st\xffar\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("world.total_ticks = 5\nworld.content_graph = graph.txt\n", encoding="utf-8")
+    argv = ["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")]
+    _assert_error_line(argv, f"key world.content_graph: cannot read graph file {graph}: ", capsys)
+
+
+def test_exit_code_1_on_non_utf8_trace(tmp_path, cfg_path, capsys):
+    out = tmp_path / "sim"
+    assert run_command(["simulate", "--config", cfg_path, "--seed", "7", "--out", str(out)]) == 0
+    trace = out / "trace.csv"
+    trace.write_bytes(trace.read_bytes().replace(b"photo:", b"\xff\xfe:", 1))
+    _assert_error_line(["metrics", "--trace", str(trace)], f"cannot read trace file {trace}: ", capsys)
+
+
 def test_exit_code_1_on_negative_eval_seed(tmp_path, capsys):
     # every evaluation would fail and score -inf; the config is rejected instead
     bad = tmp_path / "bad.cfg"
@@ -109,7 +139,14 @@ def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):
     assert manifest["master_seed"] == 7
     assert manifest["effective_config"]["world.master_seed"] == "7"
     assert manifest["effective_config"]["world.resolution"] == "8"
-    assert set(manifest["outputs"]) <= {p.name for p in out.iterdir()}
+    assert manifest["arguments"] == {"config": cfg_path, "seed": 7, "out": str(out)}
+    assert manifest["outputs"] == [
+        "trace.csv",
+        "interactions.csv",
+        "dreams.csv",
+        "percepts.csv",
+        "metrics.csv",
+    ]
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path, capsys):
@@ -175,6 +212,12 @@ def test_dream_subcommand_replays_from_percept_log(tmp_path, cfg_path, capsys):
     assert len(lines) == 1 + 6
     manifest = read_manifest(str(d1 / "manifest.json"))
     assert manifest["command"] == "dream"
+    assert manifest["arguments"] == {
+        "config": cfg_path,
+        "percept_log": str(sim_out / "percepts.csv"),
+        "out": str(d1),
+    }
+    assert manifest["outputs"] == ["dreams.csv"]
     # same log, same config: identical dream
     assert run_command(
         ["dream", "--config", cfg_path, "--percept-log", str(sim_out / "percepts.csv"), "--out", str(d2)]
@@ -267,6 +310,8 @@ def test_optimize_subcommand_writes_history(tmp_path, capsys):
     assert len(lines) == 1 + 2
     manifest = read_manifest(str(out1 / "manifest.json"))
     assert manifest["command"] == "optimize"
+    assert manifest["arguments"] == {"config": str(cfg), "seed": 3, "out": str(out1)}
+    assert manifest["outputs"] == ["ga_history.csv"]
     assert manifest["master_seed"] == 3
     results = manifest["results"]
     assert len(results["best_genome"]) == 13

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +195,31 @@ def test_graph_file_missing_names_key(tmp_path):
     assert "world.style_graph" in str(exc.value)
 
 
+def test_non_utf8_config_file_is_a_config_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"world.resolution = 8\n# caf\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config(str(cfg))
+
+
+def test_non_utf8_graph_file_names_key(tmp_path):
+    (tmp_path / "graph.txt").write_bytes(b"sun moon\nmoon st\xffar\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("world.content_graph = graph.txt\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="key world.content_graph: cannot read graph file"):
+        parse_config(str(cfg))
+
+
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/run.cfg")
+
+
+def test_readme_config_table_lists_every_key_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = [
+        section + key
+        for section, keys in re.findall(r"^\| `(\w+\.)` \| (.+) \|$", readme, re.MULTILINE)
+        for key in re.findall(r"`(\w+)`", keys)
+    ]
+    assert listed == [entry.key for entry in ENTRIES]

@@ -12,6 +12,7 @@ from conscient_sim.fields import (
     GridCell,
     KernelConfig,
     ValueField,
+    _covariance_factor,
     bump_amount,
     contaminate,
     kernel_matrix,
@@ -108,6 +109,16 @@ def test_sample_field_degenerate_covariance():
     for _ in range(2):  # a failed factorization is not cached
         with pytest.raises(CovarianceDegeneracyError):
             sample_field(kernel, 4, make_rng(5))
+
+
+@pytest.mark.parametrize(
+    "kernel, r", [(KernelConfig(), 16), (KernelConfig(2.5, 0.7, 1e-6), 9)]
+)
+def test_covariance_factor_is_the_cholesky_of_the_kernel_matrix(kernel, r):
+    # without escalation the cached factor is exactly that of the jittered covariance
+    want = np.linalg.cholesky(kernel_matrix(kernel, r))
+    got = _covariance_factor(kernel, r)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_jitter_escalation_recovers_rank_deficiency():

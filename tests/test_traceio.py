@@ -100,6 +100,14 @@ def test_read_trace_csv_validation(tmp_path):
     with pytest.raises(TraceError):
         read_trace_csv(str(tmp_path / "missing.csv"))
 
+    # undecodable bytes in an event cell; the decoder reads ahead, so no line
+    not_utf8 = tmp_path / "u.csv"
+    not_utf8.write_bytes(head.encode() + b"0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\xff\xfe\n")
+    with pytest.raises(TraceError) as exc:
+        read_trace_csv(str(not_utf8))
+    assert str(exc.value).startswith(f"cannot read trace file {not_utf8}: ")
+    assert ", line " not in str(exc.value)
+
 
 def test_summarize_rows_agrees_with_metrics(tmp_path, trace):
     # route one: counters over in-memory records and percept stores
@@ -226,6 +234,10 @@ def test_manifest_roundtrip_and_errors(tmp_path):
         read_manifest(str(broken))
     with pytest.raises(TraceError):
         read_manifest(str(tmp_path / "missing.json"))
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b'{"command": "simulate\xff"}\n')
+    with pytest.raises(TraceError, match="cannot read manifest"):
+        read_manifest(str(not_utf8))
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, trace):
