@@ -10,14 +10,7 @@ __version__ = "0.1.0"
 
 from .agents import Agent, AgentConfig, agent_tick, navigate_step, receive_percept
 from .dreams import DreamConfig, DreamFrame, dream, dream_valence
-from .emotions import (
-    EmotionEvent,
-    EmotionParams,
-    EmotionState,
-    apply_event,
-    should_sleep,
-    tick_emotions,
-)
+from .emotions import EmotionParams, EmotionState, apply_event, should_sleep, tick_emotions
 from .errors import (
     ConfigError,
     ContractError,
@@ -77,7 +70,6 @@ __all__ = [
     "DreamFrame",
     "dream",
     "dream_valence",
-    "EmotionEvent",
     "EmotionParams",
     "EmotionState",
     "apply_event",

@@ -16,14 +16,7 @@ from typing import Optional, Protocol
 import numpy as np
 
 from .dreams import DreamConfig, DreamFrameRow, DreamWalk, dream_valence
-from .emotions import (
-    EmotionEvent,
-    EmotionParams,
-    EmotionState,
-    apply_event,
-    should_sleep,
-    tick_emotions,
-)
+from .emotions import EmotionParams, EmotionState, apply_event, should_sleep, tick_emotions
 from .errors import ConfigError
 from .fields import (
     GridCell,
@@ -31,7 +24,7 @@ from .fields import (
     ValueField,
     contaminate,
     local_bump,
-    moore_neighborhood,
+    moore_neighbors,
     steepest_neighbor,
 )
 from .semantics import Percept, PerceptStore, SemanticGraph, classify
@@ -114,7 +107,6 @@ class Agent:
     styles: PerceptStore = dc_field(default_factory=PerceptStore)
     photo_count: int = 0
     dream_frame_count: int = 0
-    received_count: int = 0
     _walk: Optional[DreamWalk] = dc_field(default=None, repr=False)
 
 
@@ -137,7 +129,7 @@ def navigate_step(agent: Agent) -> GridCell:
     if agent.moves_used >= cfg.movement_budget:
         return agent.position
     if float(rng.random()) < cfg.explore_rate:
-        nbrs = moore_neighborhood(agent.position, agent.field.resolution)
+        nbrs = moore_neighbors(agent.position, agent.field.resolution)
         target = nbrs[int(rng.integers(len(nbrs)))]
     else:
         target = steepest_neighbor(agent.field, agent.position)
@@ -190,9 +182,7 @@ def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Per
             )
         )
     agent.field = local_bump(agent.field, agent.position, cfg.visit_peak, cfg.visit_width)
-    agent.emotions = apply_event(
-        agent.emotions, EmotionEvent("photo_taken", value), cfg.emotion, agent.rng
-    )
+    agent.emotions = apply_event(agent.emotions, "photo_taken", value, cfg.emotion, agent.rng)
     return percept
 
 
@@ -217,9 +207,8 @@ def receive_percept(agent: Agent, percept: Percept) -> float:
     )
     stored = agent.percepts.attach(received)
     if stored:
-        agent.received_count += 1
         agent.emotions = apply_event(
-            agent.emotions, EmotionEvent("interaction", evaluation), cfg.emotion, agent.rng
+            agent.emotions, "interaction", evaluation, cfg.emotion, agent.rng
         )
         peak = cfg.visit_reward if evaluation > cfg.emotion.high_value_cutoff else -cfg.visit_reward
         if peak != 0.0:
@@ -247,10 +236,7 @@ def agent_tick(
         stim = ctx.take_stimulus(agent.position)
         if stim is not None:
             agent.emotions = apply_event(
-                agent.emotions,
-                EmotionEvent("content_stimulus", stim.score),
-                cfg.emotion,
-                agent.rng,
+                agent.emotions, "content_stimulus", stim.score, cfg.emotion, agent.rng
             )
             events.append(f"stim:{stim.modality}")
         agent.emotions = tick_emotions(agent.emotions, cfg.emotion, "awake")
@@ -277,7 +263,7 @@ def agent_tick(
                 frame, agent.field, cfg.emotion.valence_high, cfg.emotion.valence_low
             )
             agent.emotions = apply_event(
-                agent.emotions, EmotionEvent("dream_frame", float(valence)), cfg.emotion, agent.rng
+                agent.emotions, "dream_frame", float(valence), cfg.emotion, agent.rng
             )
             agent.dream_frame_count += 1
             dreamed = Percept(

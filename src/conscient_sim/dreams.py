@@ -28,8 +28,9 @@ class DreamConfig:
     style_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.step_lower < 0 or self.step_upper < 0:
-            raise ConfigError("dream step bounds must be >= 0")
+        # step_upper >= step_lower >= 0 once both checks pass
+        if self.step_lower < 0:
+            raise ConfigError(f"dream.step_lower must be >= 0, got {self.step_lower}")
         if self.step_lower > self.step_upper:
             raise ConfigError(
                 f"dream.step_lower {self.step_lower} exceeds step_upper {self.step_upper}"

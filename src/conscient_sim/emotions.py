@@ -71,8 +71,8 @@ class EmotionParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.delta_lower <= self.delta_upper <= 1.0):
             raise ConfigError(
-                f"emotion deltas need 0 <= lower <= upper <= 1, "
-                f"got ({self.delta_lower}, {self.delta_upper})"
+                f"emotion.delta_lower and emotion.delta_upper need "
+                f"0 <= lower <= upper <= 1, got ({self.delta_lower}, {self.delta_upper})"
             )
         if self.fatigue_tick < 0:
             raise ConfigError(f"emotion.fatigue_tick must be >= 0, got {self.fatigue_tick}")
@@ -84,7 +84,8 @@ class EmotionParams:
             raise ConfigError(f"emotion.courage_gain must be >= 0, got {self.courage_gain}")
         if self.valence_low > self.valence_high:
             raise ConfigError(
-                f"valence thresholds out of order: {self.valence_low} > {self.valence_high}"
+                f"emotion.valence_low {self.valence_low} exceeds "
+                f"emotion.valence_high {self.valence_high}"
             )
         if self.curiosity_growth < 0:
             raise ConfigError(
@@ -96,29 +97,18 @@ class EmotionParams:
             raise ConfigError("emotion.high_value_cutoff must be finite")
 
 
-@dataclass(frozen=True, slots=True)
-class EmotionEvent:
-    kind: str
-    payload: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ContractError(f"unknown emotion event kind {self.kind!r}")
-        if not math.isfinite(self.payload):
-            raise ContractError(f"event payload must be finite, got {self.payload}")
-
-
 def _delta(params: EmotionParams, rng: np.random.Generator) -> float:
     return float(rng.uniform(params.delta_lower, params.delta_upper))
 
 
 def apply_event(
     state: EmotionState,
-    event: EmotionEvent,
+    kind: str,
+    payload: float,
     params: EmotionParams,
     rng: np.random.Generator,
 ) -> EmotionState:
-    """Move emotions for one event. Every delta below is an independent draw.
+    """Move emotions for one event of `kind`. Every delta below is an independent draw.
 
     photo_taken: payload is the field value at the photo cell. Above the
       high-value cutoff happiness rises and fatigue takes min(eps, 0); at or
@@ -129,28 +119,33 @@ def apply_event(
       percept; friendship and happiness move together, up when positive.
     content_stimulus: payload is the stimulus score in [-1, 1]; curiosity
       drops (boredom relieved) and happiness moves with the score's sign.
+    A non-finite payload or an unknown kind raises ContractError.
     """
+    if not math.isfinite(payload):
+        raise ContractError(f"event payload must be finite, got {payload}")
     new = state.copy()
     eps = params.photo_fatigue_delta
-    if event.kind == "photo_taken":
-        if event.payload > params.high_value_cutoff:
+    if kind == "photo_taken":
+        if payload > params.high_value_cutoff:
             new.happiness = _clamp01(new.happiness + _delta(params, rng))
             new.fatigue = _clamp01(new.fatigue + min(eps, 0.0))
         else:
             new.happiness = _clamp01(new.happiness - _delta(params, rng))
             new.fatigue = _clamp01(new.fatigue + max(eps, 0.0))
-    elif event.kind == "dream_frame":
-        new.happiness = _clamp01(new.happiness + event.payload * _delta(params, rng))
-    elif event.kind == "interaction":
-        sign = 1.0 if event.payload > 0.0 else -1.0
+    elif kind == "dream_frame":
+        new.happiness = _clamp01(new.happiness + payload * _delta(params, rng))
+    elif kind == "interaction":
+        sign = 1.0 if payload > 0.0 else -1.0
         new.friendship = _clamp01(new.friendship + sign * _delta(params, rng))
         new.happiness = _clamp01(new.happiness + sign * _delta(params, rng))
-    elif event.kind == "content_stimulus":
+    elif kind == "content_stimulus":
         new.curiosity = _clamp01(new.curiosity - _delta(params, rng))
-        if event.payload > 0.0:
+        if payload > 0.0:
             new.happiness = _clamp01(new.happiness + _delta(params, rng))
-        elif event.payload < 0.0:
+        elif payload < 0.0:
             new.happiness = _clamp01(new.happiness - _delta(params, rng))
+    else:
+        raise ContractError(f"unknown emotion event kind {kind!r}, expected one of {EVENT_KINDS}")
     return new
 
 

@@ -173,14 +173,9 @@ def contaminate(field: ValueField, sigma: float, rng: np.random.Generator) -> Va
     return ValueField(field.resolution, field.values + noise)
 
 
-def moore_neighbors(cell: GridCell, resolution: int) -> list[GridCell]:
-    """In-bounds 8-neighborhood of a cell, ordered by (i, j)."""
-    return list(moore_neighborhood(cell, resolution))
-
-
 @functools.lru_cache(maxsize=MAX_RESOLUTION * MAX_RESOLUTION)
-def moore_neighborhood(cell: GridCell, resolution: int) -> tuple[GridCell, ...]:
-    """Shared, cached tuple form of `moore_neighbors` for the per-tick paths."""
+def moore_neighbors(cell: GridCell, resolution: int) -> tuple[GridCell, ...]:
+    """In-bounds 8-neighborhood of a cell, ordered by (i, j); a shared, cached tuple."""
     out = []
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
@@ -201,7 +196,7 @@ def steepest_neighbor(field: ValueField, cell: GridCell) -> GridCell:
     best = cell
     best_val = field.value_at(cell)
     values = field.values
-    for nb in moore_neighborhood(cell, field.resolution):
+    for nb in moore_neighbors(cell, field.resolution):
         v = values.item(nb.i, nb.j)
         if v > best_val:
             best, best_val = nb, v

@@ -196,11 +196,9 @@ def fitness(
     params = decode_genome(genome)
     per_seed: list[Metrics] = []
     try:
+        cfg = configure_world(base, params, ga.movement_budget)
         for seed in ga.eval_seeds:
-            cfg = replace(
-                configure_world(base, params, ga.movement_budget), master_seed=seed
-            )
-            trace = run(cfg)
+            trace = run(replace(cfg, master_seed=seed))
             if trace_hook is not None:
                 trace_hook(genome, seed, trace)
             per_seed.append(metrics(trace))
@@ -211,46 +209,25 @@ def fitness(
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
+    name = "workers"
     if workers is None:
-        raw = os.environ.get(ENV_THREADS, "1")
+        name, raw = ENV_THREADS, os.environ.get(ENV_THREADS, "1")
         try:
             workers = int(raw)
         except ValueError:
-            raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
+            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
     if workers < 0:
-        raise ConfigError(f"worker count must be >= 0, got {workers}")
+        raise ConfigError(f"{name} must be >= 0, got {workers}")
     if workers == 0:
         workers = os.cpu_count() or 1
     return workers
 
 
-def _evaluate_population(
-    population: list[Genome],
-    ga: GAConfig,
-    base: WorldConfig,
-    generation: int,
-    pool: Optional[ProcessPoolExecutor],
-    trace_hook: Optional[TraceHook],
-) -> list[FitnessReport]:
-    if pool is None:
-        return [fitness(g, ga, base, generation, trace_hook) for g in population]
-    evaluate = functools.partial(fitness, ga=ga, base=base, generation=generation)
-    return list(pool.map(evaluate, population))
-
-
 def _tournament(
     reports: list[FitnessReport], size: int, rng: np.random.Generator
 ) -> FitnessReport:
-    picks = rng.integers(0, len(reports), size=size)
-    best = None
-    for k in picks:
-        k = int(k)
-        if best is None or reports[k].fitness > reports[best].fitness or (
-            reports[k].fitness == reports[best].fitness and k < best
-        ):
-            best = k
-    assert best is not None
-    return reports[best]
+    picks = rng.integers(0, len(reports), size=size).tolist()
+    return reports[min(picks, key=lambda k: (-reports[k].fitness, k))]
 
 
 def evolve(
@@ -279,8 +256,12 @@ def evolve(
     # once; hooks cannot cross process boundaries, so they run in-process
     parallel = n_workers > 1 and trace_hook is None
     with ProcessPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
+        mapper = pool.map if parallel else map
         for gen in range(ga.generations):
-            reports = _evaluate_population(population, ga, base, gen, pool, trace_hook)
+            evaluate = functools.partial(
+                fitness, ga=ga, base=base, generation=gen, trace_hook=trace_hook
+            )
+            reports = list(mapper(evaluate, population))
             order = sorted(
                 range(len(reports)), key=lambda k: (-reports[k].fitness, k)
             )

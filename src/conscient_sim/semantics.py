@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Container, Iterator, Optional
+from typing import Container, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -252,8 +252,9 @@ class PerceptStore:
         """Sorted category names that currently hold at least one percept."""
         return tuple(sorted(self._by_category))
 
-    def in_category(self, category: str) -> tuple[Percept, ...]:
-        return tuple(self._by_category.get(category, ()))
+    def in_category(self, category: str) -> Sequence[Percept]:
+        """The category's live bucket in attach order; callers must not mutate it."""
+        return self._by_category.get(category, ())
 
     def latest(self, kinds: Optional[Container[str]] = None) -> Optional[Percept]:
         """Most recently attached percept, optionally restricted to kinds."""

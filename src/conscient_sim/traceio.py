@@ -276,7 +276,7 @@ def write_dreams_csv(path: str, rows: Iterable[DreamFrameRow]) -> None:
                 r.style_category,
                 r.origin_i,
                 r.origin_j,
-                "" if r.pair_distance is None else r.pair_distance,
+                r.pair_distance,
                 r.valence,
             ]
             for r in rows

@@ -20,7 +20,6 @@ from conscient_sim.configio import render_config
 from conscient_sim.dreams import walk_step
 from conscient_sim.emotions import (
     EVENT_KINDS,
-    EmotionEvent,
     EmotionParams,
     EmotionState,
     apply_event,
@@ -184,7 +183,7 @@ def test_criterion_04_emotion_bounds_and_directions():
                 kind = EVENT_KINDS[int(rng.integers(len(EVENT_KINDS)))]
                 payload = payloads[int(rng.integers(len(payloads)))]
                 before = state
-                state = apply_event(state, EmotionEvent(kind, payload), params, rng)
+                state = apply_event(state, kind, payload, params, rng)
                 if kind == "photo_taken":
                     if payload > params.high_value_cutoff:
                         assert state.happiness >= before.happiness

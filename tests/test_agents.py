@@ -240,7 +240,7 @@ def test_receive_percept_evaluates_then_bumps():
     f0 = agent.emotions.friendship
     ev = receive_percept(agent, _foreign_percept("b2-p9", origin))
     assert ev == pytest.approx(0.4)
-    assert agent.received_count == 1
+    assert sum(p.kind == "received" for p in agent.percepts) == 1
     assert agent.emotions.friendship > f0
     stored = agent.percepts.get("b2-p9")
     assert stored is not None and stored.kind == "received"
@@ -270,7 +270,7 @@ def test_receive_percept_duplicate_is_inert():
     snapshot_emotions = agent.emotions.copy()
     ev = receive_percept(agent, p)
     assert ev == pytest.approx(agent.field.value_at(GridCell(2, 2)))
-    assert agent.received_count == 1
+    assert sum(p.kind == "received" for p in agent.percepts) == 1
     assert len(agent.percepts) == 1
     assert np.array_equal(agent.field.values, snapshot_field)
     assert agent.emotions == snapshot_emotions

@@ -119,6 +119,28 @@ def test_exit_code_1_on_out_of_range_search_seed(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,line,threads,key",
+    [
+        ("simulate", "dream.step_lower = -1", "1", "dream.step_lower"),
+        ("simulate", "emotion.delta_lower = 0.5", "1", "emotion.delta_lower"),
+        ("simulate", "emotion.valence_low = 0.9", "1", "emotion.valence_low"),
+        ("optimize", "ga.population_size = 2", "-1", "CONSCIENT_SIM_THREADS"),
+    ],
+    ids=["step-lower", "delta-lower", "valence-low", "threads"],
+)
+def test_exit_code_1_names_the_rejected_key(
+    tmp_path, capsys, monkeypatch, command, line, threads, key
+):
+    monkeypatch.setenv("CONSCIENT_SIM_THREADS", threads)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"world.total_ticks = 5\n{line}\n", encoding="utf-8")
+    rc = run_command([command, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     rc = run_command(["simulate", "--config", cfg_path, "--seed", "7", "--out", str(out)])

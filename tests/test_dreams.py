@@ -9,6 +9,7 @@ from conscient_sim.dreams import (
     DreamConfig,
     DreamWalk,
     _nearest_populated,
+    _pick,
     blend,
     dream,
     dream_valence,
@@ -51,8 +52,10 @@ def _store(*percepts):
 def test_dream_config_validation():
     with pytest.raises(ConfigError):
         DreamConfig(step_lower=2, step_upper=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="dream.step_lower"):
         DreamConfig(step_lower=-1)
+    with pytest.raises(ConfigError, match="dream.step_lower 0 exceeds step_upper -1"):
+        DreamConfig(step_lower=0, step_upper=-1)
     with pytest.raises(ConfigError):
         DreamConfig(length=-1)
     with pytest.raises(ConfigError):
@@ -182,6 +185,27 @@ def test_nearest_populated_matches_level_bfs_oracle():
                 assert _nearest_populated(g, start, store) == want, (start, populated)
                 cases += 1
     assert cases == 60 * (30 + 8 + 9)
+
+
+def _copying_pick(store, graph, category, rng):
+    """`_pick` as it was when every pick drew from a tuple copy of the bucket."""
+    cands = tuple(store.in_category(category))
+    if not cands:
+        cands = tuple(store.in_category(_nearest_populated(graph, category, store)))
+    return cands[int(rng.integers(len(cands)))]
+
+
+def test_pick_matches_copying_oracle_while_buckets_grow():
+    g = load_graph(BUILTIN_CONTENT_EDGES, seed=0, feature_dim=3)
+    store = _store(_percept("p0", g.nodes[0]))
+    driver, live_rng, oracle_rng = make_rng(57), make_rng(58), make_rng(58)
+    for step in range(2_000):
+        category = g.nodes[int(driver.integers(len(g.nodes)))]
+        assert _pick(store, g, category, live_rng) is _copying_pick(store, g, category, oracle_rng)
+        if driver.random() < 0.3:
+            store.attach(_percept(f"p{step + 1}", g.nodes[int(driver.integers(len(g.nodes)))]))
+    assert len(store) > 500
+    assert live_rng.random() == oracle_rng.random()
 
 
 def test_dream_walk_requires_populated_stores():

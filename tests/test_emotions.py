@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conscient_sim.emotions import (
     EVENT_KINDS,
-    EmotionEvent,
     EmotionParams,
     EmotionState,
     apply_event,
@@ -46,25 +47,31 @@ def test_params_validation():
 
 
 def test_event_validation():
-    with pytest.raises(ContractError):
-        EmotionEvent("applause", 0.5)
-    with pytest.raises(ContractError):
-        EmotionEvent("photo_taken", float("nan"))
+    params, base = EmotionParams(), EmotionState()
+    for kind, payload, message in (
+        ("applause", 0.5, f"unknown emotion event kind 'applause', expected one of {EVENT_KINDS}"),
+        ("photo_taken", float("nan"), "event payload must be finite"),
+    ):
+        rng = make_rng(9)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            apply_event(base, kind, payload, params, rng)
+        # rejected before any draw
+        assert rng.random() == make_rng(9).random()
     for kind in EVENT_KINDS:
-        EmotionEvent(kind, 0.0)
+        apply_event(base, kind, 0.0, params, make_rng(0))
 
 
 def test_photo_event_directions():
     params = EmotionParams(delta_lower=0.1, delta_upper=0.2, photo_fatigue_delta=0.02)
     base = EmotionState()
-    good = apply_event(base, EmotionEvent("photo_taken", 0.7), params, make_rng(1))
+    good = apply_event(base, "photo_taken", 0.7, params, make_rng(1))
     assert 0.1 <= good.happiness - base.happiness <= 0.2
     assert good.fatigue == base.fatigue
-    bad = apply_event(base, EmotionEvent("photo_taken", -0.7), params, make_rng(1))
+    bad = apply_event(base, "photo_taken", -0.7, params, make_rng(1))
     assert 0.1 <= base.happiness - bad.happiness <= 0.2
     assert bad.fatigue == pytest.approx(base.fatigue + 0.02)
     # payload exactly at the cutoff counts as not-high
-    edge = apply_event(base, EmotionEvent("photo_taken", 0.0), params, make_rng(1))
+    edge = apply_event(base, "photo_taken", 0.0, params, make_rng(1))
     assert edge.happiness < base.happiness
     assert base.curiosity == good.curiosity == bad.curiosity
 
@@ -72,9 +79,9 @@ def test_photo_event_directions():
 def test_dream_frame_event_directions():
     params = EmotionParams(delta_lower=0.1, delta_upper=0.2)
     base = EmotionState()
-    up = apply_event(base, EmotionEvent("dream_frame", 1.0), params, make_rng(2))
-    down = apply_event(base, EmotionEvent("dream_frame", -1.0), params, make_rng(2))
-    flat = apply_event(base, EmotionEvent("dream_frame", 0.0), params, make_rng(2))
+    up = apply_event(base, "dream_frame", 1.0, params, make_rng(2))
+    down = apply_event(base, "dream_frame", -1.0, params, make_rng(2))
+    flat = apply_event(base, "dream_frame", 0.0, params, make_rng(2))
     assert 0.1 <= up.happiness - base.happiness <= 0.2
     assert 0.1 <= base.happiness - down.happiness <= 0.2
     assert flat.happiness == base.happiness
@@ -83,12 +90,12 @@ def test_dream_frame_event_directions():
 def test_interaction_event_directions_and_independent_draws():
     params = EmotionParams(delta_lower=0.05, delta_upper=0.25)
     base = EmotionState()
-    pos = apply_event(base, EmotionEvent("interaction", 0.4), params, make_rng(3))
+    pos = apply_event(base, "interaction", 0.4, params, make_rng(3))
     assert pos.friendship > base.friendship
     assert pos.happiness > base.happiness
     # the two moves use separate draws, not one shared delta
     assert pos.friendship - base.friendship != pos.happiness - base.happiness
-    neg = apply_event(base, EmotionEvent("interaction", -0.4), params, make_rng(3))
+    neg = apply_event(base, "interaction", -0.4, params, make_rng(3))
     assert neg.friendship < base.friendship
     assert neg.happiness < base.happiness
 
@@ -96,13 +103,13 @@ def test_interaction_event_directions_and_independent_draws():
 def test_content_stimulus_event_directions():
     params = EmotionParams(delta_lower=0.1, delta_upper=0.2)
     base = EmotionState()
-    pos = apply_event(base, EmotionEvent("content_stimulus", 0.8), params, make_rng(4))
+    pos = apply_event(base, "content_stimulus", 0.8, params, make_rng(4))
     assert pos.curiosity < base.curiosity
     assert pos.happiness > base.happiness
-    neg = apply_event(base, EmotionEvent("content_stimulus", -0.8), params, make_rng(4))
+    neg = apply_event(base, "content_stimulus", -0.8, params, make_rng(4))
     assert neg.curiosity < base.curiosity
     assert neg.happiness < base.happiness
-    flat = apply_event(base, EmotionEvent("content_stimulus", 0.0), params, make_rng(4))
+    flat = apply_event(base, "content_stimulus", 0.0, params, make_rng(4))
     assert flat.curiosity < base.curiosity
     assert flat.happiness == base.happiness
 
@@ -110,7 +117,7 @@ def test_content_stimulus_event_directions():
 def test_apply_event_does_not_mutate_input():
     params = EmotionParams()
     base = EmotionState()
-    apply_event(base, EmotionEvent("interaction", 1.0), params, make_rng(0))
+    apply_event(base, "interaction", 1.0, params, make_rng(0))
     assert base == EmotionState()
 
 
@@ -150,7 +157,7 @@ def test_bounds_hold_under_long_fuzz():
         if r < 0.7:
             kind = EVENT_KINDS[int(rng.integers(len(EVENT_KINDS)))]
             payload = payloads[int(rng.integers(len(payloads)))]
-            state = apply_event(state, EmotionEvent(kind, payload), params, rng)
+            state = apply_event(state, kind, payload, params, rng)
         else:
             state = tick_emotions(state, params, "awake" if r < 0.85 else "asleep")
         for v in (state.happiness, state.curiosity, state.friendship, state.courage, state.fatigue):

@@ -204,13 +204,12 @@ def test_contaminate_noise_scale():
 def test_moore_neighbors_bounds_and_order():
     mid = moore_neighbors(GridCell(2, 2), 5)
     assert len(mid) == 8
-    assert mid == sorted(mid)
+    assert mid == tuple(sorted(mid))
     corner = moore_neighbors(GridCell(0, 0), 5)
-    assert corner == [GridCell(0, 1), GridCell(1, 0), GridCell(1, 1)]
-    # each call hands out a fresh list
-    corner.append(GridCell(4, 4))
-    corner.reverse()
-    assert moore_neighbors(GridCell(0, 0), 5) == [GridCell(0, 1), GridCell(1, 0), GridCell(1, 1)]
+    assert corner == (GridCell(0, 1), GridCell(1, 0), GridCell(1, 1))
+    # one shared, immutable tuple per (cell, resolution)
+    assert moore_neighbors(GridCell(0, 0), 5) is corner
+    assert moore_neighbors(GridCell(0, 0), 6) == corner
 
 
 def _climb_oracle(values: np.ndarray, i: int, j: int) -> tuple[int, int]:

@@ -1,9 +1,9 @@
-"""Package hygiene: the public export list, unused imports and parameters.
+"""Package hygiene: the public export list, unused imports, parameters and fields.
 
 No linter ships with the toolchain, so these AST checks stand in for the
 rules that matter when code is deleted: every exported name still resolves,
-no module keeps importing a name it no longer uses, and no function keeps a
-parameter it never reads.
+no module keeps importing a name it no longer uses, no function keeps a
+parameter it never reads, and no dataclass keeps a field nobody reads.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import conscient_sim
 
 PACKAGE_DIR = Path(conscient_sim.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -96,3 +97,54 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
 def test_module_reads_every_parameter(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _unread_parameters(tree) == [], f"{path.name} has parameters it never reads"
+
+
+def _attribute_loads(paths) -> set[str]:
+    """Every attribute name read (`x.name` in a load context) in the files."""
+    out: set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out |= {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    return out
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    fn = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(fn, ast.Name) and fn.id == "dataclass") or (
+        isinstance(fn, ast.Attribute) and fn.attr == "dataclass"
+    )
+
+
+def _walks_own_fields(cls: ast.ClassDef) -> bool:
+    """The class reads its fields by `fields(self)`, not by name."""
+    return any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "fields"
+        and any(isinstance(a, ast.Name) and a.id == "self" for a in n.args)
+        for n in ast.walk(cls)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_dataclass_fields_are_read(path):
+    # matched by attribute name across src/ and bench/, so this is a lower
+    # bound: a field sharing its name with one that is read passes
+    loads = _attribute_loads([*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")])
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = [
+        f"{cls.name}.{stmt.target.id}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(_is_dataclass_decorator(d) for d in cls.decorator_list)
+        and not _walks_own_fields(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in loads
+    ]
+    assert unread == [], f"{path.name} has dataclass fields nothing reads"

@@ -232,3 +232,14 @@ def test_percept_store_categories_and_latest():
     assert store.latest().id == "c"
     mixed = store.latest(("observed", "received"))
     assert mixed is not None and mixed.id == "c"
+
+
+def test_in_category_is_the_live_bucket():
+    store = PerceptStore()
+    store.attach(_percept("a", "dog", 1))
+    dogs = store.in_category("dog")
+    store.attach(_percept("b", "cat", 2))
+    store.attach(_percept("c", "dog", 3))
+    store.attach(_percept("a", "dog", 4))  # a duplicate id is not attached
+    assert [p.id for p in dogs] == ["a", "c"]
+    assert store.in_category("dog") is dogs

@@ -224,7 +224,7 @@ def test_step_resends_are_recorded_but_idempotent():
     assert len(w.interactions) == 2
     assert w.interactions[0].sent_by_a == w.interactions[1].sent_by_a
     for a in w.agents:
-        assert a.received_count == 1
+        assert sum(p.kind == "received" for p in a.percepts) == 1
         assert len(a.percepts) == 2  # own photo + the single received copy
 
 
