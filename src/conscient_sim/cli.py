@@ -203,10 +203,7 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SimulatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SimulatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,6 +42,13 @@ class KernelConfig:
             raise ConfigError(f"kernel.amplitude must be > 0, got {self.amplitude}")
         if not (math.isfinite(self.lengthscale) and self.lengthscale > 0):
             raise ConfigError(f"kernel.lengthscale must be > 0, got {self.lengthscale}")
+        # kernel_matrix divides by 2 * lengthscale**2: at 0 its diagonal is
+        # 0/0, and a square that overflows raises OverflowError
+        if not 0.0 < 2.0 * self.lengthscale * self.lengthscale < math.inf:
+            raise ConfigError(
+                f"kernel.lengthscale {self.lengthscale} is out of range: "
+                f"2 * lengthscale**2 underflows to 0 or overflows"
+            )
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
             raise ConfigError(f"kernel.jitter must be >= 0, got {self.jitter}")
 
@@ -69,7 +76,11 @@ class ValueField:
                 f"resolution {self.resolution}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ConfigError("field values must be finite")
+            raise ConfigError(
+                "field values must be finite; check the keys that feed a field: "
+                "world.reward_peak, world.reward_count, agent.visit_peak, "
+                "agent.visit_reward, agent.noise_sigma and kernel.*"
+            )
 
     def in_bounds(self, cell: GridCell) -> bool:
         return 0 <= cell.i < self.resolution and 0 <= cell.j < self.resolution

@@ -20,8 +20,6 @@ from .errors import ContractError, GraphParseError, UnknownCategoryError
 from .fields import GridCell
 from .seeds import derive_seed, make_rng
 
-DEFAULT_FEATURE_DIM = 16
-
 PERCEPT_KINDS = ("observed", "style", "dreamed", "received")
 
 # Two-level taxonomy shipped as the default content graph: five domain hubs in
@@ -76,22 +74,16 @@ blur dark
 class SemanticGraph:
     """Undirected category graph with per-category prototype features.
 
-    `prototype_matrix` stacks the prototypes in node order; `_hop_rows` memoises
-    BFS hop counts per start node as `hop_counts` is asked for them.
+    Row k of the read-only `prototype_matrix` is the prototype of `nodes[k]`;
+    `_hop_rows` memoises BFS hop counts per start node as `hop_counts` is
+    asked for them.
     """
 
     nodes: tuple[str, ...]
     adjacency: dict[str, tuple[str, ...]]
-    prototypes: dict[str, np.ndarray]
     feature_dim: int
-    prototype_matrix: np.ndarray = field(init=False, repr=False)
+    prototype_matrix: np.ndarray = field(repr=False)
     _hop_rows: dict[str, dict[str, int]] = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        matrix = np.array([self.prototypes[n] for n in self.nodes], dtype=float)
-        matrix = matrix.reshape(len(self.nodes), self.feature_dim)
-        matrix.flags.writeable = False
-        object.__setattr__(self, "prototype_matrix", matrix)
 
     def has_node(self, name: str) -> bool:
         return name in self.adjacency
@@ -103,7 +95,7 @@ class SemanticGraph:
             raise UnknownCategoryError(name) from None
 
 
-def load_graph(source: str, seed: int, feature_dim: int = DEFAULT_FEATURE_DIM) -> SemanticGraph:
+def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
     """Parse a newline-delimited `nodeA nodeB` edge list into a graph.
 
     Blank lines and `#` comments are ignored; duplicate edges collapse;
@@ -134,15 +126,15 @@ def load_graph(source: str, seed: int, feature_dim: int = DEFAULT_FEATURE_DIM) -
         adjacency[a].add(b)
         adjacency[b].add(a)
     ordered = tuple(sorted(nodes))
-    prototypes = {}
-    for name in ordered:
-        rng = make_rng(derive_seed(seed, "prototype", name))
-        prototypes[name] = rng.random(feature_dim)
+    prototypes = np.array(
+        [make_rng(derive_seed(seed, "prototype", name)).random(feature_dim) for name in ordered]
+    ).reshape(len(ordered), feature_dim)
+    prototypes.flags.writeable = False
     return SemanticGraph(
         nodes=ordered,
         adjacency={n: tuple(sorted(adjacency[n])) for n in ordered},
-        prototypes=prototypes,
         feature_dim=feature_dim,
+        prototype_matrix=prototypes,
     )
 
 
@@ -241,12 +233,6 @@ class PerceptStore:
 
     def __iter__(self) -> Iterator[Percept]:
         return iter(self._by_id.values())
-
-    def __contains__(self, percept_id: str) -> bool:
-        return percept_id in self._by_id
-
-    def get(self, percept_id: str) -> Optional[Percept]:
-        return self._by_id.get(percept_id)
 
     def categories(self) -> tuple[str, ...]:
         """Sorted category names that currently hold at least one percept."""

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from typing import Iterable, Iterator, TextIO, get_type_hints
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -336,43 +336,8 @@ def write_metrics_csv(path: str, m: Metrics) -> None:
     _write_csv(path, METRICS_HEADER, ([k, _render_metric(v)] for k, v in m.items()))
 
 
-def read_metrics_csv(path: str) -> Metrics:
-    """Parse a metrics file; every metric once, `moves_agent_<k>` in order."""
-    # every field but the moves tuple is an int or a float
-    casts = {n: cast for n, cast in get_type_hints(Metrics).items() if n != "moves_per_agent"}
-    values: dict[str, object] = {}
-    n_moves = 0
-    for lineno, (name, raw) in _read_csv(path, METRICS_HEADER, "metrics file"):
-        where = f"metrics file {path}, line {lineno}"
-        if name == f"moves_agent_{n_moves}":
-            cast, n_moves = int, n_moves + 1
-        elif name.startswith("moves_agent_"):
-            raise TraceError(f"{where}: expected moves_agent_{n_moves}, got {name}")
-        elif name in casts and name not in values:
-            cast = casts[name]
-        else:
-            raise TraceError(f"{where}: unknown or repeated metric {name!r}")
-        try:
-            values[name] = cast(raw)
-        except ValueError as exc:
-            raise TraceError(f"{where}: {exc}") from None
-    missing = [n for n in casts if n not in values]
-    if missing:
-        raise TraceError(f"incomplete metrics file {path}: missing {', '.join(missing)}")
-    moves = tuple(values.pop(f"moves_agent_{k}") for k in range(n_moves))
-    return Metrics(moves_per_agent=moves, **values)
-
-
 def write_manifest(path: str, manifest: dict) -> None:
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        raise TraceError(f"cannot read manifest {path}: {exc}") from None
 
 
 def standalone_dream_rows(frames) -> list[DreamFrameRow]:

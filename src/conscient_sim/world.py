@@ -90,11 +90,11 @@ class WorldConfig:
             )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ContentStimulus:
-    cell: GridCell
+    """A one-shot stimulus; `score` in [-1, 1] is the emotion event's payload."""
+
     modality: str
-    features: np.ndarray
     score: float
 
 
@@ -236,13 +236,9 @@ class World:
                 for j in range(r):
                     if float(rng.random()) < config.stimulus_probability:
                         modality = mods[int(rng.integers(len(mods)))]
-                        feats = rng.random(fd)
-                        self.stimuli[GridCell(i, j)] = ContentStimulus(
-                            cell=GridCell(i, j),
-                            modality=modality,
-                            features=feats,
-                            score=2.0 * float(np.mean(feats)) - 1.0,
-                        )
+                        # the feature mean, rescaled from [0, 1] to [-1, 1]
+                        score = 2.0 * float(np.mean(rng.random(fd))) - 1.0
+                        self.stimuli[GridCell(i, j)] = ContentStimulus(modality, score)
         self._feature_cache: dict[GridCell, np.ndarray] = {}
         self.rows: list[TraceRow] = []
         self.interactions: list[InteractionRecord] = []

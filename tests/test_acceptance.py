@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import math
 import time
 
@@ -31,8 +32,6 @@ from conscient_sim.optimizer import GAConfig, evolve
 from conscient_sim.seeds import make_rng
 from conscient_sim.semantics import load_graph, semantic_distance
 from conscient_sim.traceio import (
-    read_manifest,
-    read_metrics_csv,
     read_trace_csv,
     summarize_rows,
     write_dreams_csv,
@@ -350,7 +349,7 @@ def test_criterion_10_cli_exit_codes_and_manifest_replay(tmp_path, capsys):
 
         # the manifest echo is a complete recipe: rebuilding the config
         # from it must reproduce the trace byte for byte
-        manifest = read_manifest(str(out1 / "manifest.json"))
+        manifest = json.loads((out1 / "manifest.json").read_text(encoding="utf-8"))
         rebuilt = tmp_path / "rebuilt.cfg"
         rebuilt.write_text(render_config(manifest["effective_config"]), encoding="utf-8")
         out2 = tmp_path / "b"
@@ -365,4 +364,5 @@ def test_criterion_10_cli_exit_codes_and_manifest_replay(tmp_path, capsys):
 
         # the written summary and a fresh pass over the trace must agree
         replayed = summarize_rows(read_trace_csv(str(out1 / "trace.csv")))
-        assert replayed == read_metrics_csv(str(out1 / "metrics.csv"))
+        write_metrics_csv(str(tmp_path / "replayed.csv"), replayed)
+        assert (tmp_path / "replayed.csv").read_bytes() == (out1 / "metrics.csv").read_bytes()

@@ -202,13 +202,13 @@ def test_photo_postconditions():
     # the visited cell is penalized by exactly the bump peak
     after = agent.field.value_at(GridCell(2, 3))
     assert after == pytest.approx(before - 0.5, abs=1e-12)
-    assert p.id in agent.percepts
+    assert {q.id: q for q in agent.percepts} == {p.id: p}
     assert len(agent.styles) == 0
     # second photo duplicates into the style store
     p2 = maybe_take_photo(agent, ctx, tick=8)
     assert p2 is not None and len(agent.styles) == 1
-    style = agent.styles.get("a1-s2")
-    assert style is not None and style.kind == "style"
+    style = {q.id: q for q in agent.styles}["a1-s2"]
+    assert style.kind == "style"
     assert style.category in ctx.style_graph.nodes
 
 
@@ -242,8 +242,8 @@ def test_receive_percept_evaluates_then_bumps():
     assert ev == pytest.approx(0.4)
     assert sum(p.kind == "received" for p in agent.percepts) == 1
     assert agent.emotions.friendship > f0
-    stored = agent.percepts.get("b2-p9")
-    assert stored is not None and stored.kind == "received"
+    stored = {p.id: p for p in agent.percepts}["b2-p9"]
+    assert stored.kind == "received"
     # positive evaluation rewards the origin cell by the full peak
     assert agent.field.value_at(origin) == pytest.approx(0.7, abs=1e-12)
     # next exchange at the same origin sees the post-bump field
@@ -339,13 +339,13 @@ def test_sleep_produces_dream_frames_and_percepts():
             assert dream_row.tick == tick
             assert dream_row.frame_index == agent.dream_frame_count
             assert dream_row.valence in (-1, 0, 1)
-            assert dream_row.percept_id in agent.percepts
+            assert dream_row.percept_id in {p.id for p in agent.percepts}
             assert f"dream:{dream_row.percept_id}" in events
     # asleep on ticks 4 and 5: one dream frame each
     assert dream_ticks == [4, 5]
     assert agent.dream_frame_count == 2
-    dreamed = agent.percepts.get("a1-d1")
-    assert dreamed is not None and dreamed.kind == "dreamed"
+    dreamed = {p.id: p for p in agent.percepts}["a1-d1"]
+    assert dreamed.kind == "dreamed"
 
 
 def test_dreamless_sleep_when_stores_empty():

@@ -1,9 +1,10 @@
-"""Package hygiene: the public export list, unused imports, parameters and fields.
+"""Package hygiene: the public export list, unused imports, parameters, fields and definitions.
 
 No linter ships with the toolchain, so these AST checks stand in for the
 rules that matter when code is deleted: every exported name still resolves,
 no module keeps importing a name it no longer uses, no function keeps a
-parameter it never reads, and no dataclass keeps a field nobody reads.
+parameter it never reads, no dataclass keeps a field nobody reads, and no
+function, class or method is kept for the tests alone.
 """
 
 from __future__ import annotations
@@ -148,3 +149,98 @@ def test_module_dataclass_fields_are_read(path):
         and stmt.target.id not in loads
     ]
     assert unread == [], f"{path.name} has dataclass fields nothing reads"
+
+
+# Definitions kept although nothing in src/ or bench/ references them, each
+# with its reason.
+UNREACHED_ALLOWED = {
+    "fields.bump_amount": "closed-form oracle that criterion 02 and "
+    "tests/test_fields.py compare local_bump against",
+}
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of each module-level function and class
+    and each non-dunder method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (f"{node.name}.{m.name}", m.name)
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            ]
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name, attribute and import alias the module mentions."""
+    out: set[str] = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.asname or n.name.split(".")[-1])
+    return out
+
+
+def _unreached(modules: dict[str, str], others: list[str], allowed: dict[str, str]) -> list[str]:
+    """Definitions in `modules` (stem -> source) that no module references,
+    nor any source in `others`, and allowlist entries that are stale.
+
+    A `def` is not a reference to itself, and `__init__` is skipped, so a
+    re-export does not count. Matched by bare name, so this is a lower bound:
+    a method sharing its name with one that is called passes. An allowlist
+    entry is stale when it names no definition or one that is referenced.
+    """
+    trees = {stem: ast.parse(src) for stem, src in modules.items() if stem != "__init__"}
+    refs = set().union(*map(_references, trees.values()))
+    refs |= set().union(*(_references(ast.parse(src)) for src in others))
+    defined = {
+        f"{stem}.{qual}": bare for stem, tree in trees.items() for qual, bare in _definitions(tree)
+    }
+    unreached = [q for q, bare in defined.items() if bare not in refs and q not in allowed]
+    stale = [f"stale allowlist entry {q}" for q in allowed if q not in defined or defined[q] in refs]
+    return unreached + stale
+
+
+def test_every_definition_is_reached_from_src_or_bench():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    bench = [p.read_text(encoding="utf-8") for p in BENCH_DIR.glob("*.py")]
+    assert _unreached(modules, bench, UNREACHED_ALLOWED) == []
+
+
+def test_unreached_checker_flags_and_clears():
+    lib = (
+        "def helper():\n    return 1\n\n"
+        "def orphan():\n    return helper()\n\n"
+        "class Box:\n"
+        "    def __len__(self):\n        return helper()\n\n"
+        "    def peek(self):\n        pass\n"
+    )
+    assert _unreached({"lib": lib}, [], {}) == ["lib.orphan", "lib.Box", "lib.Box.peek"]
+    # a second module that uses them clears them
+    app = "from .lib import Box, orphan\n\norphan()\nBox().peek()\n"
+    assert _unreached({"lib": lib, "app": app}, [], {}) == []
+    # a re-export in __init__ does not count; a reference outside src/ does
+    init = "from .lib import orphan\n"
+    assert _unreached({"lib": lib, "__init__": init}, [], {}) == [
+        "lib.orphan",
+        "lib.Box",
+        "lib.Box.peek",
+    ]
+    assert _unreached({"lib": lib}, ["import lib\n\nlib.orphan(lib.Box().peek())\n"], {}) == []
+    # an allowlist entry naming nothing, or something referenced, is stale
+    allowed = {"lib.orphan": "oracle", "lib.Box": "oracle", "lib.Box.peek": "oracle"}
+    assert _unreached({"lib": lib}, [], allowed) == []
+    assert _unreached({"lib": lib}, [], {**allowed, "lib.gone": "oracle"}) == [
+        "stale allowlist entry lib.gone"
+    ]
+    assert _unreached({"lib": lib}, [], {**allowed, "lib.helper": "oracle"}) == [
+        "stale allowlist entry lib.helper"
+    ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import stat
 
@@ -22,8 +23,6 @@ from conscient_sim.traceio import (
     TRACE_HEADER,
     _fmt,
     atomic_write_text,
-    read_manifest,
-    read_metrics_csv,
     read_percepts_csv,
     read_trace_csv,
     standalone_dream_rows,
@@ -189,55 +188,24 @@ def test_metrics_csv_roundtrip(tmp_path, trace):
     m = metrics(trace)
     path = tmp_path / "metrics.csv"
     write_metrics_csv(str(path), m)
-    assert read_metrics_csv(str(path)) == m
-    text = path.read_text(encoding="utf-8")
-    assert text.startswith("metric,value\n")
-    assert "moves_agent_0" in text and "moves_agent_1" in text
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "metric,value"
+    names, raws = zip(*(line.split(",") for line in lines[1:]))
+    assert list(names) == [k for k, _ in m.items()]
+    assert "moves_agent_0" in names and "moves_agent_1" in names
+    # ints render as ints and floats through repr, so each value parses back exactly
+    assert [type(v)(raw) for raw, (_, v) in zip(raws, m.items())] == [v for _, v in m.items()]
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda lines: lines[:3] + ["bogus,7"] + lines[3:], "unknown or repeated metric 'bogus'"),
-        (
-            lambda lines: [ln.replace("moves_agent_1,", "moves_agent_2,") for ln in lines],
-            "expected moves_agent_1, got moves_agent_2",
-        ),
-        (lambda lines: lines + [lines[1]], "unknown or repeated metric 'interactions'"),
-    ],
-    ids=["unknown", "gap", "repeated"],
-)
-def test_read_metrics_csv_rejects_rows_it_would_drop(tmp_path, trace, edit, message):
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(str(path), metrics(trace))
-    good = path.read_text(encoding="utf-8").splitlines()
-    lines = edit(good)
-    bad_line = next(k for k, (a, b) in enumerate(zip(lines, good + [""]), start=1) if a != b)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(TraceError) as exc:
-        read_metrics_csv(str(path))
-    assert str(exc.value) == f"metrics file {path}, line {bad_line}: {message}"
-
-
-def test_manifest_roundtrip_and_errors(tmp_path):
+def test_manifest_roundtrip_is_sorted_json(tmp_path):
     path = tmp_path / "manifest.json"
     payload = {"b": 2, "a": {"nested": [1, 2, 3]}, "seed": "77"}
     write_manifest(str(path), payload)
-    assert read_manifest(str(path)) == payload
+    assert json.loads(path.read_text(encoding="utf-8")) == payload
     # stable rendering: keys are sorted so rewrites are byte-identical
     before = path.read_bytes()
     write_manifest(str(path), {"seed": "77", "a": {"nested": [1, 2, 3]}, "b": 2})
     assert path.read_bytes() == before
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json", encoding="utf-8")
-    with pytest.raises(TraceError):
-        read_manifest(str(broken))
-    with pytest.raises(TraceError):
-        read_manifest(str(tmp_path / "missing.json"))
-    not_utf8 = tmp_path / "not-utf8.json"
-    not_utf8.write_bytes(b'{"command": "simulate\xff"}\n')
-    with pytest.raises(TraceError, match="cannot read manifest"):
-        read_manifest(str(not_utf8))
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, trace):
