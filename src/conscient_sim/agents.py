@@ -216,11 +216,6 @@ def receive_percept(agent: Agent, percept: Percept) -> float:
     return evaluation
 
 
-def most_recent_sendable(agent: Agent) -> Optional[Percept]:
-    """Latest own experience (photo or dream) the agent would share."""
-    return agent.percepts.latest(SENDABLE_KINDS)
-
-
 def agent_tick(
     agent: Agent, ctx: WorldContext, tick: int
 ) -> tuple[list[str], Optional[DreamFrameRow]]:

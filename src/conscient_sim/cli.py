@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .configio import ConfigBundle, parse_config
-from .dreams import dream
+from .dreams import DreamFrameRow, dream
 from .errors import ConfigError, SimulatorError
 from .optimizer import evolve
 from .seeds import derive_seed, make_rng
@@ -29,7 +29,6 @@ from .traceio import (
     atomic_write_text,
     read_percepts_csv,
     read_trace_csv,
-    standalone_dream_rows,
     summarize_rows,
     write_dreams_csv,
     write_interactions_csv,
@@ -145,9 +144,9 @@ def _cmd_dream(args) -> int:
     frames = dream(
         content_store, content_graph, style_store, style_graph, world_cfg.agent.dream, rng
     )
-    outputs = _write_outputs(
-        args.out, {"dreams.csv": (write_dreams_csv, standalone_dream_rows(frames))}
-    )
+    # bare frames have no agent and no field: agent 0, tick = frame index
+    rows = [DreamFrameRow.of(frame, 0, k, k, "", 0) for k, frame in enumerate(frames, start=1)]
+    outputs = _write_outputs(args.out, {"dreams.csv": (write_dreams_csv, rows)})
     manifest = _manifest(args, bundle, started, outputs)
     write_manifest(os.path.join(args.out, "manifest.json"), manifest)
     print(f"dreamed {len(frames)} frames -> {args.out}")

@@ -164,7 +164,10 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
         raise ConfigError(f"bump peak must be finite, got {peak}")
     sq = _squared_offsets(field.resolution)
     d2 = sq[center.i][:, None] + sq[center.j][None, :]
-    return ValueField(field.resolution, field.values + peak * np.exp(-d2 / (2.0 * width * width)))
+    # a sum that overflows is reported by ValueField, which names the keys
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = field.values + peak * np.exp(-d2 / (2.0 * width * width))
+    return ValueField(field.resolution, values)
 
 
 @functools.lru_cache(maxsize=8)
@@ -181,7 +184,9 @@ def contaminate(field: ValueField, sigma: float, rng: np.random.Generator) -> Va
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
     noise = rng.normal(0.0, sigma, size=field.values.shape)
-    return ValueField(field.resolution, field.values + noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = field.values + noise
+    return ValueField(field.resolution, values)
 
 
 @functools.lru_cache(maxsize=MAX_RESOLUTION * MAX_RESOLUTION)

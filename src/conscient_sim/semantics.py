@@ -242,9 +242,9 @@ class PerceptStore:
         """The category's live bucket in attach order; callers must not mutate it."""
         return self._by_category.get(category, ())
 
-    def latest(self, kinds: Optional[Container[str]] = None) -> Optional[Percept]:
-        """Most recently attached percept, optionally restricted to kinds."""
+    def latest(self, kinds: Container[str]) -> Optional[Percept]:
+        """Most recently attached percept of one of the kinds."""
         for p in reversed(self._by_id.values()):
-            if kinds is None or p.kind in kinds:
+            if p.kind in kinds:
                 return p
         return None

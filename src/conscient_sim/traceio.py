@@ -205,6 +205,12 @@ def read_trace_csv(path: str) -> list[TraceRow]:
             )
             if row.mode not in ("awake", "asleep"):
                 raise ValueError(f"unknown mode {row.mode!r}")
+            for token in row.events:
+                if token.startswith("int:"):
+                    try:
+                        int(token.split(":", 2)[1])
+                    except ValueError:
+                        raise ValueError(f"malformed interaction token {token!r}") from None
             key = (row.tick, row.agent_id)
             if prev is not None and key <= prev:
                 raise ValueError("rows not ordered by (tick, agent_id)")
@@ -220,7 +226,8 @@ def summarize_rows(rows: list[TraceRow]) -> Metrics:
 
     Photos, dream frames, and interactions are counted from event tokens; an
     interaction appears on both partners' rows, so only the row with the lower
-    agent id counts it. Moves and means come from `row_metrics`.
+    agent id counts it; `read_trace_csv` has checked each `int:` token. Moves
+    and means come from `row_metrics`.
     """
     photos = 0
     dream_frames = 0
@@ -231,13 +238,8 @@ def summarize_rows(rows: list[TraceRow]) -> Metrics:
                 photos += 1
             elif token.startswith("dream:"):
                 dream_frames += 1
-            elif token.startswith("int:"):
-                try:
-                    partner = int(token.split(":", 2)[1])
-                except (IndexError, ValueError):
-                    raise TraceError(f"malformed interaction token {token!r}") from None
-                if partner > row.agent_id:
-                    interactions += 1
+            elif token.startswith("int:") and int(token.split(":", 2)[1]) > row.agent_id:
+                interactions += 1
     return row_metrics(rows, interactions=interactions, photos=photos, dream_frames=dream_frames)
 
 
@@ -338,8 +340,3 @@ def write_metrics_csv(path: str, m: Metrics) -> None:
 
 def write_manifest(path: str, manifest: dict) -> None:
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def standalone_dream_rows(frames) -> list[DreamFrameRow]:
-    """Adapt bare dream frames (no agent, no field) to the dreams.csv schema."""
-    return [DreamFrameRow.of(frame, 0, k, k, "", 0) for k, frame in enumerate(frames, start=1)]

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .agents import Agent, AgentConfig, agent_tick, most_recent_sendable, receive_percept
+from .agents import SENDABLE_KINDS, Agent, AgentConfig, agent_tick, receive_percept
 from .dreams import DreamFrameRow
 from .errors import ConfigError
 from .fields import MAX_RESOLUTION, GridCell, local_bump, sample_field
@@ -312,8 +312,8 @@ def interact(a: Agent, b: Agent, tick: int) -> Optional[InteractionRecord]:
     ids on the receiving side are evaluated but change no state, and the
     encounter is still recorded.
     """
-    pa = most_recent_sendable(a)
-    pb = most_recent_sendable(b)
+    pa = a.percepts.latest(SENDABLE_KINDS)
+    pb = b.percepts.latest(SENDABLE_KINDS)
     if pa is None or pb is None:
         return None
     eval_b = receive_percept(b, pa)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from conscient_sim.agents import (
+    SENDABLE_KINDS,
     Agent,
     AgentConfig,
     agent_tick,
     logistic,
     maybe_take_photo,
-    most_recent_sendable,
     navigate_step,
     receive_percept,
 )
@@ -276,12 +276,12 @@ def test_receive_percept_duplicate_is_inert():
     assert agent.emotions == snapshot_emotions
 
 
-def test_most_recent_sendable_skips_received_and_style():
+def test_latest_sendable_percept_skips_received_and_style():
     agent = _agent(np.zeros((4, 4)))
-    assert most_recent_sendable(agent) is None
+    assert agent.percepts.latest(SENDABLE_KINDS) is None
     agent.percepts.attach(_foreign_percept("own-p1", GridCell(0, 0)))
     receive_percept(agent, _foreign_percept("other-p5", GridCell(1, 1)))
-    pick = most_recent_sendable(agent)
+    pick = agent.percepts.latest(SENDABLE_KINDS)
     assert pick is not None and pick.id == "own-p1"
 
 

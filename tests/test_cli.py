@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -251,6 +252,16 @@ def test_dream_subcommand_replays_from_percept_log(tmp_path, cfg_path, capsys):
     assert "6 frames" in stdout
     lines = (d1 / "dreams.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 6
+    # bare frames: agent 0, tick = frame index from 1, no percept, no valence,
+    # and each origin is that of a logged content percept of the frame's category
+    rows = list(csv.DictReader(lines))
+    assert [r["tick"] for r in rows] == [r["frame_index"] for r in rows] == list("123456")
+    assert all(r["agent_id"] == "0" and r["percept_id"] == "" and r["valence"] == "0" for r in rows)
+    with open(sim_out / "percepts.csv", encoding="utf-8", newline="") as fh:
+        content = {
+            (p["category"], p["i"], p["j"]) for p in csv.DictReader(fh) if p["kind"] != "style"
+        }
+    assert all((r["content_category"], r["origin_i"], r["origin_j"]) in content for r in rows)
     manifest = json.loads((d1 / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "dream"
     assert manifest["arguments"] == {

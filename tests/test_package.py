@@ -1,7 +1,7 @@
-"""Package hygiene: the public export list, unused imports, parameters, fields and definitions.
+"""Package hygiene: no re-exports, unused imports, parameters, fields and definitions.
 
 No linter ships with the toolchain, so these AST checks stand in for the
-rules that matter when code is deleted: every exported name still resolves,
+rules that matter when code is deleted: `__init__.py` re-exports nothing,
 no module keeps importing a name it no longer uses, no function keeps a
 parameter it never reads, no dataclass keeps a field nobody reads, and no
 function, class or method is kept for the tests alone.
@@ -47,16 +47,10 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in conscient_sim.__all__ if not hasattr(conscient_sim, name)]
-    assert missing == []
-    assert len(set(conscient_sim.__all__)) == len(conscient_sim.__all__)
-
-
-def test_all_lists_exactly_what_init_imports():
+def test_init_imports_nothing():
+    # callers import each name from the module that defines it
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
-    imported = {name for name in _imported_names(tree) if not name.startswith("_")}
-    assert set(conscient_sim.__all__) == imported | {"__version__"}
+    assert _imported_names(tree) == {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -232,7 +232,7 @@ def test_percept_store_categories_and_latest():
     latest = store.latest(("observed",))
     assert latest is not None and latest.id == "c"
     assert store.latest(("dreamed",)) is None
-    assert store.latest().id == "c"
+    assert store.latest(("received",)).id == "b"
     mixed = store.latest(("observed", "received"))
     assert mixed is not None and mixed.id == "c"
 

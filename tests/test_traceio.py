@@ -11,11 +11,9 @@ import stat
 import numpy as np
 import pytest
 
-from conscient_sim.dreams import DreamConfig, dream
 from conscient_sim.errors import TraceError
 from conscient_sim.fields import GridCell
-from conscient_sim.semantics import Percept, PerceptStore, load_graph
-from conscient_sim.seeds import make_rng
+from conscient_sim.semantics import Percept
 from conscient_sim.traceio import (
     DREAMS_HEADER,
     INTERACTIONS_HEADER,
@@ -25,7 +23,6 @@ from conscient_sim.traceio import (
     atomic_write_text,
     read_percepts_csv,
     read_trace_csv,
-    standalone_dream_rows,
     summarize_rows,
     write_dreams_csv,
     write_interactions_csv,
@@ -95,6 +92,19 @@ def test_read_trace_csv_validation(tmp_path):
     )
     with pytest.raises(TraceError):
         read_trace_csv(str(unordered))
+
+    bad_token = tmp_path / "t.csv"
+    bad_token.write_text(
+        head
+        + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,int:1:a1-p1\n"
+        + "0,1,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,int:x:a1-p1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TraceError) as exc:
+        read_trace_csv(str(bad_token))
+    assert str(exc.value) == (
+        f"trace file {bad_token}, line 3: malformed interaction token 'int:x:a1-p1'"
+    )
 
     with pytest.raises(TraceError):
         read_trace_csv(str(tmp_path / "missing.csv"))
@@ -327,19 +337,3 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
     assert ",-0.0," in text and ",0.0," in text and '"photo:a,b;int:1:q""x"' in text
     percepts = (tmp_path / "write_percepts_csv.csv").read_text(encoding="utf-8")
     assert "0.25;-0.0;0.0;" in percepts and "0.25;0.0;0.0;" in percepts
-
-
-def test_standalone_dream_rows_schema():
-    g = load_graph("a b\nb c", seed=1, feature_dim=3)
-    sg = load_graph("dark bright", seed=2, feature_dim=3)
-    content = PerceptStore()
-    content.attach(Percept("p1", np.zeros(3), "a", GridCell(1, 2), tick=1, kind="observed"))
-    style = PerceptStore()
-    style.attach(Percept("s1", np.zeros(3), "dark", GridCell(0, 0), tick=1, kind="style"))
-    frames = dream(content, g, style, sg, DreamConfig(length=3), make_rng(4))
-    rows = standalone_dream_rows(frames)
-    assert [r.tick for r in rows] == [1, 2, 3]
-    assert [r.frame_index for r in rows] == [1, 2, 3]
-    assert [r.valence for r in rows] == [0, 0, 0]
-    assert all(r.agent_id == 0 and r.percept_id == "" for r in rows)
-    assert rows[0].origin_i == 1 and rows[0].origin_j == 2
