@@ -11,6 +11,7 @@ import stat
 import numpy as np
 import pytest
 
+from conscient_sim.cli import run_command
 from conscient_sim.errors import TraceError
 from conscient_sim.fields import GridCell
 from conscient_sim.semantics import Percept
@@ -337,3 +338,36 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
     assert ",-0.0," in text and ",0.0," in text and '"photo:a,b;int:1:q""x"' in text
     percepts = (tmp_path / "write_percepts_csv.csv").read_text(encoding="utf-8")
     assert "0.25;-0.0;0.0;" in percepts and "0.25;0.0;0.0;" in percepts
+
+
+def test_standalone_dream_rows_schema(tmp_path, capsys):
+    # the `dream` command adapts bare frames (no agent, no field) to dreams.csv
+    (tmp_path / "content.txt").write_text("a b\nb c\n", encoding="utf-8")
+    (tmp_path / "style.txt").write_text("dark bright\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "world.feature_dim = 3\nworld.content_graph = content.txt\n"
+        "world.style_graph = style.txt\ndream.length = 3\n",
+        encoding="utf-8",
+    )
+    log = tmp_path / "percepts.csv"
+    write_percepts_csv(
+        str(log),
+        [
+            (0, Percept("p1", np.zeros(3), "a", GridCell(1, 2), tick=1, kind="observed")),
+            (0, Percept("s1", np.zeros(3), "dark", GridCell(0, 0), tick=1, kind="style")),
+        ],
+    )
+    out = tmp_path / "out"
+    argv = ["dream", "--config", str(cfg), "--percept-log", str(log), "--out", str(out)]
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    with open(out / "dreams.csv", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == DREAMS_HEADER
+        rows = list(reader)
+    assert [r["tick"] for r in rows] == ["1", "2", "3"]
+    assert [r["frame_index"] for r in rows] == ["1", "2", "3"]
+    assert [r["valence"] for r in rows] == ["0", "0", "0"]
+    assert all(r["agent_id"] == "0" and r["percept_id"] == "" for r in rows)
+    assert rows[0]["origin_i"] == "1" and rows[0]["origin_j"] == "2"
