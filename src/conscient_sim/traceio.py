@@ -183,34 +183,49 @@ def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, li
         raise TraceError(f"{what} {path}, line {reader.line_num}: {exc}") from None
 
 
+class _ParseMemo(dict):
+    """`float` of each distinct cell text, parsed once: `memo[text] == float(text)`.
+
+    Keyed on the text, so "0.0" and "-0.0" stay distinct.
+    """
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def read_trace_csv(path: str) -> list[TraceRow]:
     """Parse and validate a trace file; rows must be ordered by (tick, agent)."""
     rows = []
+    # emotions and field values repeat across agents and ticks
+    num = _ParseMemo()
     prev = None
     for lineno, rec in _read_csv(path, TRACE_HEADER, "trace file"):
+        tick, agent_id, i, j, mode, e_h, e_c, e_f, e_k, fatigue, field_value, ev = rec
         try:
             row = TraceRow(
-                tick=int(rec[0]),
-                agent_id=int(rec[1]),
-                i=int(rec[2]),
-                j=int(rec[3]),
-                mode=rec[4],
-                e_h=float(rec[5]),
-                e_c=float(rec[6]),
-                e_f=float(rec[7]),
-                e_k=float(rec[8]),
-                fatigue=float(rec[9]),
-                field_value=float(rec[10]),
-                events=tuple(t for t in rec[11].split(";") if t),
+                int(tick),
+                int(agent_id),
+                int(i),
+                int(j),
+                mode,
+                num[e_h],
+                num[e_c],
+                num[e_f],
+                num[e_k],
+                num[fatigue],
+                num[field_value],
+                tuple(filter(None, ev.split(";"))),
             )
-            if row.mode not in ("awake", "asleep"):
-                raise ValueError(f"unknown mode {row.mode!r}")
-            for token in row.events:
-                if token.startswith("int:"):
-                    try:
-                        int(token.split(":", 2)[1])
-                    except ValueError:
-                        raise ValueError(f"malformed interaction token {token!r}") from None
+            if mode not in ("awake", "asleep"):
+                raise ValueError(f"unknown mode {mode!r}")
+            if "int:" in ev:
+                for token in row.events:
+                    if token.startswith("int:"):
+                        try:
+                            int(token.split(":", 2)[1])
+                        except ValueError:
+                            raise ValueError(f"malformed interaction token {token!r}") from None
             key = (row.tick, row.agent_id)
             if prev is not None and key <= prev:
                 raise ValueError("rows not ordered by (tick, agent_id)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .semantics import (
 )
 
 STIMULUS_MODALITIES = ("music", "recipe")
+# Every graph node and every visited cell holds a feature_dim-long vector: at
+# resolution 128 the cell features alone take about 134 MB at this bound.
+MAX_FEATURE_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,10 @@ class WorldConfig:
                 )
         if len(set(self.stimulus_modalities)) != len(self.stimulus_modalities):
             raise ConfigError("world.stimulus_modalities has duplicates")
-        if self.feature_dim < 1:
-            raise ConfigError(f"world.feature_dim must be >= 1, got {self.feature_dim}")
+        if not (1 <= self.feature_dim <= MAX_FEATURE_DIM):
+            raise ConfigError(
+                f"world.feature_dim must be in [1, {MAX_FEATURE_DIM}], got {self.feature_dim}"
+            )
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError(
                 f"world.master_seed must be an unsigned 64-bit integer, "
@@ -110,8 +115,9 @@ class InteractionRecord:
     eval_by_b: float
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One trace.csv row: a tuple, as every tick and every replayed line builds one."""
+
     tick: int
     agent_id: int
     i: int
@@ -129,19 +135,21 @@ class TraceRow:
     def of(cls, agent: Agent, tick: int, events: tuple[str, ...]) -> TraceRow:
         """The trace.csv row of an agent's state at the end of a tick."""
         e = agent.emotions
+        pos = agent.position
+        i, j = pos.i, pos.j
         return cls(
-            tick=tick,
-            agent_id=agent.id,
-            i=agent.position.i,
-            j=agent.position.j,
-            mode=agent.mode,
-            e_h=e.happiness,
-            e_c=e.curiosity,
-            e_f=e.friendship,
-            e_k=e.courage,
-            fatigue=e.fatigue,
-            field_value=agent.field.values.item(agent.position.i, agent.position.j),
-            events=events,
+            tick,
+            agent.id,
+            i,
+            j,
+            agent.mode,
+            e.happiness,
+            e.curiosity,
+            e.friendship,
+            e.courage,
+            e.fatigue,
+            agent.field.values.item(i, j),
+            events,
         )
 
 

@@ -16,6 +16,7 @@ import pytest
 import conscient_sim
 from conscient_sim.cli import run_command
 from conscient_sim.configio import render_config
+from conscient_sim.world import MAX_FEATURE_DIM
 
 BASE_CONFIG = """\
 world.resolution = 8
@@ -142,6 +143,7 @@ def test_exit_code_1_on_out_of_range_search_seed(tmp_path, capsys, seed):
             "1",
             "agent.noise_sigma",
         ),
+        ("simulate", f"world.feature_dim = {MAX_FEATURE_DIM + 1}", "1", "world.feature_dim"),
     ],
     ids=[
         "step-lower",
@@ -152,6 +154,7 @@ def test_exit_code_1_on_out_of_range_search_seed(tmp_path, capsys, seed):
         "lengthscale-tiny",
         "lengthscale-huge",
         "noise-sigma",
+        "feature-dim-huge",
     ],
 )
 def test_exit_code_1_names_the_rejected_key(

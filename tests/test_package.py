@@ -3,8 +3,8 @@
 No linter ships with the toolchain, so these AST checks stand in for the
 rules that matter when code is deleted: `__init__.py` re-exports nothing,
 no module keeps importing a name it no longer uses, no function keeps a
-parameter it never reads, no dataclass keeps a field nobody reads, and no
-function, class or method is kept for the tests alone.
+parameter it never reads, no dataclass or `NamedTuple` keeps a field nobody
+reads, and no function, class or method is kept for the tests alone.
 """
 
 from __future__ import annotations
@@ -114,6 +114,15 @@ def _is_dataclass_decorator(node: ast.expr) -> bool:
     )
 
 
+def _is_record_class(cls: ast.ClassDef) -> bool:
+    """A `@dataclass` or a `NamedTuple` subclass: its annotated names are fields."""
+    return any(_is_dataclass_decorator(d) for d in cls.decorator_list) or any(
+        (isinstance(b, ast.Name) and b.id == "NamedTuple")
+        or (isinstance(b, ast.Attribute) and b.attr == "NamedTuple")
+        for b in cls.bases
+    )
+
+
 def _walks_own_fields(cls: ast.ClassDef) -> bool:
     """The class reads its fields by `fields(self)`, not by name."""
     return any(
@@ -125,24 +134,42 @@ def _walks_own_fields(cls: ast.ClassDef) -> bool:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
-def test_module_dataclass_fields_are_read(path):
-    # matched by attribute name across src/ and bench/, so this is a lower
-    # bound: a field sharing its name with one that is read passes
-    loads = _attribute_loads([*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")])
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    unread = [
+def _unread_fields(tree: ast.Module, loads: set[str]) -> list[str]:
+    """`Class.field` for each field of a record class that is not in `loads`."""
+    return [
         f"{cls.name}.{stmt.target.id}"
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
-        and any(_is_dataclass_decorator(d) for d in cls.decorator_list)
+        and _is_record_class(cls)
         and not _walks_own_fields(cls)
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign)
         and isinstance(stmt.target, ast.Name)
         and stmt.target.id not in loads
     ]
-    assert unread == [], f"{path.name} has dataclass fields nothing reads"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_dataclass_fields_are_read(path):
+    # matched by attribute name across src/ and bench/, so this is a lower
+    # bound: a field sharing its name with one that is read passes
+    loads = _attribute_loads([*PACKAGE_DIR.glob("*.py"), *BENCH_DIR.glob("*.py")])
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = _unread_fields(tree, loads)
+    assert unread == [], f"{path.name} has record fields nothing reads"
+
+
+def test_unread_field_checker_covers_named_tuples():
+    lib = (
+        "import typing\n\n"
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n\n"
+        "class N(NamedTuple):\n    b: int\n\n"
+        "class T(typing.NamedTuple):\n    c: int\n\n"
+        "class Plain:\n    d: int\n"
+    )
+    tree = ast.parse(lib)
+    assert _unread_fields(tree, set()) == ["D.a", "N.b", "T.c"]
+    assert _unread_fields(tree, {"a", "b", "c"}) == []
 
 
 # Definitions kept although nothing in src/ or bench/ references them, each

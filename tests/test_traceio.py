@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import stat
 
@@ -93,6 +94,28 @@ def test_read_trace_csv_validation(tmp_path):
     )
     with pytest.raises(TraceError):
         read_trace_csv(str(unordered))
+
+    # a row's faults are reported in one order: a number that does not
+    # parse, then the mode, then an interaction token, then the row order
+    bad_float_and_mode = tmp_path / "fm.csv"
+    bad_float_and_mode.write_text(
+        head + "0,0,1,1,groggy,0.5,oops,0.5,0.5,0.0,0.1,\n", encoding="utf-8"
+    )
+    with pytest.raises(TraceError) as exc:
+        read_trace_csv(str(bad_float_and_mode))
+    assert str(exc.value) == (
+        f"trace file {bad_float_and_mode}, line 2: could not convert string to float: 'oops'"
+    )
+    bad_mode_and_order = tmp_path / "mo.csv"
+    bad_mode_and_order.write_text(
+        head
+        + "1,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
+        + "0,0,1,1,groggy,0.5,0.5,0.5,0.5,0.0,0.1,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TraceError) as exc:
+        read_trace_csv(str(bad_mode_and_order))
+    assert str(exc.value) == f"trace file {bad_mode_and_order}, line 3: unknown mode 'groggy'"
 
     bad_token = tmp_path / "t.csv"
     bad_token.write_text(
@@ -336,6 +359,14 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
     # the rows did reach what they target
     text = (tmp_path / "write_trace_csv.csv").read_text(encoding="utf-8")
     assert ",-0.0," in text and ",0.0," in text and '"photo:a,b;int:1:q""x"' in text
+    # and read back equal, each float with its sign, though the reader parses
+    # each distinct cell text once
+    back = read_trace_csv(str(tmp_path / "write_trace_csv.csv"))
+    assert back == trace_rows
+    for got, want in zip(back, trace_rows):
+        for name in ("e_h", "e_c", "e_f", "e_k", "fatigue", "field_value"):
+            sign = math.copysign(1.0, getattr(got, name))
+            assert sign == math.copysign(1.0, getattr(want, name)), (got, name)
     percepts = (tmp_path / "write_percepts_csv.csv").read_text(encoding="utf-8")
     assert "0.25;-0.0;0.0;" in percepts and "0.25;0.0;0.0;" in percepts
 
