@@ -1,8 +1,9 @@
 """CSV serialization for traces, records, and metrics.
 
 Owns the on-disk schemas. Numbers render via repr so floats round-trip
-exactly and identical runs produce byte-identical files; rows stream through
-`csv.writer` into a temp file that is renamed into place. `summarize_rows`
+exactly and identical runs produce byte-identical files. Each row is rendered
+as one line, with text cells quoted CSV-style only when they need it, and the
+lines stream into a temp file that is renamed into place. `summarize_rows`
 recomputes a full metrics summary from trace rows alone, independently of the
 in-memory record lists, which is what the `metrics` subcommand and the
 consistency checks use.
@@ -123,34 +124,31 @@ def atomic_write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+def _cell(text: str) -> str:
+    """`text` as one CSV cell: wrapped in quotes, with each inner quote doubled,
+    only when it holds a `,`, a `"` or a newline, as `csv.writer` would."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_lines(path: str, header: list[str], lines: Iterable[str]) -> None:
+    """Write the header line, then stream `lines` (each ending in a newline) into `path`."""
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def write_trace_csv(path: str, rows: Iterable[TraceRow]) -> None:
     # emotions and field values repeat across agents and ticks
     fmt = _FloatMemo()
-    _write_csv(
+    _write_lines(
         path,
         TRACE_HEADER,
         (
-            [
-                r.tick,
-                r.agent_id,
-                r.i,
-                r.j,
-                r.mode,
-                fmt[r.e_h],
-                fmt[r.e_c],
-                fmt[r.e_f],
-                fmt[r.e_k],
-                fmt[r.fatigue],
-                fmt[r.field_value],
-                ";".join(r.events),
-            ]
+            f"{r.tick},{r.agent_id},{r.i},{r.j},{_cell(r.mode)},{fmt[r.e_h]},{fmt[r.e_c]},"
+            f"{fmt[r.e_f]},{fmt[r.e_k]},{fmt[r.fatigue]},{fmt[r.field_value]},"
+            f"{_cell(';'.join(r.events))}\n"
             for r in rows
         ),
     )
@@ -259,43 +257,25 @@ def summarize_rows(rows: list[TraceRow]) -> Metrics:
 
 
 def write_interactions_csv(path: str, records: Iterable[InteractionRecord]) -> None:
-    _write_csv(
+    _write_lines(
         path,
         INTERACTIONS_HEADER,
         (
-            [
-                r.tick,
-                r.agent_a,
-                r.agent_b,
-                r.cell.i,
-                r.cell.j,
-                r.sent_by_a,
-                r.sent_by_b,
-                _fmt(r.eval_by_a),
-                _fmt(r.eval_by_b),
-            ]
+            f"{r.tick},{r.agent_a},{r.agent_b},{r.cell.i},{r.cell.j},{_cell(r.sent_by_a)},"
+            f"{_cell(r.sent_by_b)},{_fmt(r.eval_by_a)},{_fmt(r.eval_by_b)}\n"
             for r in records
         ),
     )
 
 
 def write_dreams_csv(path: str, rows: Iterable[DreamFrameRow]) -> None:
-    _write_csv(
+    _write_lines(
         path,
         DREAMS_HEADER,
         (
-            [
-                r.agent_id,
-                r.tick,
-                r.frame_index,
-                r.percept_id,
-                r.content_category,
-                r.style_category,
-                r.origin_i,
-                r.origin_j,
-                r.pair_distance,
-                r.valence,
-            ]
+            f"{r.agent_id},{r.tick},{r.frame_index},{_cell(r.percept_id)},"
+            f"{_cell(r.content_category)},{_cell(r.style_category)},{r.origin_i},{r.origin_j},"
+            f"{'' if r.pair_distance is None else r.pair_distance},{r.valence}\n"
             for r in rows
         ),
     )
@@ -315,11 +295,12 @@ def write_percepts_csv(path: str, rows: Iterable[tuple[int, Percept]]) -> None:
             text = rendered[key] = ";".join(map(_fmt, vec.tolist()))
         return text
 
-    _write_csv(
+    _write_lines(
         path,
         PERCEPTS_HEADER,
         (
-            [aid, p.id, p.kind, p.category, p.origin.i, p.origin.j, p.tick, features(p.features)]
+            f"{aid},{_cell(p.id)},{_cell(p.kind)},{_cell(p.category)},{p.origin.i},{p.origin.j},"
+            f"{p.tick},{features(p.features)}\n"
             for aid, p in rows
         ),
     )
@@ -350,7 +331,7 @@ def _render_metric(v) -> str:
 
 
 def write_metrics_csv(path: str, m: Metrics) -> None:
-    _write_csv(path, METRICS_HEADER, ([k, _render_metric(v)] for k, v in m.items()))
+    _write_lines(path, METRICS_HEADER, (f"{_cell(k)},{_render_metric(v)}\n" for k, v in m.items()))
 
 
 def write_manifest(path: str, manifest: dict) -> None:

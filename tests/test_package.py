@@ -4,7 +4,8 @@ No linter ships with the toolchain, so these AST checks stand in for the
 rules that matter when code is deleted: `__init__.py` re-exports nothing,
 no module keeps importing a name it no longer uses, no function keeps a
 parameter it never reads, no dataclass or `NamedTuple` keeps a field nobody
-reads, and no function, class or method is kept for the tests alone.
+reads, no function, class or method is kept for the tests alone, and no
+file is opened for writing outside the atomic-rename helper.
 """
 
 from __future__ import annotations
@@ -265,3 +266,81 @@ def test_unreached_checker_flags_and_clears():
     assert _unreached({"lib": lib}, [], {**allowed, "lib.helper": "oracle"}) == [
         "stale allowlist entry lib.helper"
     ]
+
+
+# The one function that may open a file for writing: every output goes
+# through its temp file and rename.
+WRITE_OPENER = ("traceio", "_atomic_open")
+
+
+def _is_open_call(call: ast.Call) -> bool:
+    """`open(...)`, `io.open(...)`, `os.open(...)` or `os.fdopen(...)`."""
+    fn = call.func
+    if isinstance(fn, ast.Name):
+        return fn.id == "open"
+    return (
+        isinstance(fn, ast.Attribute)
+        and isinstance(fn.value, ast.Name)
+        and (fn.value.id, fn.attr) in {("io", "open"), ("os", "open"), ("os", "fdopen")}
+    )
+
+
+def _opens_for_reading(call: ast.Call) -> bool:
+    """A constant mode without `w`, `a`, `x` or `+`, or `os.open` with `os.O_RDONLY`."""
+    fn = call.func
+    if isinstance(fn, ast.Attribute) and (fn.value.id, fn.attr) == ("os", "open"):
+        flags = call.args[1] if len(call.args) > 1 else None
+        return isinstance(flags, ast.Attribute) and flags.attr == "O_RDONLY"
+    mode = call.args[1] if len(call.args) > 1 else None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    if mode is None:
+        return True  # the default, "r"
+    return isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")
+
+
+def _stray_write_opens(modules: dict[str, str]) -> list[str]:
+    """`module:line` of each open call (stem -> source) that may write and is
+    not inside `WRITE_OPENER`."""
+    out = []
+    for stem, src in modules.items():
+        tree = ast.parse(src)
+        allowed = {
+            id(n)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (stem, fn.name) == WRITE_OPENER
+            for n in ast.walk(fn)
+        }
+        out += [
+            f"{stem}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and _is_open_call(n)
+            and id(n) not in allowed
+            and not _opens_for_reading(n)
+        ]
+    return out
+
+
+def test_every_write_goes_through_the_atomic_open():
+    # outputs are renamed into place, so a reader never sees a partial file
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert _stray_write_opens(modules) == []
+
+
+def test_write_open_checker_flags_and_clears():
+    lib = (
+        "import io, os\n\n"
+        "def read(p):\n"
+        "    open(p)\n    open(p, 'rb')\n    open(p, mode='r', encoding='utf-8')\n"
+        "    os.open(p, os.O_RDONLY)\n\n"
+        "def write(p, m):\n"
+        "    open(p, 'w')\n    open(p, mode='a')\n    io.open(p, 'r+')\n    open(p, m)\n"
+        "    os.open(p, os.O_WRONLY)\n    os.fdopen(3, 'wb')\n"
+    )
+    flagged = [f"lib:{line}" for line in range(10, 16)]
+    assert _stray_write_opens({"lib": lib}) == flagged
+    # the same calls inside traceio._atomic_open are allowed, and only there
+    inside = lib.replace("def write(", "def _atomic_open(")
+    assert _stray_write_opens({"traceio": inside}) == []
+    assert _stray_write_opens({"lib": inside}) == flagged

@@ -19,8 +19,10 @@ from conscient_sim.semantics import Percept
 from conscient_sim.traceio import (
     DREAMS_HEADER,
     INTERACTIONS_HEADER,
+    METRICS_HEADER,
     PERCEPTS_HEADER,
     TRACE_HEADER,
+    _cell,
     _fmt,
     atomic_write_text,
     read_percepts_csv,
@@ -36,6 +38,7 @@ from conscient_sim.traceio import (
 from conscient_sim.world import (
     DreamFrameRow,
     InteractionRecord,
+    Metrics,
     TraceRow,
     WorldConfig,
     metrics,
@@ -198,6 +201,19 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
     with pytest.raises(TraceError):
         read_percepts_csv(str(tmp_path / "missing.csv"))
 
+    # ids and categories that the writer must quote come back as they were,
+    # through the reader `conscient-sim dream` uses
+    quoted = [
+        (0, Percept('p,1', np.zeros(2), 'dog,cat', GridCell(1, 2), 3, "observed")),
+        (1, Percept('say "hi"', np.ones(2), '"', GridCell(0, 0), 0, "style")),
+        (1, Percept('a,"b",', np.ones(2), 'x"",y', GridCell(3, 1), 7, "received")),
+    ]
+    write_percepts_csv(str(path), quoted)
+    back = read_percepts_csv(str(path))
+    assert [(aid, p.id, p.category) for aid, p in back] == [
+        (aid, p.id, p.category) for aid, p in quoted
+    ]
+
 
 @pytest.mark.parametrize(
     "row, message",
@@ -312,28 +328,38 @@ def _oracle_percept(pair: tuple[int, Percept]) -> list:
     return [aid, p.id, p.kind, p.category, p.origin.i, p.origin.j, p.tick, features]
 
 
+def _oracle_metrics(m: Metrics) -> list[list]:
+    return [[k, str(v) if isinstance(v, (int, np.integer)) else _fmt(v)] for k, v in m.items()]
+
+
 def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
     # signed zeros in one column, an int and NumPy scalars in float columns,
-    # values that repeat, and strings that need CSV quoting
+    # values that repeat, and strings that need CSV quoting: a comma, a quote
+    # alone or doubled, a newline; `\r` and non-ASCII text need none
     floats = [
         0.0, -0.0, 1, 1.0, np.float64(0.1), np.float32(0.1), 0.1,
         np.float64(-0.0), float("inf"), 1e-300, 0.1 + 0.2, 0.0, -0.0,
     ]
+    texts = ["a,b", 'q"x', "line\nbreak", "car\rriage", '""', '"', "café 日本", "", "plain"]
     trace_rows = [
         TraceRow(
-            tick=t, agent_id=t % 3, i=1, j=2, mode="awake",
+            tick=t, agent_id=t % 3, i=1, j=2, mode="awake" if t % 3 else "asleep",
             e_h=v, e_c=-v, e_f=floats[-1 - t], e_k=1, fatigue=np.float64(0.5),
-            field_value=v, events=("photo:a,b", 'int:1:q"x') if t % 2 else (),
+            field_value=v,
+            # a bare \r ends a record for csv.reader, so the rows read back below hold none
+            events=("photo:a,b", 'int:1:q"x', "dream:x\ny", '""', '"') if t % 2 else (),
         )
         for t, v in enumerate(floats)
     ]
     records = [
-        InteractionRecord(t, 0, 1, GridCell(t, 2), "a,b", 'q"x', v, floats[-1 - t])
+        InteractionRecord(
+            t, 0, 1, GridCell(t, 2), texts[t % 9], texts[-1 - t % 9], v, floats[-1 - t]
+        )
         for t, v in enumerate(floats)
     ]
     dream_rows = [
-        DreamFrameRow(0, t, t, "a,b", 'q"x', "plain", 1, 2, distance, -1)
-        for t, distance in enumerate([None, 0, 3, None])
+        DreamFrameRow(0, t, t, texts[t], texts[-1 - t], texts[(t + 3) % 9], 1, 2, distance, -1)
+        for t, distance in enumerate([None, 0, 3, None, 1, 2, None, 4, 0])
     ]
     # one array shared by several rows, an equal copy, the same values with
     # +0.0 for -0.0, a float32 vector and an all-zero one
@@ -343,7 +369,10 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
         shared, shared.astype(np.float32), np.zeros(4),
     ]
     percept_rows = [
-        (t % 2, Percept("a,b" if t % 2 else f"p{t}", vec, 'q"x', GridCell(1, 2), t, "observed"))
+        (
+            t % 2,
+            Percept(texts[t] if t % 2 else f"p{t}", vec, texts[-1 - t], GridCell(1, 2), t, "observed"),
+        )
         for t, vec in enumerate(vectors)
     ]
     cases = [
@@ -354,11 +383,22 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
     ]
     for writer, header, rows, oracle in cases:
         path = tmp_path / f"{writer.__name__}.csv"
-        writer(str(path), rows)
+        writer(str(path), iter(rows))  # one pass, as a generator gives
         assert path.read_bytes() == _oracle_csv(header, map(oracle, rows)), writer.__name__
+    # ints, NumPy integers and floats of each kind in one summary
+    summary = Metrics(
+        interactions=np.int64(3), photos=0, dream_frames=5, total_moves=7,
+        moves_per_agent=(1, np.int64(2), 4), mean_happiness=np.float64(0.1),
+        mean_curiosity=-0.0, mean_friendship=0.1 + 0.2, mean_courage=1e-300,
+        mean_fatigue=np.float32(0.5),
+    )
+    write_metrics_csv(str(tmp_path / "metrics.csv"), summary)
+    want = _oracle_csv(METRICS_HEADER, _oracle_metrics(summary))
+    assert (tmp_path / "metrics.csv").read_bytes() == want
     # the rows did reach what they target
     text = (tmp_path / "write_trace_csv.csv").read_text(encoding="utf-8")
-    assert ",-0.0," in text and ",0.0," in text and '"photo:a,b;int:1:q""x"' in text
+    assert ",-0.0," in text and ",0.0," in text
+    assert ',"photo:a,b;int:1:q""x;dream:x\ny;"""";"""\n' in text
     # and read back equal, each float with its sign, though the reader parses
     # each distinct cell text once
     back = read_trace_csv(str(tmp_path / "write_trace_csv.csv"))
@@ -369,6 +409,54 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
             assert sign == math.copysign(1.0, getattr(want, name)), (got, name)
     percepts = (tmp_path / "write_percepts_csv.csv").read_text(encoding="utf-8")
     assert "0.25;-0.0;0.0;" in percepts and "0.25;0.0;0.0;" in percepts
+
+
+def test_cell_quotes_exactly_what_csv_writer_quotes():
+    # every BMP code point but the surrogates, between two plain characters
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quoted, mismatched = [], []
+    for code in range(0x10000):
+        if 0xD800 <= code <= 0xDFFF:
+            continue
+        text = "a" + chr(code) + "b"
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([text])
+        if _cell(text) + "\n" != buf.getvalue():
+            mismatched.append(hex(code))
+        if _cell(text) != text:
+            quoted.append(chr(code))
+    assert mismatched == []
+    assert sorted(quoted) == ["\n", '"', ","]  # \r is not quoted
+    # csv.writer writes a row of one empty field as `""`; no schema has one column
+    headers = [TRACE_HEADER, INTERACTIONS_HEADER, DREAMS_HEADER, PERCEPTS_HEADER, METRICS_HEADER]
+    assert min(map(len, headers)) >= 2
+
+
+@pytest.mark.parametrize(
+    "writer, row",
+    [
+        (write_trace_csv, TraceRow(0, 0, 1, 2, "awake", 0.5, 0.5, 0.5, 0.5, 0.0, 0.1, ("p:1",))),
+        (write_interactions_csv, InteractionRecord(0, 0, 1, GridCell(1, 2), "p1", "p2", 0.5, 0.2)),
+        (write_dreams_csv, DreamFrameRow(0, 1, 1, "p1", "dog", "dark", 1, 2, None, 0)),
+        (write_percepts_csv, (0, Percept("p1", np.full(8, 0.1), "dog", GridCell(1, 2), 1, "style"))),
+    ],
+    ids=["trace", "interactions", "dreams", "percepts"],
+)
+def test_writers_stream_rows_into_the_temp_file(tmp_path, writer, row):
+    # a writer that gathered every row before writing would hold a whole
+    # percepts.csv (9.4 MB on a 32-agent run) in memory at once
+    sizes = []
+
+    def rows():
+        for _ in range(20_000):
+            yield row
+        sizes.extend(p.stat().st_size for p in tmp_path.glob(".tmp-*.part"))
+
+    writer(str(tmp_path / "out.csv"), rows())
+    assert len(sizes) == 1 and sizes[0] > 0
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_standalone_dream_rows_schema(tmp_path, capsys):
