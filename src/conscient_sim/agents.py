@@ -195,24 +195,24 @@ def receive_percept(agent: Agent, percept: Percept) -> float:
     the evaluation compares with the high-value cutoff, and moves friendship;
     a duplicate id changes nothing but is still evaluated.
     """
-    cfg = agent.config
     evaluation = agent.field.value_at(percept.origin)
-    received = Percept(
-        id=percept.id,
-        features=percept.features,
-        category=percept.category,
-        origin=percept.origin,
-        tick=percept.tick,
-        kind="received",
-    )
-    stored = agent.percepts.attach(received)
-    if stored:
-        agent.emotions = apply_event(
-            agent.emotions, "interaction", evaluation, cfg.emotion, agent.rng
+    if percept.id in agent.percepts:
+        return evaluation
+    cfg = agent.config
+    agent.percepts.attach(
+        Percept(
+            id=percept.id,
+            features=percept.features,
+            category=percept.category,
+            origin=percept.origin,
+            tick=percept.tick,
+            kind="received",
         )
-        peak = cfg.visit_reward if evaluation > cfg.emotion.high_value_cutoff else -cfg.visit_reward
-        if peak != 0.0:
-            agent.field = local_bump(agent.field, percept.origin, peak, cfg.visit_width)
+    )
+    agent.emotions = apply_event(agent.emotions, "interaction", evaluation, cfg.emotion, agent.rng)
+    peak = cfg.visit_reward if evaluation > cfg.emotion.high_value_cutoff else -cfg.visit_reward
+    if peak != 0.0:
+        agent.field = local_bump(agent.field, percept.origin, peak, cfg.visit_width)
     return evaluation
 
 

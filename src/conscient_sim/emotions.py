@@ -97,8 +97,13 @@ class EmotionParams:
             raise ConfigError("emotion.high_value_cutoff must be finite")
 
 
+# Generator.uniform(lo, hi) returns lo + (hi - lo) * next_double, and
+# Generator.random() returns next_double from the same stream position, so
+# _delta and should_sleep draw uniform's doubles bit for bit without paying
+# for its argument handling.
 def _delta(params: EmotionParams, rng: np.random.Generator) -> float:
-    return float(rng.uniform(params.delta_lower, params.delta_upper))
+    lo = params.delta_lower
+    return lo + (params.delta_upper - lo) * rng.random()
 
 
 def apply_event(
@@ -180,4 +185,4 @@ def should_sleep(
     """
     if ticks_awake >= t_awake_cap:
         return True
-    return float(rng.uniform(0.0, state.fatigue)) > params.threshold
+    return state.fatigue * rng.random() > params.threshold

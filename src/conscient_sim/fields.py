@@ -7,6 +7,10 @@ Gaussian bumps (visit penalties, rewards, social feedback) and by additive
 white noise on waking. Every operation here is a pure function of its inputs
 and the supplied random stream: callers get a new field back, inputs are never
 mutated.
+
+A bump on an r x r grid is an r x r slice of one cached (2r - 1) x (2r - 1)
+window of the unit bump per (resolution, width), so repeated bumps exponentiate
+nothing; the slice holds the same doubles a per-cell evaluation gives.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class ValueField:
                 f"field values shape {self.values.shape} does not match "
                 f"resolution {self.resolution}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ConfigError(
                 "field values must be finite; check the keys that feed a field: "
                 "world.reward_peak, world.reward_count, agent.visit_peak, "
@@ -162,21 +166,32 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
         raise ConfigError(f"bump width must be > 0, got {width}")
     if not math.isfinite(peak):
         raise ConfigError(f"bump peak must be finite, got {peak}")
-    sq = _squared_offsets(field.resolution)
-    d2 = sq[center.i][:, None] + sq[center.j][None, :]
+    r = field.resolution
+    window = _unit_bump_window(r, width)
+    # rows r-1-i .. 2r-2-i hold offsets -i .. r-1-i from the center row, so the
+    # slice holds exp(-d^2 / (2 width^2)) at every cell of the grid
+    unit = window[r - 1 - center.i : 2 * r - 1 - center.i, r - 1 - center.j : 2 * r - 1 - center.j]
     # a sum that overflows is reported by ValueField, which names the keys
     with np.errstate(over="ignore", invalid="ignore"):
-        values = field.values + peak * np.exp(-d2 / (2.0 * width * width))
+        values = field.values + peak * unit
     return ValueField(field.resolution, values)
 
 
 @functools.lru_cache(maxsize=8)
-def _squared_offsets(resolution: int) -> np.ndarray:
-    """Read-only table sq[c, k] = (k - c)^2 over grid coordinates."""
-    idx = np.arange(resolution, dtype=float)
-    sq = (idx[None, :] - idx[:, None]) ** 2
-    sq.flags.writeable = False
-    return sq
+def _unit_bump_window(resolution: int, width: float) -> np.ndarray:
+    """Read-only unit bump exp(-d^2 / (2 width^2)) over every offset a grid holds.
+
+    Entry [a, b] is at offset (a - r + 1, b - r + 1), so the window is
+    (2r - 1) x (2r - 1) and its center is offset (0, 0). d^2 is an exact
+    integer in float, the same value as the per-cell squared distance.
+    """
+    off = np.arange(1 - resolution, resolution, dtype=float) ** 2
+    d2 = off[:, None] + off[None, :]
+    # a width whose square underflows gives a NaN center, which ValueField rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        window = np.exp(-d2 / (2.0 * width * width))
+    window.flags.writeable = False
+    return window
 
 
 def contaminate(field: ValueField, sigma: float, rng: np.random.Generator) -> ValueField:

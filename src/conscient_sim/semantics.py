@@ -76,7 +76,9 @@ class SemanticGraph:
 
     Row k of the read-only `prototype_matrix` is the prototype of `nodes[k]`;
     `_hop_rows` memoises BFS hop counts per start node as `hop_counts` is
-    asked for them.
+    asked for them, and `_classified` memoises `classify` by the bytes of the
+    feature vector: at most one entry per distinct vector classified against
+    this graph (a world classifies only its r^2 cell vectors).
     """
 
     nodes: tuple[str, ...]
@@ -84,6 +86,7 @@ class SemanticGraph:
     feature_dim: int
     prototype_matrix: np.ndarray = field(repr=False)
     _hop_rows: dict[str, dict[str, int]] = field(init=False, repr=False, default_factory=dict)
+    _classified: dict[bytes, str] = field(init=False, repr=False, default_factory=dict)
 
     def has_node(self, name: str) -> bool:
         return name in self.adjacency
@@ -170,7 +173,8 @@ def semantic_distance(graph: SemanticGraph, start: str, end: str) -> Optional[in
 def classify(features: np.ndarray, graph: SemanticGraph) -> str:
     """Name of the category whose prototype is nearest in Euclidean distance.
 
-    Exact ties resolve to the lexicographically smallest name.
+    Exact ties resolve to the lexicographically smallest name. Memoised per
+    graph on the vector's bytes, after the shape and empty-graph checks.
     """
     feats = np.asarray(features, dtype=float)
     if feats.shape != (graph.feature_dim,):
@@ -179,7 +183,10 @@ def classify(features: np.ndarray, graph: SemanticGraph) -> str:
         )
     if not graph.nodes:
         raise ContractError("cannot classify against an empty graph")
-    best = None
+    key = feats.tobytes()
+    best = graph._classified.get(key)
+    if best is not None:
+        return best
     best_d = float("inf")
     # sqrt(x.dot(x)) per row is exactly what np.linalg.norm computes for a
     # vector; a batched reduction sums in another order and can flip near-ties.
@@ -189,6 +196,7 @@ def classify(features: np.ndarray, graph: SemanticGraph) -> str:
         if d < best_d:
             best, best_d = name, d
     assert best is not None
+    graph._classified[key] = best
     return best
 
 
@@ -220,6 +228,9 @@ class PerceptStore:
     def __init__(self) -> None:
         self._by_id: dict[str, Percept] = {}  # insertion order is attach order
         self._by_category: dict[str, list[Percept]] = {}
+
+    def __contains__(self, percept_id: str) -> bool:
+        return percept_id in self._by_id
 
     def attach(self, percept: Percept) -> bool:
         if percept.id in self._by_id:

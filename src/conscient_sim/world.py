@@ -360,20 +360,22 @@ def row_metrics(
     """
     last_pos: dict[int, tuple[int, int]] = {}
     moves: dict[int, int] = {}
-    sums = [0.0, 0.0, 0.0, 0.0, 0.0]
-    for row in rows:
-        moves.setdefault(row.agent_id, 0)
-        prev = last_pos.get(row.agent_id)
-        if prev is not None and prev != (row.i, row.j):
-            moves[row.agent_id] += 1
-        last_pos[row.agent_id] = (row.i, row.j)
-        sums[0] += row.e_h
-        sums[1] += row.e_c
-        sums[2] += row.e_f
-        sums[3] += row.e_k
-        sums[4] += row.fatigue
+    s_h = s_c = s_f = s_k = s_fat = 0.0
+    # unpacked, as a NamedTuple attribute read costs twice a tuple unpack
+    for _, aid, i, j, _, e_h, e_c, e_f, e_k, fatigue, _, _ in rows:
+        moves.setdefault(aid, 0)
+        prev = last_pos.get(aid)
+        pos = (i, j)
+        if prev is not None and prev != pos:
+            moves[aid] += 1
+        last_pos[aid] = pos
+        s_h += e_h
+        s_c += e_c
+        s_f += e_f
+        s_k += e_k
+        s_fat += fatigue
     n = len(rows)
-    means = [s / n if n else 0.0 for s in sums]
+    means = [s / n if n else 0.0 for s in (s_h, s_c, s_f, s_k, s_fat)]
     per_agent = tuple(moves[aid] for aid in sorted(moves))
     return Metrics(
         interactions=interactions,

@@ -268,12 +268,14 @@ def test_receive_percept_duplicate_is_inert():
     receive_percept(agent, p)
     snapshot_field = agent.field.values.copy()
     snapshot_emotions = agent.emotions.copy()
+    snapshot_rng = agent.rng.bit_generator.state
     ev = receive_percept(agent, p)
     assert ev == pytest.approx(agent.field.value_at(GridCell(2, 2)))
     assert sum(p.kind == "received" for p in agent.percepts) == 1
     assert len(agent.percepts) == 1
     assert np.array_equal(agent.field.values, snapshot_field)
     assert agent.emotions == snapshot_emotions
+    assert agent.rng.bit_generator.state == snapshot_rng
 
 
 def test_latest_sendable_percept_skips_received_and_style():

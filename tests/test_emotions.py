@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from conscient_sim.emotions import (
     EVENT_KINDS,
     EmotionParams,
     EmotionState,
+    _delta,
     apply_event,
     should_sleep,
     tick_emotions,
@@ -188,3 +190,34 @@ def test_should_sleep_rate_matches_uniform_law():
     assert abs(hits_half / n - 1.0 / 9.0) < 0.03
     below = EmotionState(fatigue=0.5)
     assert not any(should_sleep(below, 0, 10_000, params, rng) for _ in range(200))
+
+
+# (0, f) for f in {0, 0.37, 1} are the shapes should_sleep draws with
+DRAW_BOUNDS = [(0.0, 0.0), (0.02, 0.08), (0.1, 0.1), (0.0, 0.37), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("lo,hi", DRAW_BOUNDS)
+def test_delta_draw_equals_generator_uniform_bit_for_bit(lo, hi):
+    params = EmotionParams(delta_lower=lo, delta_upper=hi)
+    for seed in range(200):
+        ours, numpys = make_rng(seed), make_rng(seed)
+        got, want = _delta(params, ours), numpys.uniform(lo, hi)
+        assert type(got) is float and got.hex() == float(want).hex()
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+@pytest.mark.parametrize("f", [0.0, 0.37, 1.0])
+def test_should_sleep_draw_equals_generator_uniform_bit_for_bit(f):
+    # the draw u is pinned from both sides: it is not above u itself, and it
+    # is above the next double below u
+    state = EmotionState(fatigue=f)
+    for seed in range(200):
+        numpys = make_rng(seed)
+        u = float(numpys.uniform(0.0, f))
+        below = math.nextafter(u, -math.inf)
+        for threshold, want in ((u, False), (below, True)):
+            if not 0.0 <= threshold <= 1.0:
+                continue
+            ours = make_rng(seed)
+            assert should_sleep(state, 0, 10, EmotionParams(threshold=threshold), ours) is want
+            assert ours.bit_generator.state == numpys.bit_generator.state

@@ -9,6 +9,7 @@ import pytest
 
 from conscient_sim.errors import ConfigError, CovarianceDegeneracyError
 from conscient_sim.fields import (
+    MAX_RESOLUTION,
     GridCell,
     KernelConfig,
     ValueField,
@@ -160,6 +161,17 @@ def test_local_bump_matches_closed_form_bit_for_bit():
                     want = base.values + -0.5 * np.exp(-d2 / (2.0 * width * width))
                     got = local_bump(base, GridCell(i, j), -0.5, width)
                     assert np.array_equal(got.values, want)
+    # the window's extreme slices: the four corners and the centre of the
+    # largest grid
+    r = MAX_RESOLUTION
+    idx = np.arange(r, dtype=float)
+    base = ValueField(r, make_rng(r).normal(size=(r, r)))
+    for width in (0.5, 7.3):
+        for i, j in ((0, 0), (0, r - 1), (r - 1, 0), (r - 1, r - 1), (r // 2, r // 2)):
+            d2 = (idx[:, None] - i) ** 2 + (idx[None, :] - j) ** 2
+            want = base.values + -0.5 * np.exp(-d2 / (2.0 * width * width))
+            got = local_bump(base, GridCell(i, j), -0.5, width)
+            assert np.array_equal(got.values, want)
 
 
 def test_local_bump_roundtrip_restores_field():

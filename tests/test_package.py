@@ -4,8 +4,9 @@ No linter ships with the toolchain, so these AST checks stand in for the
 rules that matter when code is deleted: `__init__.py` re-exports nothing,
 no module keeps importing a name it no longer uses, no function keeps a
 parameter it never reads, no dataclass or `NamedTuple` keeps a field nobody
-reads, no function, class or method is kept for the tests alone, and no
-file is opened for writing outside the atomic-rename helper.
+reads, no function, class or method is kept for the tests alone, no
+file is opened for writing outside the atomic-rename helper, and no
+`functools` cache grows without bound.
 """
 
 from __future__ import annotations
@@ -344,3 +345,91 @@ def test_write_open_checker_flags_and_clears():
     inside = lib.replace("def write(", "def _atomic_open(")
     assert _stray_write_opens({"traceio": inside}) == []
     assert _stray_write_opens({"lib": inside}) == flagged
+
+
+def _int_constant(node: ast.expr, consts: dict[str, int]) -> int | None:
+    """The int an expression of int literals, module-level int constants,
+    `+` and `*` stands for, or None."""
+    if isinstance(node, ast.Constant):
+        return node.value if type(node.value) is int else None
+    if isinstance(node, ast.Name):
+        return consts.get(node.id)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult)):
+        left, right = _int_constant(node.left, consts), _int_constant(node.right, consts)
+        if left is not None and right is not None:
+            return left + right if isinstance(node.op, ast.Add) else left * right
+    return None
+
+
+def _unbounded_caches(modules: dict[str, str]) -> list[str]:
+    """`module:line` of each `functools.cache`, and of each `lru_cache` not
+    called with an integer `maxsize` (stem -> source)."""
+    out = []
+    for stem, src in modules.items():
+        tree = ast.parse(src)
+        consts: dict[str, int] = {}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                value = _int_constant(stmt.value, consts)
+                if isinstance(stmt.targets[0], ast.Name) and value is not None:
+                    consts[stmt.targets[0].id] = value
+        aliases = {
+            a.asname or a.name: a.name
+            for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.module == "functools"
+            for a in n.names
+        }
+
+        def cache_kind(node: ast.AST) -> str | None:
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                return node.attr if node.value.id == "functools" else None
+            return aliases.get(node.id) if isinstance(node, ast.Name) else None
+
+        bounded = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and cache_kind(n.func) == "lru_cache":
+                size = next((k.value for k in n.keywords if k.arg == "maxsize"), None)
+                size = n.args[0] if n.args else size
+                if size is not None and _int_constant(size, consts) is not None:
+                    bounded.add(id(n.func))
+        lines = {
+            n.lineno
+            for n in ast.walk(tree)
+            if cache_kind(n) in ("lru_cache", "cache") and id(n) not in bounded
+        }
+        out += [f"{stem}:{line}" for line in sorted(lines)]
+    return out
+
+
+def test_every_cache_has_an_integer_maxsize():
+    # a cache without a bound keeps every argument and result for the life of
+    # the process, which breaks the promise that memory stays bounded
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert _unbounded_caches(modules) == []
+
+
+def test_unbounded_cache_checker_flags_and_clears():
+    lib = (
+        "import functools\n"
+        "from functools import cache, lru_cache as lru\n\n"
+        "N = 4\nM = N * N + 1\n\n"
+        "@functools.lru_cache(maxsize=8)\ndef a(x):\n    return x\n\n"
+        "@lru(maxsize=M)\ndef b(x):\n    return x\n\n"
+        "@functools.lru_cache(16)\ndef c(x):\n    return x\n\n"
+        "@functools.lru_cache\ndef d(x):\n    return x\n\n"
+        "@lru()\ndef e(x):\n    return x\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x\n\n"
+        "@functools.lru_cache(None)\ndef g(x):\n    return x\n\n"
+        "@functools.cache\ndef h(x):\n    return x\n\n"
+        "@cache\ndef i(x):\n    return x\n\n"
+        "j = lru(maxsize=None)(a)\n"
+        "k = lru(a)\n"
+    )
+    flagged = [f"lib:{line}" for line in (19, 23, 27, 31, 35, 39, 43, 44)]
+    assert _unbounded_caches({"lib": lib}) == flagged
+    bounded = (
+        "import functools\n\n"
+        "@functools.lru_cache(maxsize=2)\ndef a(x):\n    return x\n\n"
+        "def cache(x):\n    return x\n\ncache(a(1))\n"
+    )
+    assert _unbounded_caches({"lib": bounded}) == []

@@ -179,6 +179,46 @@ def test_classify_matches_norm_loop_exactly_on_builtin_graphs(edges):
         assert classify(x, g) == _classify_oracle(x, g)
 
 
+def test_classify_memo_matches_oracle_on_repeated_and_interleaved_calls():
+    g = _graph(["a b", "b c", "c d"], seed=12, dim=5)
+    rng = make_rng(4)
+    xs = [rng.random(5) for _ in range(20)]
+    xs += [(_prototype(g, "a") + _prototype(g, "b")) / 2.0]  # a tie, memoised too
+    want = [_classify_oracle(x, g) for x in xs]
+    for _ in range(3):
+        assert [classify(x, g) for x in xs] == want
+        assert [classify(x, g) for x in reversed(xs)] == want[::-1]
+    # a copy and a non-contiguous view of the same values hit the same entry
+    strided = np.empty(10)
+    strided[::2] = xs[0]
+    assert classify(xs[0].copy(), g) == classify(strided[::2], g) == want[0]
+    assert len(g._classified) == len(xs)
+
+
+def test_classify_memo_still_checks_shape():
+    g = _graph(["a b"], dim=4)
+    x = make_rng(1).random(4)
+    classify(x, g)
+    with pytest.raises(ContractError):
+        classify(x.reshape(-1, 1), g)
+    with pytest.raises(ContractError):
+        classify(x[:3], g)
+
+
+def test_classify_memo_is_per_graph():
+    # same nodes, different prototypes: each graph answers by its own
+    g1 = _graph(["a b", "b c"], seed=1, dim=3)
+    g2 = _graph(["a b", "b c"], seed=2, dim=3)
+    rng = make_rng(6)
+    xs = [rng.random(3) for _ in range(200)]
+    xs += [_prototype(g, n).copy() for g in (g1, g2) for n in g.nodes]
+    for x in xs:
+        assert classify(x, g1) == _classify_oracle(x, g1)
+        assert classify(x, g2) == _classify_oracle(x, g2)
+    # the prototypes differ, so some vector is classified differently
+    assert any(classify(x, g1) != classify(x, g2) for x in xs)
+
+
 def test_classify_exact_prototype_and_tie():
     g = _graph(["a b"], seed=5, dim=3)
     assert classify(_prototype(g, "b").copy(), g) == "b"
