@@ -10,11 +10,7 @@ class ConfigError(SimulatorError, ValueError):
 
 
 class GraphParseError(SimulatorError, ValueError):
-    """Malformed edge-list source. Carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    """Malformed edge-list source; the message starts `line N: `, 1-based."""
 
 
 class UnknownCategoryError(SimulatorError, KeyError):

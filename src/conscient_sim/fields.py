@@ -138,7 +138,8 @@ def _covariance_factor(kernel: KernelConfig, resolution: int) -> np.ndarray:
             jitter = max(jitter, 1e-12) * 10.0
             if jitter > JITTER_CEILING:
                 raise CovarianceDegeneracyError(
-                    f"covariance not positive definite up to jitter {JITTER_CEILING}"
+                    f"covariance not positive definite up to jitter {JITTER_CEILING}; "
+                    "check kernel.amplitude, kernel.lengthscale and kernel.jitter"
                 ) from None
     chol.flags.writeable = False
     return chol

@@ -7,6 +7,8 @@ evaluation seeds (common random numbers across genomes), with the movement
 budget applied to every agent. Evaluation is a pure function of (genome,
 seeds), so concurrent and sequential evaluation give identical results; the
 CONSCIENT_SIM_THREADS environment variable caps worker count (0 = auto).
+A world that cannot run stops the search with its error, in process or from
+the pool.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, SimulatorError
+from .errors import ConfigError, ContractError
 from .seeds import derive_seed, make_rng
 from .world import Metrics, SimulationTrace, WorldConfig, metrics, run
 
@@ -190,20 +192,16 @@ def fitness(
 ) -> FitnessReport:
     """Mean interaction count over the evaluation seeds.
 
-    A simulation error marks the genome with -inf fitness (worst rank) rather
-    than aborting the search.
+    Every decoded genome is a valid config, so a simulation error means the
+    base world cannot run: it propagates and stops the search.
     """
-    params = decode_genome(genome)
+    cfg = configure_world(base, decode_genome(genome), ga.movement_budget)
     per_seed: list[Metrics] = []
-    try:
-        cfg = configure_world(base, params, ga.movement_budget)
-        for seed in ga.eval_seeds:
-            trace = run(replace(cfg, master_seed=seed))
-            if trace_hook is not None:
-                trace_hook(genome, seed, trace)
-            per_seed.append(metrics(trace))
-    except SimulatorError:
-        return FitnessReport(genome, float("-inf"), per_seed, generation)
+    for seed in ga.eval_seeds:
+        trace = run(replace(cfg, master_seed=seed))
+        if trace_hook is not None:
+            trace_hook(genome, seed, trace)
+        per_seed.append(metrics(trace))
     value = sum(m.interactions for m in per_seed) / len(per_seed)
     return FitnessReport(genome, value, per_seed, generation)
 

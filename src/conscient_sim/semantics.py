@@ -102,10 +102,10 @@ def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
     """Parse a newline-delimited `nodeA nodeB` edge list into a graph.
 
     Blank lines and `#` comments are ignored; duplicate edges collapse;
-    self-loops and lines without exactly two tokens are parse errors carrying
-    the offending line number. Prototypes in [0, 1]^feature_dim are generated
-    per node from (seed, node name), so the same source and seed always yield
-    the same graph.
+    self-loops and lines without exactly two tokens are parse errors whose
+    message starts with the offending line number. Prototypes in
+    [0, 1]^feature_dim are generated per node from (seed, node name), so the
+    same source and seed always yield the same graph.
     """
     if feature_dim < 1:
         raise ContractError(f"feature_dim must be >= 1, got {feature_dim}")
@@ -117,10 +117,10 @@ def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphParseError(f"expected 'nodeA nodeB', got {line!r}", lineno)
+            raise GraphParseError(f"line {lineno}: expected 'nodeA nodeB', got {line!r}")
         a, b = parts
         if a == b:
-            raise GraphParseError(f"self-loop on {a!r}", lineno)
+            raise GraphParseError(f"line {lineno}: self-loop on {a!r}")
         nodes.add(a)
         nodes.add(b)
         edges.add((min(a, b), max(a, b)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .agents import SENDABLE_KINDS, Agent, AgentConfig, agent_tick, receive_percept
 from .dreams import DreamFrameRow
-from .errors import ConfigError
+from .errors import ConfigError, GraphParseError
 from .fields import MAX_RESOLUTION, GridCell, local_bump, sample_field
 from .seeds import derive_seed, make_rng
 from .semantics import (
@@ -197,9 +197,13 @@ class Metrics:
 def load_graphs(config: WorldConfig) -> tuple[SemanticGraph, SemanticGraph]:
     """The (content, style) graphs of a world, seeded from its master seed."""
     ms, fd = config.master_seed, config.feature_dim
-    content = load_graph(config.content_edges, derive_seed(ms, "content-graph"), fd)
-    style = load_graph(config.style_edges, derive_seed(ms, "style-graph"), fd)
-    return content, style
+    graphs = []
+    for kind, edges in (("content", config.content_edges), ("style", config.style_edges)):
+        try:
+            graphs.append(load_graph(edges, derive_seed(ms, f"{kind}-graph"), fd))
+        except GraphParseError as exc:
+            raise GraphParseError(f"world.{kind}_graph: {exc}") from None
+    return graphs[0], graphs[1]
 
 
 class World:

@@ -100,7 +100,7 @@ def test_exit_code_1_on_non_utf8_trace(tmp_path, cfg_path, capsys):
 
 
 def test_exit_code_1_on_negative_eval_seed(tmp_path, capsys):
-    # every evaluation would fail and score -inf; the config is rejected instead
+    # the config is rejected when parsed, before the search builds a world
     bad = tmp_path / "bad.cfg"
     bad.write_text("world.total_ticks = 5\nga.eval_seeds = -1\n", encoding="utf-8")
     out = tmp_path / "o"
@@ -119,6 +119,9 @@ def test_exit_code_1_on_out_of_range_search_seed(tmp_path, capsys, seed):
     assert rc == 1
     assert seed in capsys.readouterr().err
     assert not out.exists()
+
+
+BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
 
 
 @pytest.mark.parametrize(
@@ -144,6 +147,9 @@ def test_exit_code_1_on_out_of_range_search_seed(tmp_path, capsys, seed):
             "agent.noise_sigma",
         ),
         ("simulate", f"world.feature_dim = {MAX_FEATURE_DIM + 1}", "1", "world.feature_dim"),
+        # a covariance that no jitter up to the ceiling repairs
+        ("simulate", BROKEN_KERNEL, "1", "kernel.amplitude"),
+        ("optimize", BROKEN_KERNEL, "2", "kernel.amplitude"),
     ],
     ids=[
         "step-lower",
@@ -155,6 +161,8 @@ def test_exit_code_1_on_out_of_range_search_seed(tmp_path, capsys, seed):
         "lengthscale-huge",
         "noise-sigma",
         "feature-dim-huge",
+        "kernel-simulate",
+        "kernel-optimize-pool",
     ],
 )
 def test_exit_code_1_names_the_rejected_key(
@@ -167,6 +175,28 @@ def test_exit_code_1_names_the_rejected_key(
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize(
+    "command,threads", [("simulate", "1"), ("optimize", "1"), ("optimize", "2")]
+)
+def test_malformed_graph_names_its_key_and_line(tmp_path, capfd, monkeypatch, command, threads):
+    monkeypatch.setenv("CONSCIENT_SIM_THREADS", threads)
+    (tmp_path / "bad.edges").write_text("a b\nc\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "world.total_ticks = 5\nga.population_size = 2\nga.generations = 1\n"
+        "world.content_graph = bad.edges\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    rc = run_command([command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    # capfd, not capsys: it also sees what a pool worker writes to stderr
+    err = capfd.readouterr().err
+    assert err.startswith("error: world.content_graph: line 2: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):

@@ -142,7 +142,8 @@ def test_fitness_equals_independent_reruns():
     assert [m.interactions for m in report.per_seed] == counts
 
 
-def test_fitness_simulation_error_ranks_worst():
+def test_fitness_raises_when_the_world_cannot_run():
+    from conscient_sim.errors import CovarianceDegeneracyError
     from conscient_sim.fields import KernelConfig
     from dataclasses import replace
 
@@ -151,8 +152,13 @@ def test_fitness_simulation_error_ranks_worst():
         SMALL_WORLD.agent, kernel=KernelConfig(amplitude=1e16, lengthscale=1e6)
     )
     broken = replace(SMALL_WORLD, agent=broken_agent)
-    report = fitness(Genome(np.full(len(DEFAULT_BOUNDS), 0.5)), GAConfig(), broken)
-    assert report.fitness == float("-inf")
+    with pytest.raises(CovarianceDegeneracyError, match="kernel.amplitude"):
+        fitness(Genome(np.full(len(DEFAULT_BOUNDS), 0.5)), GAConfig(), broken)
+    # the search stops with the same error in process and from the pool
+    ga = GAConfig(population_size=2, generations=1)
+    for workers in (1, 2):
+        with pytest.raises(CovarianceDegeneracyError, match="kernel.amplitude"):
+            evolve(ga, broken, seed=1, workers=workers)
 
 
 def test_fitness_trace_hook_sees_every_seed():

@@ -5,18 +5,23 @@ rules that matter when code is deleted: `__init__.py` re-exports nothing,
 no module keeps importing a name it no longer uses, no function keeps a
 parameter it never reads, no dataclass or `NamedTuple` keeps a field nobody
 reads, no function, class or method is kept for the tests alone, no
-file is opened for writing outside the atomic-rename helper, and no
-`functools` cache grows without bound.
+file is opened for writing outside the atomic-rename helper, no
+`functools` cache grows without bound, and no `except` handler swallows an
+error outside the CLI's two. Every package error also survives pickling,
+which is how a pool worker's error reaches the parent.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import pickle
 from pathlib import Path
 
 import pytest
 
 import conscient_sim
+from conscient_sim import errors
 
 PACKAGE_DIR = Path(conscient_sim.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -433,3 +438,85 @@ def test_unbounded_cache_checker_flags_and_clears():
         "def cache(x):\n    return x\n\ncache(a(1))\n"
     )
     assert _unbounded_caches({"lib": bounded}) == []
+
+
+# Handlers that may end without a `raise`, keyed by (module, function, caught
+# types), each with its reason. Any other handler that catches an error must
+# raise, so a failure stops the run instead of turning into a value.
+SWALLOW_ALLOWED = {
+    ("cli", "run_command", "SystemExit"): "argparse printed usage; its code is the exit code",
+    ("cli", "run_command", "(SimulatorError, OSError)"): "prints the `error:` line; exit 1",
+}
+
+
+def _swallowing_handlers(modules: dict[str, str], allowed) -> list[str]:
+    """`module:line` of each `except` handler (stem -> source) that holds no
+    `raise` and is not in `allowed`."""
+    out = []
+    for stem, src in modules.items():
+        tree = ast.parse(src)
+        owner = {}  # handler -> innermost enclosing function; walk is outer first
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), fn.name) for n in ast.walk(fn))
+        lines = {
+            h.lineno
+            for h in ast.walk(tree)
+            if isinstance(h, ast.ExceptHandler)
+            and not any(isinstance(n, ast.Raise) for n in ast.walk(h))
+            and (stem, owner.get(id(h)), h.type and ast.unparse(h.type)) not in allowed
+        }
+        out += [f"{stem}:{line}" for line in sorted(lines)]
+    return out
+
+
+def test_no_handler_swallows_an_error():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert _swallowing_handlers(modules, SWALLOW_ALLOWED) == []
+
+
+def test_swallowing_handler_checker_flags_and_clears():
+    lib = (
+        "def wrap(x):\n"
+        "    try:\n        return int(x)\n"
+        "    except ValueError:\n        raise KeyError(x) from None\n\n"
+        "def retry(x):\n"
+        "    while True:\n"
+        "        try:\n            return int(x)\n"
+        "        except ValueError:\n"
+        "            if not x:\n                raise\n"
+        "            x = ''\n\n"
+        "def swallow(x):\n"
+        "    try:\n        return int(x)\n"
+        "    except (ValueError, TypeError):\n        return None\n\n"
+        "def bare(x):\n"
+        "    try:\n        return int(x)\n"
+        "    except:\n        pass\n\n"
+        "try:\n    import foo\nexcept ImportError:\n    foo = None\n"
+    )
+    assert _swallowing_handlers({"lib": lib}, {}) == ["lib:19", "lib:25", "lib:30"]
+    allowed = {
+        ("lib", "swallow", "(ValueError, TypeError)"),
+        ("lib", "bare", None),
+        ("lib", None, "ImportError"),
+    }
+    assert _swallowing_handlers({"lib": lib}, allowed) == []
+    # an entry covers only its own module, function and caught types
+    assert _swallowing_handlers({"other": lib}, allowed) == ["other:19", "other:25", "other:30"]
+    narrower = {("lib", "swallow", "ValueError"), ("lib", "wrap", None)}
+    assert _swallowing_handlers({"lib": lib}, narrower) == ["lib:19", "lib:25", "lib:30"]
+
+
+ERROR_CLASSES = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.SimulatorError) and cls.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_survives_pickling(cls):
+    # a pool worker's error reaches the parent only if it unpickles there
+    err = pickle.loads(pickle.dumps(cls("msg")))
+    assert type(err) is cls
+    assert str(err) == str(cls("msg"))
