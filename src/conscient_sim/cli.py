@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .configio import ConfigBundle, parse_config
 from .dreams import DreamFrameRow, dream
-from .errors import ConfigError, SimulatorError
+from .errors import ConfigError, SimulatorError, TraceError
 from .optimizer import evolve
 from .seeds import derive_seed, make_rng
 from .semantics import PerceptStore
@@ -140,6 +140,9 @@ def _cmd_dream(args) -> int:
                 f"is {world_cfg.feature_dim}"
             )
         (style_store if kind == "style" else content_store).attach(p)
+    for kind, store in (("content", content_store), ("style", style_store)):
+        if len(store) == 0:
+            raise TraceError(f"percept log {args.percept_log}: no {kind} percepts to dream with")
     rng = make_rng(derive_seed(world_cfg.master_seed, "dream-cli"))
     frames = dream(
         content_store, content_graph, style_store, style_graph, world_cfg.agent.dream, rng

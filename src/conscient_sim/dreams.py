@@ -9,13 +9,12 @@ drift; the blend weight decides how strongly style tints content.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, EmptyStoreError, UnknownCategoryError
+from .errors import ConfigError, ContractError
 from .fields import GridCell, ValueField
 from .semantics import Percept, PerceptStore, SemanticGraph, hop_counts, semantic_distance
 
@@ -91,19 +90,13 @@ class DreamFrameRow:
 
 
 def walk_step(graph: SemanticGraph, current: str, omega: int, rng: np.random.Generator) -> str:
-    """Take `omega` uniform neighbor hops from `current`; isolated nodes stay put.
+    """Take `omega` uniform neighbor hops from `current`.
 
     The endpoint is always within `omega` edges of the start.
     """
-    if omega < 0:
-        raise ContractError(f"walk length must be >= 0, got {omega}")
     node = current
-    if not graph.has_node(node):
-        raise UnknownCategoryError(node)
     for _ in range(omega):
         nbrs = graph.neighbors(node)
-        if not nbrs:
-            break
         node = nbrs[int(rng.integers(len(nbrs)))]
     return node
 
@@ -114,8 +107,6 @@ def blend(content: Percept, style: Percept, style_weight: float) -> DreamFrame:
     Inputs in [0, 1] stay in [0, 1]. Categories and origin are copied from the
     sources; pair_distance is filled in by the walk that produced the frame.
     """
-    if not (0.0 <= style_weight <= 1.0):
-        raise ConfigError(f"style_weight must be in [0, 1], got {style_weight}")
     if content.features.shape != style.features.shape:
         raise ContractError(
             f"feature shapes differ: {content.features.shape} vs {style.features.shape}"
@@ -154,6 +145,7 @@ def _pick(
 class DreamWalk:
     """Incremental dream state: current categories on both graphs.
 
+    Both stores must be non-empty: `agent_tick` and the `dream` command check.
     Initial categories are drawn uniformly from the categories that hold at
     least one stored percept. Stores are read live, so percepts attached while
     the walk is in progress become eligible for later frames.
@@ -168,10 +160,6 @@ class DreamWalk:
         config: DreamConfig,
         rng: np.random.Generator,
     ) -> None:
-        if len(content_store) == 0:
-            raise EmptyStoreError("content store is empty, nothing to dream about")
-        if len(style_store) == 0:
-            raise EmptyStoreError("style store is empty, nothing to dream with")
         self.content_store = content_store
         self.content_graph = content_graph
         self.style_store = style_store
@@ -208,7 +196,7 @@ def dream(
     config: DreamConfig,
     rng: np.random.Generator,
 ) -> list[DreamFrame]:
-    """Generate config.length frames in one go. Stores must be non-empty."""
+    """Generate config.length frames; the `dream` command checks both stores are non-empty."""
     walk = DreamWalk(content_store, content_graph, style_store, style_graph, config, rng)
     return [walk.step(rng) for _ in range(config.length)]
 
@@ -219,12 +207,9 @@ def dream_valence(
     """Score a frame against a field: +1 above theta_high, -1 below theta_low.
 
     The frame is judged by the field value at its content origin, the place
-    the dreamed content was originally perceived.
+    the dreamed content was originally perceived. `EmotionParams` keeps the
+    thresholds finite and ordered.
     """
-    if not (math.isfinite(theta_high) and math.isfinite(theta_low)):
-        raise ConfigError("valence thresholds must be finite")
-    if theta_low > theta_high:
-        raise ConfigError(f"valence thresholds out of order: {theta_low} > {theta_high}")
     v = field.value_at(frame.content_origin)
     if v > theta_high:
         return 1

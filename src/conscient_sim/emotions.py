@@ -91,10 +91,9 @@ class EmotionParams:
             raise ConfigError(
                 f"emotion.curiosity_growth must be >= 0, got {self.curiosity_growth}"
             )
-        if not math.isfinite(self.photo_fatigue_delta):
-            raise ConfigError("emotion.photo_fatigue_delta must be finite")
-        if not (math.isfinite(self.high_value_cutoff)):
-            raise ConfigError("emotion.high_value_cutoff must be finite")
+        for key in ("photo_fatigue_delta", "high_value_cutoff", "valence_high", "valence_low"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"emotion.{key} must be finite")
 
 
 # Generator.uniform(lo, hi) returns lo + (hi - lo) * next_double, and

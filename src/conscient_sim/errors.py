@@ -10,7 +10,8 @@ class ConfigError(SimulatorError, ValueError):
 
 
 class GraphParseError(SimulatorError, ValueError):
-    """Malformed edge-list source; the message starts `line N: `, 1-based."""
+    """Malformed edge-list source; the message starts `line N: ` (1-based)
+    when one line is at fault, and `no edges` when the source holds none."""
 
 
 class UnknownCategoryError(SimulatorError, KeyError):
@@ -23,10 +24,6 @@ class ContractError(SimulatorError, ValueError):
 
 class CovarianceDegeneracyError(SimulatorError, ArithmeticError):
     """Covariance stayed non-positive-definite after jitter escalation."""
-
-
-class EmptyStoreError(SimulatorError, RuntimeError):
-    """Dreaming requires at least one stored percept per store."""
 
 
 class TraceError(SimulatorError, ValueError):

@@ -114,8 +114,6 @@ def sample_field(kernel: KernelConfig, resolution: int, rng: np.random.Generator
     escalates tenfold per retry up to JITTER_CEILING before giving up. The
     same kernel, resolution, and seed always reproduce the same field.
     """
-    if resolution < 2:
-        raise ConfigError(f"sampling needs resolution >= 2, got {resolution}")
     if resolution > MAX_RESOLUTION:
         raise ConfigError(
             f"exact sampling is bounded at resolution {MAX_RESOLUTION}, got {resolution}"
@@ -165,14 +163,12 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
         raise ConfigError(f"bump center {center} outside grid")
     if not (math.isfinite(width) and width > 0):
         raise ConfigError(f"bump width must be > 0, got {width}")
-    if not math.isfinite(peak):
-        raise ConfigError(f"bump peak must be finite, got {peak}")
     r = field.resolution
     window = _unit_bump_window(r, width)
     # rows r-1-i .. 2r-2-i hold offsets -i .. r-1-i from the center row, so the
     # slice holds exp(-d^2 / (2 width^2)) at every cell of the grid
     unit = window[r - 1 - center.i : 2 * r - 1 - center.i, r - 1 - center.j : 2 * r - 1 - center.j]
-    # a sum that overflows is reported by ValueField, which names the keys
+    # ValueField reports a non-finite peak or an overflowing sum, naming the keys
     with np.errstate(over="ignore", invalid="ignore"):
         values = field.values + peak * unit
     return ValueField(field.resolution, values)

@@ -103,12 +103,11 @@ def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
 
     Blank lines and `#` comments are ignored; duplicate edges collapse;
     self-loops and lines without exactly two tokens are parse errors whose
-    message starts with the offending line number. Prototypes in
+    message starts with the offending line number. The source must hold at
+    least one edge, so every node has a neighbor. Prototypes in
     [0, 1]^feature_dim are generated per node from (seed, node name), so the
     same source and seed always yield the same graph.
     """
-    if feature_dim < 1:
-        raise ContractError(f"feature_dim must be >= 1, got {feature_dim}")
     nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -124,6 +123,8 @@ def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
         nodes.add(a)
         nodes.add(b)
         edges.add((min(a, b), max(a, b)))
+    if not edges:
+        raise GraphParseError("no edges: expected at least one 'nodeA nodeB' line")
     adjacency: dict[str, set[str]] = {n: set() for n in nodes}
     for a, b in edges:
         adjacency[a].add(b)
@@ -174,15 +175,13 @@ def classify(features: np.ndarray, graph: SemanticGraph) -> str:
     """Name of the category whose prototype is nearest in Euclidean distance.
 
     Exact ties resolve to the lexicographically smallest name. Memoised per
-    graph on the vector's bytes, after the shape and empty-graph checks.
+    graph on the vector's bytes, after the shape check.
     """
     feats = np.asarray(features, dtype=float)
     if feats.shape != (graph.feature_dim,):
         raise ContractError(
             f"features shape {feats.shape} does not match feature_dim {graph.feature_dim}"
         )
-    if not graph.nodes:
-        raise ContractError("cannot classify against an empty graph")
     key = feats.tobytes()
     best = graph._classified.get(key)
     if best is not None:

@@ -178,25 +178,36 @@ def test_exit_code_1_names_the_rejected_key(
 
 
 @pytest.mark.parametrize(
-    "command,threads", [("simulate", "1"), ("optimize", "1"), ("optimize", "2")]
+    "command,threads,key",
+    [
+        ("simulate", "1", "world.content_graph"),
+        ("optimize", "1", "world.content_graph"),
+        ("optimize", "2", "world.content_graph"),
+        ("simulate", "1", "world.style_graph"),
+    ],
+    ids=["simulate-1", "optimize-1", "optimize-2", "simulate-1-style"],
 )
-def test_malformed_graph_names_its_key_and_line(tmp_path, capfd, monkeypatch, command, threads):
+def test_malformed_graph_names_its_key_and_line(
+    tmp_path, capfd, monkeypatch, command, threads, key
+):
     monkeypatch.setenv("CONSCIENT_SIM_THREADS", threads)
-    (tmp_path / "bad.edges").write_text("a b\nc\n", encoding="utf-8")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "world.total_ticks = 5\nga.population_size = 2\nga.generations = 1\n"
-        "world.content_graph = bad.edges\n",
-        encoding="utf-8",
-    )
-    out = tmp_path / "o"
-    rc = run_command([command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
-    assert rc == 1
-    # capfd, not capsys: it also sees what a pool worker writes to stderr
-    err = capfd.readouterr().err
-    assert err.startswith("error: world.content_graph: line 2: ")
-    assert "Traceback" not in err
-    assert not out.exists()
+    # a malformed line, and an edge list that holds no edge: both fail at load
+    for edges, prefix in (("a b\nc\n", "line 2: "), ("# no edges here\n\n", "no edges")):
+        (tmp_path / "bad.edges").write_text(edges, encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "world.total_ticks = 5\nga.population_size = 2\nga.generations = 1\n"
+            f"{key} = bad.edges\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        rc = run_command([command, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        # capfd, not capsys: it also sees what a pool worker writes to stderr
+        err = capfd.readouterr().err
+        assert err.splitlines()[0].startswith(f"error: {key}: {prefix}")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):
@@ -364,15 +375,25 @@ def test_dream_subcommand_reports_a_field_over_the_csv_limit(tmp_path, cfg_path,
 
 
 def test_dream_subcommand_needs_populated_log(tmp_path, cfg_path, capsys):
-    empty_log = tmp_path / "percepts.csv"
-    empty_log.write_text(
-        "agent_id,id,kind,category,i,j,tick,features\n", encoding="utf-8"
-    )
-    rc = run_command(
-        ["dream", "--config", cfg_path, "--percept-log", str(empty_log), "--out", str(tmp_path / "d")]
-    )
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    header = "agent_id,id,kind,category,i,j,tick,features\n"
+    features = ";".join(["0.5"] * 16)
+    logs = {
+        "content": header,
+        "style": header + f"0,p1,observed,dog,1,2,3,{features}\n",
+    }
+    for missing, text in logs.items():
+        log = tmp_path / f"no-{missing}.csv"
+        log.write_text(text, encoding="utf-8")
+        out = tmp_path / f"d-{missing}"
+        rc = run_command(
+            ["dream", "--config", cfg_path, "--percept-log", str(log), "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == (
+            f"error: percept log {log}: no {missing} percepts to dream with"
+        )
+        assert not (out / "dreams.csv").exists()
 
 
 def test_optimize_subcommand_writes_history(tmp_path, capsys):

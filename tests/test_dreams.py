@@ -15,12 +15,7 @@ from conscient_sim.dreams import (
     dream_valence,
     walk_step,
 )
-from conscient_sim.errors import (
-    ConfigError,
-    ContractError,
-    EmptyStoreError,
-    UnknownCategoryError,
-)
+from conscient_sim.errors import ConfigError, ContractError, UnknownCategoryError
 from conscient_sim.fields import GridCell, ValueField
 from conscient_sim.semantics import (
     BUILTIN_CONTENT_EDGES,
@@ -66,15 +61,13 @@ def test_walk_step_contracts():
     g = _graph(["a b", "b c"])
     rng = make_rng(0)
     assert walk_step(g, "a", 0, rng) == "a"
-    with pytest.raises(ContractError):
-        walk_step(g, "a", -1, rng)
     with pytest.raises(UnknownCategoryError):
         walk_step(g, "zz", 1, rng)
 
 
 def test_walk_step_isolated_node_stays():
-    # node with no edges reachable only by constructing a graph where it is
-    # an endpoint; a two-component graph gives each side its own walk space
+    # load_graph gives every node an edge, so no node is isolated; a walk on a
+    # two-component graph stays in its start's component
     g = _graph(["a b", "c d"])
     rng = make_rng(5)
     for _ in range(20):
@@ -130,9 +123,6 @@ def test_blend_contracts():
     s = Percept("s", np.zeros(4), "dark", GridCell(0, 0), tick=1, kind="style")
     with pytest.raises(ContractError):
         blend(c, s, 0.5)
-    s3 = _percept("s3", "dark", kind="style")
-    with pytest.raises(ConfigError):
-        blend(c, s3, -0.1)
 
 
 def test_nearest_populated_walks_out_and_breaks_ties():
@@ -206,17 +196,6 @@ def test_pick_matches_copying_oracle_while_buckets_grow():
             store.attach(_percept(f"p{step + 1}", g.nodes[int(driver.integers(len(g.nodes)))]))
     assert len(store) > 500
     assert live_rng.random() == oracle_rng.random()
-
-
-def test_dream_walk_requires_populated_stores():
-    g = _graph(["a b"])
-    sg = _graph(["dark bright"])
-    cfg = DreamConfig()
-    full = _store(_percept("p", "a"))
-    with pytest.raises(EmptyStoreError):
-        DreamWalk(PerceptStore(), g, _store(_percept("s", "dark", kind="style")), sg, cfg, make_rng(0))
-    with pytest.raises(EmptyStoreError):
-        DreamWalk(full, g, PerceptStore(), sg, cfg, make_rng(0))
 
 
 def test_dream_walk_zero_bounds_freeze_categories():
@@ -322,5 +301,3 @@ def test_dream_valence_thresholds():
     # thresholds are strict: sitting exactly on one scores neutral
     assert dream_valence(frame_hi, field, theta_high=0.9, theta_low=0.0) == 0
     assert dream_valence(frame_mid, field, theta_high=0.5, theta_low=0.2) == 0
-    with pytest.raises(ConfigError):
-        dream_valence(frame_hi, field, theta_high=-0.5, theta_low=0.5)

@@ -46,6 +46,10 @@ def test_params_validation():
         EmotionParams(valence_high=-0.5, valence_low=0.5)
     with pytest.raises(ConfigError):
         EmotionParams(courage_gain=-1.0)
+    with pytest.raises(ConfigError, match="emotion.valence_high"):
+        EmotionParams(valence_high=float("inf"))
+    with pytest.raises(ConfigError, match="emotion.valence_low"):
+        EmotionParams(valence_low=float("nan"))
 
 
 def test_event_validation():

@@ -6,9 +6,10 @@ no module keeps importing a name it no longer uses, no function keeps a
 parameter it never reads, no dataclass or `NamedTuple` keeps a field nobody
 reads, no function, class or method is kept for the tests alone, no
 file is opened for writing outside the atomic-rename helper, no
-`functools` cache grows without bound, and no `except` handler swallows an
-error outside the CLI's two. Every package error also survives pickling,
-which is how a pool worker's error reaches the parent.
+`functools` cache grows without bound, no `except` handler swallows an
+error outside the CLI's two, and no error message names a config key that
+does not exist. Every package error also survives pickling, which is how a
+pool worker's error reaches the parent.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import ast
 import inspect
 import pickle
+import re
 from pathlib import Path
 
 import pytest
 
 import conscient_sim
 from conscient_sim import errors
+from conscient_sim.configio import default_values
 
 PACKAGE_DIR = Path(conscient_sim.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -505,6 +508,56 @@ def test_swallowing_handler_checker_flags_and_clears():
     assert _swallowing_handlers({"other": lib}, allowed) == ["other:19", "other:25", "other:30"]
     narrower = {("lib", "swallow", "ValueError"), ("lib", "wrap", None)}
     assert _swallowing_handlers({"lib": lib}, narrower) == ["lib:19", "lib:25", "lib:30"]
+
+
+# A config key as an error message names it: a section, a dot, a field name.
+KEY_TOKEN = re.compile(r"\b(?:world|agent|dream|emotion|kernel|ga)\.[A-Za-z_]\w*")
+
+
+def _unknown_raised_keys(modules: dict[str, str], keys) -> list[str]:
+    """`module:line token` of each key token in a string literal of a `raise`
+    (stem -> source) that is not in `keys`."""
+    out = []
+    for stem, src in modules.items():
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Raise):
+                continue
+            out += [
+                f"{stem}:{c.lineno} {token}"
+                for c in ast.walk(node)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                for token in KEY_TOKEN.findall(c.value)
+                if token not in keys
+            ]
+    return out
+
+
+def test_every_raised_key_name_is_a_config_key():
+    # a renamed field must not leave a message naming a key that is gone
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert _unknown_raised_keys(modules, default_values()) == []
+
+
+def test_raised_key_checker_flags_and_clears():
+    lib = (
+        "def check(x, key):\n"
+        "    if x < 0:\n"
+        "        raise ValueError(f'world.resolution must be >= 2, got {x}')\n"
+        "    if x > 9:\n"
+        "        raise ValueError('agent.t_wake and dream.lenght, see kernel.*')\n"
+        "    if not x:\n"
+        "        raise ValueError(f'world.{key} must be set; omega.x is no key')\n"
+        "    note = 'ga.no_such_key'\n"
+        "    return note\n"
+    )
+    keys = {"world.resolution", "agent.t_awake", "dream.length"}
+    assert _unknown_raised_keys({"lib": lib}, keys) == ["lib:5 agent.t_wake", "lib:5 dream.lenght"]
+    fixed = lib.replace("t_wake", "t_awake").replace("lenght", "length")
+    assert _unknown_raised_keys({"lib": fixed}, keys) == []
+    # a key that is gone from the config flags every message that names it
+    assert _unknown_raised_keys({"lib": fixed}, keys - {"world.resolution"}) == [
+        "lib:3 world.resolution"
+    ]
 
 
 ERROR_CLASSES = [

@@ -44,6 +44,9 @@ def test_load_graph_parse_errors_carry_line_numbers():
         _graph(["a b", "", "x x"])
     with pytest.raises(GraphParseError):
         _graph(["a b c"])
+    # every node needs a neighbor, so a source without an edge is rejected
+    with pytest.raises(GraphParseError, match=r"^no edges"):
+        _graph(["# only a comment", ""])
 
 
 def _prototype(g, name):
