@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .configio import ConfigBundle, parse_config
 from .dreams import DreamFrameRow, dream
-from .errors import ConfigError, SimulatorError, TraceError
+from .errors import SimulatorError, TraceError
 from .optimizer import evolve
 from .seeds import derive_seed, make_rng
 from .semantics import PerceptStore
@@ -130,19 +130,30 @@ def _cmd_dream(args) -> int:
     content_graph, style_graph = load_graphs(world_cfg)
     content_store = PerceptStore()
     style_store = PerceptStore()
-    for _, p in read_percepts_csv(args.percept_log):
+    log, r = args.percept_log, world_cfg.resolution
+    # the one place percepts, and so cells, enter from outside: check them here
+    for _, p in read_percepts_csv(log):
         kind = "style" if p.kind == "style" else "content"
-        if not (style_graph if kind == "style" else content_graph).has_node(p.category):
-            raise ConfigError(f"percept {p.id}: category {p.category!r} not in the {kind} graph")
+        graph = style_graph if kind == "style" else content_graph
+        if not graph.has_node(p.category):
+            raise TraceError(
+                f"percept log {log}: percept {p.id}: category {p.category!r} "
+                f"not in world.{kind}_graph"
+            )
         if len(p.features) != world_cfg.feature_dim:
-            raise ConfigError(
-                f"percept {p.id}: {len(p.features)} features, but world.feature_dim "
-                f"is {world_cfg.feature_dim}"
+            raise TraceError(
+                f"percept log {log}: percept {p.id}: {len(p.features)} features, "
+                f"but world.feature_dim is {world_cfg.feature_dim}"
+            )
+        if not (0 <= p.origin.i < r and 0 <= p.origin.j < r):
+            raise TraceError(
+                f"percept log {log}: percept {p.id}: origin ({p.origin.i}, {p.origin.j}) "
+                f"is off the grid, but world.resolution is {r}"
             )
         (style_store if kind == "style" else content_store).attach(p)
     for kind, store in (("content", content_store), ("style", style_store)):
         if len(store) == 0:
-            raise TraceError(f"percept log {args.percept_log}: no {kind} percepts to dream with")
+            raise TraceError(f"percept log {log}: no {kind} percepts to dream with")
     rng = make_rng(derive_seed(world_cfg.master_seed, "dream-cli"))
     frames = dream(
         content_store, content_graph, style_store, style_graph, world_cfg.agent.dream, rng

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .fields import GridCell, ValueField
 from .semantics import Percept, PerceptStore, SemanticGraph, hop_counts, semantic_distance
 
@@ -107,10 +107,6 @@ def blend(content: Percept, style: Percept, style_weight: float) -> DreamFrame:
     Inputs in [0, 1] stay in [0, 1]. Categories and origin are copied from the
     sources; pair_distance is filled in by the walk that produced the frame.
     """
-    if content.features.shape != style.features.shape:
-        raise ContractError(
-            f"feature shapes differ: {content.features.shape} vs {style.features.shape}"
-        )
     mixed = (1.0 - style_weight) * content.features + style_weight * style.features
     return DreamFrame(
         features=mixed,

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 
 EVENT_KINDS = ("photo_taken", "dream_frame", "interaction", "content_stimulus")
-
-MODES = ("awake", "asleep")
 
 
 def _clamp01(x: float) -> float:
@@ -34,14 +32,7 @@ class EmotionState:
     courage: float = 0.5
     fatigue: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("happiness", "curiosity", "friendship", "courage", "fatigue"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ConfigError(f"emotion {name} must be in [0, 1], got {v}")
-
     def copy(self) -> "EmotionState":
-        # Skips __post_init__: every update clamps to [0, 1] on its own.
         new = object.__new__(EmotionState)
         new.happiness = self.happiness
         new.curiosity = self.curiosity
@@ -123,10 +114,9 @@ def apply_event(
       percept; friendship and happiness move together, up when positive.
     content_stimulus: payload is the stimulus score in [-1, 1]; curiosity
       drops (boredom relieved) and happiness moves with the score's sign.
-    A non-finite payload or an unknown kind raises ContractError.
+    Each payload is a finite field value, valence or score, and `kind` is one
+    of EVENT_KINDS.
     """
-    if not math.isfinite(payload):
-        raise ContractError(f"event payload must be finite, got {payload}")
     new = state.copy()
     eps = params.photo_fatigue_delta
     if kind == "photo_taken":
@@ -142,14 +132,12 @@ def apply_event(
         sign = 1.0 if payload > 0.0 else -1.0
         new.friendship = _clamp01(new.friendship + sign * _delta(params, rng))
         new.happiness = _clamp01(new.happiness + sign * _delta(params, rng))
-    elif kind == "content_stimulus":
+    else:  # content_stimulus
         new.curiosity = _clamp01(new.curiosity - _delta(params, rng))
         if payload > 0.0:
             new.happiness = _clamp01(new.happiness + _delta(params, rng))
         elif payload < 0.0:
             new.happiness = _clamp01(new.happiness - _delta(params, rng))
-    else:
-        raise ContractError(f"unknown emotion event kind {kind!r}, expected one of {EVENT_KINDS}")
     return new
 
 
@@ -157,8 +145,6 @@ def tick_emotions(state: EmotionState, params: EmotionParams, mode: str) -> Emot
     """One tick of time. Awake: fatigue grows, faster when unhappy, and
     curiosity drifts up toward boredom. Asleep: fatigue decays.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
     new = state.copy()
     if mode == "awake":
         new.fatigue = _clamp01(

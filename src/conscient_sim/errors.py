@@ -14,14 +14,6 @@ class GraphParseError(SimulatorError, ValueError):
     when one line is at fault, and `no edges` when the source holds none."""
 
 
-class UnknownCategoryError(SimulatorError, KeyError):
-    """Category name not present in the graph."""
-
-
-class ContractError(SimulatorError, ValueError):
-    """Caller broke an operation contract (dimension mismatch, bad kind, ...)."""
-
-
 class CovarianceDegeneracyError(SimulatorError, ArithmeticError):
     """Covariance stayed non-positive-definite after jitter escalation."""
 

@@ -71,14 +71,7 @@ class ValueField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.resolution < 2:
-            raise ConfigError(f"field resolution must be >= 2, got {self.resolution}")
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.resolution, self.resolution):
-            raise ConfigError(
-                f"field values shape {self.values.shape} does not match "
-                f"resolution {self.resolution}"
-            )
         if not np.isfinite(self.values).all():
             raise ConfigError(
                 "field values must be finite; check the keys that feed a field: "
@@ -86,12 +79,7 @@ class ValueField:
                 "agent.visit_reward, agent.noise_sigma and kernel.*"
             )
 
-    def in_bounds(self, cell: GridCell) -> bool:
-        return 0 <= cell.i < self.resolution and 0 <= cell.j < self.resolution
-
     def value_at(self, cell: GridCell) -> float:
-        if not self.in_bounds(cell):
-            raise ConfigError(f"cell {cell} outside {self.resolution}x{self.resolution} grid")
         return float(self.values[cell.i, cell.j])
 
 
@@ -114,10 +102,6 @@ def sample_field(kernel: KernelConfig, resolution: int, rng: np.random.Generator
     escalates tenfold per retry up to JITTER_CEILING before giving up. The
     same kernel, resolution, and seed always reproduce the same field.
     """
-    if resolution > MAX_RESOLUTION:
-        raise ConfigError(
-            f"exact sampling is bounded at resolution {MAX_RESOLUTION}, got {resolution}"
-        )
     draw = _covariance_factor(kernel, resolution) @ rng.standard_normal(resolution * resolution)
     return ValueField(resolution, draw.reshape(resolution, resolution))
 
@@ -159,10 +143,6 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
     distance to `center` in cell units; negative peaks penalize, positive
     peaks reward. Exactly inverted by a second bump with -peak.
     """
-    if not field.in_bounds(center):
-        raise ConfigError(f"bump center {center} outside grid")
-    if not (math.isfinite(width) and width > 0):
-        raise ConfigError(f"bump width must be > 0, got {width}")
     r = field.resolution
     window = _unit_bump_window(r, width)
     # rows r-1-i .. 2r-2-i hold offsets -i .. r-1-i from the center row, so the
@@ -193,8 +173,6 @@ def _unit_bump_window(resolution: int, width: float) -> np.ndarray:
 
 def contaminate(field: ValueField, sigma: float, rng: np.random.Generator) -> ValueField:
     """Add i.i.d. N(0, sigma^2) noise to every cell; sigma 0 is the identity."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
     noise = rng.normal(0.0, sigma, size=field.values.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         values = field.values + noise

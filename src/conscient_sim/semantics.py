@@ -16,7 +16,7 @@ from typing import Container, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, GraphParseError, UnknownCategoryError
+from .errors import GraphParseError
 from .fields import GridCell
 from .seeds import derive_seed, make_rng
 
@@ -83,7 +83,6 @@ class SemanticGraph:
 
     nodes: tuple[str, ...]
     adjacency: dict[str, tuple[str, ...]]
-    feature_dim: int
     prototype_matrix: np.ndarray = field(repr=False)
     _hop_rows: dict[str, dict[str, int]] = field(init=False, repr=False, default_factory=dict)
     _classified: dict[bytes, str] = field(init=False, repr=False, default_factory=dict)
@@ -92,10 +91,7 @@ class SemanticGraph:
         return name in self.adjacency
 
     def neighbors(self, name: str) -> tuple[str, ...]:
-        try:
-            return self.adjacency[name]
-        except KeyError:
-            raise UnknownCategoryError(name) from None
+        return self.adjacency[name]
 
 
 def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
@@ -137,7 +133,6 @@ def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
     return SemanticGraph(
         nodes=ordered,
         adjacency={n: tuple(sorted(adjacency[n])) for n in ordered},
-        feature_dim=feature_dim,
         prototype_matrix=prototypes,
     )
 
@@ -164,10 +159,6 @@ def hop_counts(graph: SemanticGraph, start: str) -> dict[str, int]:
 
 def semantic_distance(graph: SemanticGraph, start: str, end: str) -> Optional[int]:
     """Edge count on a shortest path, or None when unreachable."""
-    if not graph.has_node(start):
-        raise UnknownCategoryError(start)
-    if not graph.has_node(end):
-        raise UnknownCategoryError(end)
     return hop_counts(graph, start).get(end)
 
 
@@ -175,13 +166,9 @@ def classify(features: np.ndarray, graph: SemanticGraph) -> str:
     """Name of the category whose prototype is nearest in Euclidean distance.
 
     Exact ties resolve to the lexicographically smallest name. Memoised per
-    graph on the vector's bytes, after the shape check.
+    graph on the vector's bytes; `features` has the prototypes' length.
     """
     feats = np.asarray(features, dtype=float)
-    if feats.shape != (graph.feature_dim,):
-        raise ContractError(
-            f"features shape {feats.shape} does not match feature_dim {graph.feature_dim}"
-        )
     key = feats.tobytes()
     best = graph._classified.get(key)
     if best is not None:
@@ -201,7 +188,7 @@ def classify(features: np.ndarray, graph: SemanticGraph) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Percept:
-    """One remembered frame: features plus provenance."""
+    """One remembered frame: features plus provenance; `kind` is one of PERCEPT_KINDS."""
 
     id: str
     features: np.ndarray
@@ -209,12 +196,6 @@ class Percept:
     origin: GridCell
     tick: int
     kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in PERCEPT_KINDS:
-            raise ContractError(f"unknown percept kind {self.kind!r}")
-        if self.tick < 0:
-            raise ContractError(f"percept tick must be >= 0, got {self.tick}")
 
 
 class PerceptStore:

@@ -22,7 +22,7 @@ import numpy as np
 from .dreams import DreamFrameRow
 from .errors import TraceError
 from .fields import GridCell
-from .semantics import Percept
+from .semantics import PERCEPT_KINDS, Percept
 from .world import InteractionRecord, Metrics, TraceRow, row_metrics
 
 TRACE_HEADER = [
@@ -320,6 +320,10 @@ def read_percepts_csv(path: str) -> list[tuple[int, Percept]]:
                 tick=int(rec[6]),
                 kind=rec[2],
             )
+            if percept.kind not in PERCEPT_KINDS:
+                raise ValueError(f"unknown percept kind {percept.kind!r}")
+            if percept.tick < 0:
+                raise ValueError(f"percept tick must be >= 0, got {percept.tick}")
             percepts.append((int(rec[0]), percept))
         except ValueError as exc:
             raise TraceError(f"percept log {path}, line {lineno}: {exc}") from None

@@ -339,7 +339,7 @@ def test_dream_subcommand_rejects_percepts_of_another_width(tmp_path, cfg_path, 
     ) == 1
     err = capsys.readouterr().err
     first_id = log.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
-    assert err.startswith("error:") and f"percept {first_id}:" in err
+    assert err.startswith(f"error: percept log {log}: percept {first_id}:")
     assert "16 features" in err and "world.feature_dim is 4" in err
     assert not (out / "dreams.csv").exists()
     # one 2-wide row in an otherwise matching log
@@ -353,8 +353,20 @@ def test_dream_subcommand_rejects_percepts_of_another_width(tmp_path, cfg_path, 
         ["dream", "--config", cfg_path, "--percept-log", str(mixed), "--out", str(out)]
     ) == 1
     err = capsys.readouterr().err
-    assert f"percept {cells[1]}: 2 features" in err and "world.feature_dim is 16" in err
+    assert f"percept log {mixed}: percept {cells[1]}: 2 features" in err
+    assert "world.feature_dim is 16" in err
     assert not (out / "dreams.csv").exists()
+    # a one-row log whose only row is 1 wide
+    one = tmp_path / "one.csv"
+    one.write_text(lines[0] + "\n0,p1,observed,dog,1,2,3,0.5\n", encoding="utf-8")
+    out = tmp_path / "d1"
+    assert run_command(
+        ["dream", "--config", cfg_path, "--percept-log", str(one), "--out", str(out)]
+    ) == 1
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"error: percept log {one}: percept p1: 1 features, but world.feature_dim is 16"
+    )
+    assert not out.exists()
 
 
 def test_dream_subcommand_reports_a_field_over_the_csv_limit(tmp_path, cfg_path, capsys):
@@ -375,25 +387,36 @@ def test_dream_subcommand_reports_a_field_over_the_csv_limit(tmp_path, cfg_path,
 
 
 def test_dream_subcommand_needs_populated_log(tmp_path, cfg_path, capsys):
+    # a log without a usable content or style percept is rejected before any
+    # output is written; so is a percept the config's world cannot hold
     header = "agent_id,id,kind,category,i,j,tick,features\n"
     features = ";".join(["0.5"] * 16)
     logs = {
-        "content": header,
-        "style": header + f"0,p1,observed,dog,1,2,3,{features}\n",
+        "no-content": (header, "no content percepts to dream with"),
+        "no-style": (
+            header + f"0,p1,observed,dog,1,2,3,{features}\n",
+            "no style percepts to dream with",
+        ),
+        "zebra": (
+            header + f"0,p1,observed,zebra,1,2,3,{features}\n",
+            "percept p1: category 'zebra' not in world.content_graph",
+        ),
+        "off-grid": (
+            header + f"0,p1,observed,dog,99,-5,3,{features}\n",
+            "percept p1: origin (99, -5) is off the grid, but world.resolution is 8",
+        ),
     }
-    for missing, text in logs.items():
-        log = tmp_path / f"no-{missing}.csv"
+    for name, (text, message) in logs.items():
+        log = tmp_path / f"{name}.csv"
         log.write_text(text, encoding="utf-8")
-        out = tmp_path / f"d-{missing}"
+        out = tmp_path / f"d-{name}"
         rc = run_command(
             ["dream", "--config", cfg_path, "--percept-log", str(log), "--out", str(out)]
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.splitlines()[0] == (
-            f"error: percept log {log}: no {missing} percepts to dream with"
-        )
-        assert not (out / "dreams.csv").exists()
+        assert err.splitlines()[0] == f"error: percept log {log}: {message}"
+        assert not out.exists()
 
 
 def test_optimize_subcommand_writes_history(tmp_path, capsys):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 
 import pytest
 
@@ -16,17 +15,11 @@ from conscient_sim.emotions import (
     should_sleep,
     tick_emotions,
 )
-from conscient_sim.errors import ConfigError, ContractError
+from conscient_sim.errors import ConfigError
 from conscient_sim.seeds import make_rng
 
 
 def test_state_validation_and_copy():
-    with pytest.raises(ConfigError):
-        EmotionState(happiness=1.2)
-    with pytest.raises(ConfigError):
-        EmotionState(fatigue=-0.1)
-    with pytest.raises(ConfigError):
-        EmotionState(courage=float("nan"))
     s = EmotionState(happiness=0.3, curiosity=0.4, friendship=0.6, courage=0.7, fatigue=0.2)
     c = s.copy()
     assert type(c) is EmotionState and c is not s and c == s
@@ -50,21 +43,6 @@ def test_params_validation():
         EmotionParams(valence_high=float("inf"))
     with pytest.raises(ConfigError, match="emotion.valence_low"):
         EmotionParams(valence_low=float("nan"))
-
-
-def test_event_validation():
-    params, base = EmotionParams(), EmotionState()
-    for kind, payload, message in (
-        ("applause", 0.5, f"unknown emotion event kind 'applause', expected one of {EVENT_KINDS}"),
-        ("photo_taken", float("nan"), "event payload must be finite"),
-    ):
-        rng = make_rng(9)
-        with pytest.raises(ContractError, match=re.escape(message)):
-            apply_event(base, kind, payload, params, rng)
-        # rejected before any draw
-        assert rng.random() == make_rng(9).random()
-    for kind in EVENT_KINDS:
-        apply_event(base, kind, 0.0, params, make_rng(0))
 
 
 def test_photo_event_directions():
@@ -148,8 +126,6 @@ def test_tick_asleep_arithmetic():
     assert out.curiosity == 0.4
     drained = tick_emotions(EmotionState(fatigue=0.05), params, "asleep")
     assert drained.fatigue == 0.0
-    with pytest.raises(ConfigError):
-        tick_emotions(s, params, "dozing")
 
 
 def test_bounds_hold_under_long_fuzz():

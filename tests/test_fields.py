@@ -96,14 +96,6 @@ def test_sample_field_adjacent_covariance():
     assert abs(cov - math.exp(-1.0 / 8.0)) < 0.08
 
 
-def test_sample_field_resolution_limits():
-    kernel = KernelConfig()
-    with pytest.raises(ConfigError):
-        sample_field(kernel, 1, make_rng(0))
-    with pytest.raises(ConfigError):
-        sample_field(kernel, 129, make_rng(0))
-
-
 def test_sample_field_degenerate_covariance():
     # identical columns at this scale: escalated jitter drowns in rounding
     kernel = KernelConfig(amplitude=1e16, lengthscale=1e6, jitter=1e-8)
@@ -186,10 +178,6 @@ def test_local_bump_roundtrip_restores_field():
 def test_local_bump_validation():
     base = ValueField(4, np.zeros((4, 4)))
     with pytest.raises(ConfigError):
-        local_bump(base, GridCell(4, 0), -1.0, 1.0)
-    with pytest.raises(ConfigError):
-        local_bump(base, GridCell(0, 0), -1.0, 0.0)
-    with pytest.raises(ConfigError):
         local_bump(base, GridCell(0, 0), float("nan"), 1.0)
 
 
@@ -202,8 +190,6 @@ def test_contaminate_identity_and_determinism():
     b = contaminate(base, 0.3, make_rng(55))
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, base.values)
-    with pytest.raises(ConfigError):
-        contaminate(base, -0.1, make_rng(0))
 
 
 def test_contaminate_noise_scale():
@@ -268,10 +254,6 @@ def test_steepest_neighbor_tie_break_and_peak():
 
 
 def test_value_field_validation():
-    with pytest.raises(ConfigError):
-        ValueField(1, np.zeros((1, 1)))
-    with pytest.raises(ConfigError):
-        ValueField(3, np.zeros((4, 4)))
     bad = np.zeros((3, 3))
     bad[0, 0] = float("nan")
     with pytest.raises(ConfigError):

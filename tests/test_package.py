@@ -187,16 +187,27 @@ def test_unread_field_checker_covers_named_tuples():
 UNREACHED_ALLOWED = {
     "fields.bump_amount": "closed-form oracle that criterion 02 and "
     "tests/test_fields.py compare local_bump against",
+    "emotions.EVENT_KINDS": "the closed list of event kinds that criterion 04 "
+    "and test_bounds_hold_under_long_fuzz draw from",
 }
+
+CONSTANT_NAME = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
-    """(qualified name, bare name) of each module-level function and class
-    and each non-dunder method."""
+    """(qualified name, bare name) of each module-level function, class and
+    ALL-CAPS constant, and each non-dunder method."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.name, node.name))
+        targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+        targets += node.targets if isinstance(node, ast.Assign) else []
+        out += [
+            (t.id, t.id)
+            for t in targets
+            if isinstance(t, ast.Name) and CONSTANT_NAME.fullmatch(t.id)
+        ]
         if isinstance(node, ast.ClassDef):
             out += [
                 (f"{node.name}.{m.name}", m.name)
@@ -208,10 +219,10 @@ def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
 
 
 def _references(tree: ast.Module) -> set[str]:
-    """Every name, attribute and import alias the module mentions."""
+    """Every name read, attribute and import alias the module mentions."""
     out: set[str] = set()
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
@@ -224,10 +235,11 @@ def _unreached(modules: dict[str, str], others: list[str], allowed: dict[str, st
     """Definitions in `modules` (stem -> source) that no module references,
     nor any source in `others`, and allowlist entries that are stale.
 
-    A `def` is not a reference to itself, and `__init__` is skipped, so a
-    re-export does not count. Matched by bare name, so this is a lower bound:
-    a method sharing its name with one that is called passes. An allowlist
-    entry is stale when it names no definition or one that is referenced.
+    A `def` or an assignment is not a reference to itself, and `__init__` is
+    skipped, so a re-export does not count. Matched by bare name, so this is a
+    lower bound: a method sharing its name with one that is called passes. An
+    allowlist entry is stale when it names no definition or one that is
+    referenced.
     """
     trees = {stem: ast.parse(src) for stem, src in modules.items() if stem != "__init__"}
     refs = set().union(*map(_references, trees.values()))
@@ -248,26 +260,25 @@ def test_every_definition_is_reached_from_src_or_bench():
 
 def test_unreached_checker_flags_and_clears():
     lib = (
+        "KINDS = ('a', 'b')\n\n"
         "def helper():\n    return 1\n\n"
         "def orphan():\n    return helper()\n\n"
         "class Box:\n"
         "    def __len__(self):\n        return helper()\n\n"
         "    def peek(self):\n        pass\n"
     )
-    assert _unreached({"lib": lib}, [], {}) == ["lib.orphan", "lib.Box", "lib.Box.peek"]
+    flagged = ["lib.KINDS", "lib.orphan", "lib.Box", "lib.Box.peek"]
+    assert _unreached({"lib": lib}, [], {}) == flagged
     # a second module that uses them clears them
-    app = "from .lib import Box, orphan\n\norphan()\nBox().peek()\n"
+    app = "from .lib import KINDS, Box, orphan\n\norphan(KINDS)\nBox().peek()\n"
     assert _unreached({"lib": lib, "app": app}, [], {}) == []
     # a re-export in __init__ does not count; a reference outside src/ does
-    init = "from .lib import orphan\n"
-    assert _unreached({"lib": lib, "__init__": init}, [], {}) == [
-        "lib.orphan",
-        "lib.Box",
-        "lib.Box.peek",
-    ]
-    assert _unreached({"lib": lib}, ["import lib\n\nlib.orphan(lib.Box().peek())\n"], {}) == []
+    init = "from .lib import KINDS, orphan\n"
+    assert _unreached({"lib": lib, "__init__": init}, [], {}) == flagged
+    outside = "import lib\n\nlib.orphan(lib.Box().peek(), lib.KINDS)\n"
+    assert _unreached({"lib": lib}, [outside], {}) == []
     # an allowlist entry naming nothing, or something referenced, is stale
-    allowed = {"lib.orphan": "oracle", "lib.Box": "oracle", "lib.Box.peek": "oracle"}
+    allowed = {q: "oracle" for q in flagged}
     assert _unreached({"lib": lib}, [], allowed) == []
     assert _unreached({"lib": lib}, [], {**allowed, "lib.gone": "oracle"}) == [
         "stale allowlist entry lib.gone"
