@@ -271,8 +271,8 @@ def agent_tick(
             )
             agent.percepts.attach(dreamed)
             events.append(f"dream:{dreamed.id}")
-            dream_row = DreamFrameRow.of(
-                frame, agent.id, tick, agent.dream_frame_count, dreamed.id, valence
+            dream_row = DreamFrameRow(
+                agent.id, tick, agent.dream_frame_count, dreamed.id, frame, valence
             )
         else:
             events.append("dreamless")

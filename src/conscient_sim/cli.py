@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .configio import ConfigBundle, parse_config
-from .dreams import DreamFrameRow, dream
+from .dreams import DreamFrameRow, DreamWalk
 from .errors import SimulatorError, TraceError
 from .optimizer import evolve
 from .seeds import derive_seed, make_rng
@@ -130,40 +130,21 @@ def _cmd_dream(args) -> int:
     content_graph, style_graph = load_graphs(world_cfg)
     content_store = PerceptStore()
     style_store = PerceptStore()
-    log, r = args.percept_log, world_cfg.resolution
-    # the one place percepts, and so cells, enter from outside: check them here
-    for _, p in read_percepts_csv(log):
-        kind = "style" if p.kind == "style" else "content"
-        graph = style_graph if kind == "style" else content_graph
-        if not graph.has_node(p.category):
-            raise TraceError(
-                f"percept log {log}: percept {p.id}: category {p.category!r} "
-                f"not in world.{kind}_graph"
-            )
-        if len(p.features) != world_cfg.feature_dim:
-            raise TraceError(
-                f"percept log {log}: percept {p.id}: {len(p.features)} features, "
-                f"but world.feature_dim is {world_cfg.feature_dim}"
-            )
-        if not (0 <= p.origin.i < r and 0 <= p.origin.j < r):
-            raise TraceError(
-                f"percept log {log}: percept {p.id}: origin ({p.origin.i}, {p.origin.j}) "
-                f"is off the grid, but world.resolution is {r}"
-            )
-        (style_store if kind == "style" else content_store).attach(p)
+    log = args.percept_log
+    for _, p in read_percepts_csv(log, world_cfg, content_graph, style_graph):
+        (style_store if p.kind == "style" else content_store).attach(p)
     for kind, store in (("content", content_store), ("style", style_store)):
         if len(store) == 0:
             raise TraceError(f"percept log {log}: no {kind} percepts to dream with")
     rng = make_rng(derive_seed(world_cfg.master_seed, "dream-cli"))
-    frames = dream(
-        content_store, content_graph, style_store, style_graph, world_cfg.agent.dream, rng
-    )
+    dream_cfg = world_cfg.agent.dream
+    walk = DreamWalk(content_store, content_graph, style_store, style_graph, dream_cfg, rng)
     # bare frames have no agent and no field: agent 0, tick = frame index
-    rows = [DreamFrameRow.of(frame, 0, k, k, "", 0) for k, frame in enumerate(frames, start=1)]
+    rows = [DreamFrameRow(0, k, k, "", walk.step(rng), 0) for k in range(1, dream_cfg.length + 1)]
     outputs = _write_outputs(args.out, {"dreams.csv": (write_dreams_csv, rows)})
     manifest = _manifest(args, bundle, started, outputs)
     write_manifest(os.path.join(args.out, "manifest.json"), manifest)
-    print(f"dreamed {len(frames)} frames -> {args.out}")
+    print(f"dreamed {len(rows)} frames -> {args.out}")
     return 0
 
 

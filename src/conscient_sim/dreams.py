@@ -5,6 +5,8 @@ content graph and one on the style graph (step sizes drawn uniformly from an
 integer interval), picks a stored percept at each resulting category, and
 blends their features. The walk over categories is what gives dreams their
 drift; the blend weight decides how strongly style tints content.
+`DreamWalk.step` returns each frame whole and frozen; a `DreamFrameRow` keeps
+it for dreams.csv.
 """
 
 from __future__ import annotations
@@ -40,53 +42,28 @@ class DreamConfig:
             raise ConfigError(f"dream.style_weight must be in [0, 1], got {self.style_weight}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DreamFrame:
+    """One blended frame: mixed features and where its two sources came from."""
+
     features: np.ndarray
     content_category: str
     style_category: str
     content_origin: GridCell
-    # Edge distance between successive frame categories; None when unreachable.
-    pair_distance: Optional[int] = None
+    # Edge distance from the previous frame's content category; None when unreachable.
+    pair_distance: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DreamFrameRow:
+    """A frame as dreams.csv records it: who dreamed it, when, and its valence."""
+
     agent_id: int
     tick: int
     frame_index: int
     percept_id: str
-    content_category: str
-    style_category: str
-    origin_i: int
-    origin_j: int
-    pair_distance: Optional[int]
+    frame: DreamFrame
     valence: int
-
-    @classmethod
-    def of(
-        cls,
-        frame: DreamFrame,
-        agent_id: int,
-        tick: int,
-        frame_index: int,
-        percept_id: str,
-        valence: int,
-    ) -> DreamFrameRow:
-        """The dreams.csv row of one frame."""
-        origin = frame.content_origin
-        return cls(
-            agent_id,
-            tick,
-            frame_index,
-            percept_id,
-            frame.content_category,
-            frame.style_category,
-            origin.i,
-            origin.j,
-            frame.pair_distance,
-            valence,
-        )
 
 
 def walk_step(graph: SemanticGraph, current: str, omega: int, rng: np.random.Generator) -> str:
@@ -101,19 +78,9 @@ def walk_step(graph: SemanticGraph, current: str, omega: int, rng: np.random.Gen
     return node
 
 
-def blend(content: Percept, style: Percept, style_weight: float) -> DreamFrame:
-    """Mix content and style features: (1 - w) * content + w * style.
-
-    Inputs in [0, 1] stay in [0, 1]. Categories and origin are copied from the
-    sources; pair_distance is filled in by the walk that produced the frame.
-    """
-    mixed = (1.0 - style_weight) * content.features + style_weight * style.features
-    return DreamFrame(
-        features=mixed,
-        content_category=content.category,
-        style_category=style.category,
-        content_origin=content.origin,
-    )
+def blend(content: Percept, style: Percept, style_weight: float) -> np.ndarray:
+    """Mix content and style features, (1 - w) * content + w * style: [0, 1] stays in [0, 1]."""
+    return (1.0 - style_weight) * content.features + style_weight * style.features
 
 
 def _nearest_populated(graph: SemanticGraph, start: str, store: PerceptStore) -> str:
@@ -176,25 +143,10 @@ class DreamWalk:
         self._style_cat = walk_step(self.style_graph, self._style_cat, omega_s, rng)
         content_p = _pick(self.content_store, self.content_graph, self._content_cat, rng)
         style_p = _pick(self.style_store, self.style_graph, self._style_cat, rng)
-        frame = blend(content_p, style_p, self.config.style_weight)
-        frame.pair_distance = semantic_distance(
-            self.content_graph, self._prev_frame_cat, frame.content_category
-        )
-        self._prev_frame_cat = frame.content_category
-        return frame
-
-
-def dream(
-    content_store: PerceptStore,
-    content_graph: SemanticGraph,
-    style_store: PerceptStore,
-    style_graph: SemanticGraph,
-    config: DreamConfig,
-    rng: np.random.Generator,
-) -> list[DreamFrame]:
-    """Generate config.length frames; the `dream` command checks both stores are non-empty."""
-    walk = DreamWalk(content_store, content_graph, style_store, style_graph, config, rng)
-    return [walk.step(rng) for _ in range(config.length)]
+        prev, self._prev_frame_cat = self._prev_frame_cat, content_p.category
+        distance = semantic_distance(self.content_graph, prev, content_p.category)
+        mixed = blend(content_p, style_p, self.config.style_weight)
+        return DreamFrame(mixed, content_p.category, style_p.category, content_p.origin, distance)
 
 
 def dream_valence(

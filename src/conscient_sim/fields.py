@@ -129,10 +129,6 @@ def _covariance_factor(kernel: KernelConfig, resolution: int) -> np.ndarray:
 
 def bump_amount(peak: float, width: float, distance: float) -> float:
     """Gaussian radial profile local_bump applies at a given cell distance."""
-    if not (math.isfinite(width) and width > 0):
-        raise ConfigError(f"bump width must be > 0, got {width}")
-    if not math.isfinite(peak):
-        raise ConfigError(f"bump peak must be finite, got {peak}")
     return peak * math.exp(-(distance * distance) / (2.0 * width * width))
 
 

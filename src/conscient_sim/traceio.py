@@ -22,8 +22,8 @@ import numpy as np
 from .dreams import DreamFrameRow
 from .errors import TraceError
 from .fields import GridCell
-from .semantics import PERCEPT_KINDS, Percept
-from .world import InteractionRecord, Metrics, TraceRow, row_metrics
+from .semantics import PERCEPT_KINDS, Percept, SemanticGraph
+from .world import InteractionRecord, Metrics, TraceRow, WorldConfig, row_metrics
 
 TRACE_HEADER = [
     "tick",
@@ -193,11 +193,11 @@ class _ParseMemo(dict):
 
 
 def read_trace_csv(path: str) -> list[TraceRow]:
-    """Parse and validate a trace file; rows must be ordered by (tick, agent)."""
+    """Parse and validate a trace file: each tick holds agents 0..n-1, n being the first's count."""
     rows = []
     # emotions and field values repeat across agents and ticks
     num = _ParseMemo()
-    prev = None
+    prev_tick, want, n = None, 0, 0  # want: the next agent id; n: 0 until the first tick ends
     for lineno, rec in _read_csv(path, TRACE_HEADER, "trace file"):
         tick, agent_id, i, j, mode, e_h, e_c, e_f, e_k, fatigue, field_value, ev = rec
         try:
@@ -224,13 +224,25 @@ def read_trace_csv(path: str) -> list[TraceRow]:
                             int(token.split(":", 2)[1])
                         except ValueError:
                             raise ValueError(f"malformed interaction token {token!r}") from None
-            key = (row.tick, row.agent_id)
-            if prev is not None and key <= prev:
-                raise ValueError("rows not ordered by (tick, agent_id)")
+            if row.tick != prev_tick:
+                if prev_tick is not None and row.tick < prev_tick:
+                    raise ValueError("rows not ordered by tick")
+                n = n or want
+                if want != n:
+                    raise ValueError(f"expected agent_id {want}, got tick {row.tick}")
+                want = 0
+            elif want == n:
+                raise ValueError(f"tick {row.tick} holds more than the first tick's {n} agents")
+            if row.agent_id != want:
+                raise ValueError(f"expected agent_id {want}, got {row.agent_id}")
         except ValueError as exc:
             raise TraceError(f"trace file {path}, line {lineno}: {exc}") from None
-        prev = key
+        prev_tick, want = row.tick, want + 1
         rows.append(row)
+    if n and want != n:
+        raise TraceError(
+            f"trace file {path}, line {lineno + 1}: expected agent_id {want}, got end of file"
+        )
     return rows
 
 
@@ -274,8 +286,9 @@ def write_dreams_csv(path: str, rows: Iterable[DreamFrameRow]) -> None:
         DREAMS_HEADER,
         (
             f"{r.agent_id},{r.tick},{r.frame_index},{_cell(r.percept_id)},"
-            f"{_cell(r.content_category)},{_cell(r.style_category)},{r.origin_i},{r.origin_j},"
-            f"{'' if r.pair_distance is None else r.pair_distance},{r.valence}\n"
+            f"{_cell(r.frame.content_category)},{_cell(r.frame.style_category)},"
+            f"{r.frame.content_origin.i},{r.frame.content_origin.j},"
+            f"{'' if r.frame.pair_distance is None else r.frame.pair_distance},{r.valence}\n"
             for r in rows
         ),
     )
@@ -306,17 +319,25 @@ def write_percepts_csv(path: str, rows: Iterable[tuple[int, Percept]]) -> None:
     )
 
 
-def read_percepts_csv(path: str) -> list[tuple[int, Percept]]:
-    """(owner agent id, percept) pairs of a percept log, in file order."""
+def read_percepts_csv(
+    path: str, world: WorldConfig, content_graph: SemanticGraph, style_graph: SemanticGraph
+) -> list[tuple[int, Percept]]:
+    """(owner agent id, percept) pairs of a percept log, in file order.
+
+    Here percepts, and so cells, enter from outside: each must fit `world` and
+    its graph (`style_graph` for style percepts, `content_graph` for the rest).
+    """
+    r = world.resolution
     percepts = []
     for lineno, rec in _read_csv(path, PERCEPTS_HEADER, "percept log"):
         try:
             feats = np.array([float(x) for x in rec[7].split(";") if x], dtype=float)
+            i, j = int(rec[4]), int(rec[5])
             percept = Percept(
                 id=rec[1],
                 features=feats,
                 category=rec[3],
-                origin=GridCell(int(rec[4]), int(rec[5])),
+                origin=GridCell(i, j),
                 tick=int(rec[6]),
                 kind=rec[2],
             )
@@ -324,9 +345,20 @@ def read_percepts_csv(path: str) -> list[tuple[int, Percept]]:
                 raise ValueError(f"unknown percept kind {percept.kind!r}")
             if percept.tick < 0:
                 raise ValueError(f"percept tick must be >= 0, got {percept.tick}")
+            kind = "style" if percept.kind == "style" else "content"
+            graph = style_graph if kind == "style" else content_graph
+            if not graph.has_node(percept.category):
+                raise ValueError(f"category {percept.category!r} not in world.{kind}_graph")
+            if len(feats) != world.feature_dim:
+                raise ValueError(
+                    f"{len(feats)} features, but world.feature_dim is {world.feature_dim}"
+                )
+            if not (0 <= i < r and 0 <= j < r):
+                raise ValueError(f"origin ({i}, {j}) is off the grid, but world.resolution is {r}")
             percepts.append((int(rec[0]), percept))
         except ValueError as exc:
-            raise TraceError(f"percept log {path}, line {lineno}: {exc}") from None
+            where = f"percept log {path}, line {lineno}: percept {rec[1]}"
+            raise TraceError(f"{where}: {exc}") from None
     return percepts
 
 

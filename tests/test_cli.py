@@ -339,7 +339,7 @@ def test_dream_subcommand_rejects_percepts_of_another_width(tmp_path, cfg_path, 
     ) == 1
     err = capsys.readouterr().err
     first_id = log.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
-    assert err.startswith(f"error: percept log {log}: percept {first_id}:")
+    assert err.startswith(f"error: percept log {log}, line 2: percept {first_id}:")
     assert "16 features" in err and "world.feature_dim is 4" in err
     assert not (out / "dreams.csv").exists()
     # one 2-wide row in an otherwise matching log
@@ -353,7 +353,7 @@ def test_dream_subcommand_rejects_percepts_of_another_width(tmp_path, cfg_path, 
         ["dream", "--config", cfg_path, "--percept-log", str(mixed), "--out", str(out)]
     ) == 1
     err = capsys.readouterr().err
-    assert f"percept log {mixed}: percept {cells[1]}: 2 features" in err
+    assert f"percept log {mixed}, line {len(lines)}: percept {cells[1]}: 2 features" in err
     assert "world.feature_dim is 16" in err
     assert not (out / "dreams.csv").exists()
     # a one-row log whose only row is 1 wide
@@ -364,7 +364,7 @@ def test_dream_subcommand_rejects_percepts_of_another_width(tmp_path, cfg_path, 
         ["dream", "--config", cfg_path, "--percept-log", str(one), "--out", str(out)]
     ) == 1
     assert capsys.readouterr().err.splitlines()[0] == (
-        f"error: percept log {one}: percept p1: 1 features, but world.feature_dim is 16"
+        f"error: percept log {one}, line 2: percept p1: 1 features, but world.feature_dim is 16"
     )
     assert not out.exists()
 
@@ -392,18 +392,18 @@ def test_dream_subcommand_needs_populated_log(tmp_path, cfg_path, capsys):
     header = "agent_id,id,kind,category,i,j,tick,features\n"
     features = ";".join(["0.5"] * 16)
     logs = {
-        "no-content": (header, "no content percepts to dream with"),
+        "no-content": (header, ": no content percepts to dream with"),
         "no-style": (
             header + f"0,p1,observed,dog,1,2,3,{features}\n",
-            "no style percepts to dream with",
+            ": no style percepts to dream with",
         ),
         "zebra": (
-            header + f"0,p1,observed,zebra,1,2,3,{features}\n",
-            "percept p1: category 'zebra' not in world.content_graph",
+            header + f"0,p1,observed,dog,1,2,3,{features}\n0,p2,observed,zebra,1,2,3,{features}\n",
+            ", line 3: percept p2: category 'zebra' not in world.content_graph",
         ),
         "off-grid": (
             header + f"0,p1,observed,dog,99,-5,3,{features}\n",
-            "percept p1: origin (99, -5) is off the grid, but world.resolution is 8",
+            ", line 2: percept p1: origin (99, -5) is off the grid, but world.resolution is 8",
         ),
     }
     for name, (text, message) in logs.items():
@@ -415,7 +415,7 @@ def test_dream_subcommand_needs_populated_log(tmp_path, cfg_path, capsys):
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.splitlines()[0] == f"error: percept log {log}: {message}"
+        assert err.splitlines()[0] == f"error: percept log {log}{message}"
         assert not out.exists()
 
 

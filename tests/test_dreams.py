@@ -7,11 +7,11 @@ import pytest
 
 from conscient_sim.dreams import (
     DreamConfig,
+    DreamFrame,
     DreamWalk,
     _nearest_populated,
     _pick,
     blend,
-    dream,
     dream_valence,
     walk_step,
 )
@@ -42,6 +42,12 @@ def _store(*percepts):
     for p in percepts:
         s.attach(p)
     return s
+
+
+def _dream(content, graph, style, style_graph, config, rng):
+    """config.length frames of one walk, as the `dream` command takes them."""
+    walk = DreamWalk(content, graph, style, style_graph, config, rng)
+    return [walk.step(rng) for _ in range(config.length)]
 
 
 def test_dream_config_validation():
@@ -92,18 +98,11 @@ def test_walk_step_endpoint_within_omega_of_start():
 
 
 def test_blend_endpoints_and_mix():
-    c = _percept("c", "dog", [1.0, 0.0, 0.5], origin=GridCell(2, 3))
+    c = _percept("c", "dog", [1.0, 0.0, 0.5])
     s = _percept("s", "dark", [0.0, 1.0, 0.5], kind="style")
-    pure_c = blend(c, s, 0.0)
-    assert np.array_equal(pure_c.features, c.features)
-    pure_s = blend(c, s, 1.0)
-    assert np.array_equal(pure_s.features, s.features)
-    mid = blend(c, s, 0.25)
-    assert np.allclose(mid.features, [0.75, 0.25, 0.5])
-    assert mid.content_category == "dog"
-    assert mid.style_category == "dark"
-    assert mid.content_origin == GridCell(2, 3)
-    assert mid.pair_distance is None
+    assert np.array_equal(blend(c, s, 0.0), c.features)
+    assert np.array_equal(blend(c, s, 1.0), s.features)
+    assert np.allclose(blend(c, s, 0.25), [0.75, 0.25, 0.5])
 
 
 def test_blend_stays_in_unit_interval():
@@ -112,7 +111,7 @@ def test_blend_stays_in_unit_interval():
         c = _percept("c", "dog", rng.random(3))
         s = _percept("s", "dark", rng.random(3), kind="style")
         w = float(rng.random())
-        out = blend(c, s, w).features
+        out = blend(c, s, w)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
@@ -192,14 +191,17 @@ def test_pick_matches_copying_oracle_while_buckets_grow():
 def test_dream_walk_zero_bounds_freeze_categories():
     g = _graph(["a b", "b c"])
     sg = _graph(["dark bright"])
-    content = _store(_percept("p1", "b"))
-    style = _store(_percept("s1", "dark", kind="style"))
-    frozen = DreamConfig(step_lower=0, step_upper=0)
-    walk = DreamWalk(content, g, style, sg, frozen, make_rng(3))
+    c = _percept("p1", "b", [1.0, 0.0, 0.5], origin=GridCell(2, 3))
+    s = _percept("s1", "dark", [0.0, 1.0, 0.5], kind="style")
+    frozen = DreamConfig(step_lower=0, step_upper=0, style_weight=0.25)
+    walk = DreamWalk(_store(c), g, _store(s), sg, frozen, make_rng(3))
     for _ in range(10):
         frame = walk.step(make_rng(0))
+        # the frame carries its sources' categories and content origin
         assert frame.content_category == "b"
         assert frame.style_category == "dark"
+        assert frame.content_origin == GridCell(2, 3)
+        assert np.array_equal(frame.features, blend(c, s, 0.25))
         assert frame.pair_distance == 0
 
 
@@ -224,9 +226,9 @@ def test_dream_length_and_determinism():
     )
     style = _store(_percept("s1", "dark", [0.5, 0.5, 0.5], kind="style"))
     cfg = DreamConfig(step_lower=0, step_upper=2, length=6, style_weight=0.3)
-    d1 = dream(content, g, style, sg, cfg, make_rng(42))
-    d2 = dream(content, g, style, sg, cfg, make_rng(42))
-    d3 = dream(content, g, style, sg, cfg, make_rng(43))
+    d1 = _dream(content, g, style, sg, cfg, make_rng(42))
+    d2 = _dream(content, g, style, sg, cfg, make_rng(42))
+    d3 = _dream(content, g, style, sg, cfg, make_rng(43))
     assert len(d1) == 6
     assert [f.content_category for f in d1] == [f.content_category for f in d2]
     for f1, f2 in zip(d1, d2):
@@ -243,7 +245,7 @@ def test_dream_zero_length():
     sg = _graph(["dark bright"])
     content = _store(_percept("p1", "a"))
     style = _store(_percept("s1", "dark", kind="style"))
-    d = dream(content, g, style, sg, DreamConfig(length=0), make_rng(0))
+    d = _dream(content, g, style, sg, DreamConfig(length=0), make_rng(0))
     assert len(d) == 0
 
 
@@ -260,7 +262,7 @@ def test_dream_pair_distances_respect_step_bound():
     style = _store(_percept("s1", "dark", kind="style"))
     cfg = DreamConfig(step_lower=0, step_upper=3, length=20)
     for seed in range(30):
-        d = dream(content, g, style, sg, cfg, make_rng(seed))
+        d = _dream(content, g, style, sg, cfg, make_rng(seed))
         cats = [f.content_category for f in d]
         for a, b, frame in zip(cats, cats[1:], d[1:]):
             oracle = semantic_distance(g, a, b)
@@ -271,23 +273,11 @@ def test_dream_pair_distances_respect_step_bound():
 def test_dream_valence_thresholds():
     vals = np.array([[0.9, 0.0], [-0.5, 0.2]])
     field = ValueField(2, vals)
-    frame_hi = blend(
-        _percept("c", "dog", origin=GridCell(0, 0)),
-        _percept("s", "dark", kind="style"),
-        0.5,
-    )
+    frame_hi = DreamFrame(np.zeros(3), "dog", "dark", GridCell(0, 0), None)
     assert dream_valence(frame_hi, field, theta_high=0.5, theta_low=-0.2) == 1
-    frame_lo = blend(
-        _percept("c2", "dog", origin=GridCell(1, 0)),
-        _percept("s2", "dark", kind="style"),
-        0.5,
-    )
+    frame_lo = DreamFrame(np.zeros(3), "dog", "dark", GridCell(1, 0), None)
     assert dream_valence(frame_lo, field, theta_high=0.5, theta_low=-0.2) == -1
-    frame_mid = blend(
-        _percept("c3", "dog", origin=GridCell(1, 1)),
-        _percept("s3", "dark", kind="style"),
-        0.5,
-    )
+    frame_mid = DreamFrame(np.zeros(3), "dog", "dark", GridCell(1, 1), None)
     assert dream_valence(frame_mid, field, theta_high=0.5, theta_low=-0.2) == 0
     # thresholds are strict: sitting exactly on one scores neutral
     assert dream_valence(frame_hi, field, theta_high=0.9, theta_low=0.0) == 0

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from conscient_sim.cli import run_command
+from conscient_sim.dreams import DreamFrame, DreamFrameRow
 from conscient_sim.errors import TraceError
 from conscient_sim.fields import GridCell
-from conscient_sim.semantics import Percept
+from conscient_sim.semantics import Percept, load_graph
 from conscient_sim.traceio import (
     DREAMS_HEADER,
     INTERACTIONS_HEADER,
@@ -36,16 +37,18 @@ from conscient_sim.traceio import (
     write_trace_csv,
 )
 from conscient_sim.world import (
-    DreamFrameRow,
     InteractionRecord,
     Metrics,
     TraceRow,
     WorldConfig,
+    load_graphs,
     metrics,
     run,
 )
 
 CFG = WorldConfig(resolution=8, n_agents=2, total_ticks=150, master_seed=2024)
+# the world a log of 2-wide percepts fits
+NARROW = WorldConfig(resolution=8, feature_dim=2)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,29 @@ def test_read_trace_csv_validation(tmp_path):
     )
     with pytest.raises(TraceError):
         read_trace_csv(str(unordered))
+
+    # each tick holds agent ids 0..n-1, n being the first tick's row count:
+    # a skipped id would shift every later agent's moves onto the wrong id
+    row = "{},{},{},1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
+    cases = {
+        "skipped id": (
+            [(0, 0, 1), (0, 2, 1), (1, 0, 1), (1, 2, 2)], 3, "expected agent_id 1, got 2"
+        ),
+        "late start": ([(0, 1, 1)], 2, "expected agent_id 0, got 1"),
+        "short tick": (
+            [(0, 0, 1), (0, 1, 1), (1, 0, 1), (2, 0, 1)], 5, "expected agent_id 1, got tick 2"
+        ),
+        "long tick": (
+            [(0, 0, 1), (1, 0, 1), (1, 1, 1)], 4, "tick 1 holds more than the first tick's 1 agents"
+        ),
+        "short end": ([(0, 0, 1), (0, 1, 1), (1, 0, 1)], 5, "expected agent_id 1, got end of file"),
+    }
+    for name, (keys, line, message) in cases.items():
+        gap = tmp_path / f"{name}.csv"
+        gap.write_text(head + "".join(row.format(*key) for key in keys), encoding="utf-8")
+        with pytest.raises(TraceError) as exc:
+            read_trace_csv(str(gap))
+        assert str(exc.value) == f"trace file {gap}, line {line}: {message}", name
 
     # a row's faults are reported in one order: a number that does not
     # parse, then the mode, then an interaction token, then the row order
@@ -185,31 +211,33 @@ def test_dreams_csv_blank_for_unreachable_distance(tmp_path, trace):
     assert len(lines) == 1 + len(trace.dream_rows)
     for row, line in zip(trace.dream_rows, lines[1:]):
         cells = line.split(",")
-        want = "" if row.pair_distance is None else str(row.pair_distance)
+        want = "" if row.frame.pair_distance is None else str(row.frame.pair_distance)
         assert cells[8] == want
 
 
 def test_percepts_csv_roundtrip(tmp_path, trace):
     path = tmp_path / "percepts.csv"
     write_percepts_csv(str(path), trace.percept_rows)
-    back = read_percepts_csv(str(path))
+    graphs = load_graphs(CFG)
+    back = read_percepts_csv(str(path), CFG, *graphs)
     assert len(back) == len(trace.percept_rows)
     for (aid, a), (bid, b) in zip(trace.percept_rows, back):
         assert (aid, a.id, a.kind, a.category) == (bid, b.id, b.kind, b.category)
         assert (a.origin, a.tick) == (b.origin, b.tick)
         assert np.array_equal(a.features, b.features)  # repr round-trip is exact
     with pytest.raises(TraceError):
-        read_percepts_csv(str(tmp_path / "missing.csv"))
+        read_percepts_csv(str(tmp_path / "missing.csv"), CFG, *graphs)
 
     # ids and categories that the writer must quote come back as they were,
     # through the reader `conscient-sim dream` uses
+    quoted_graph = load_graph('dog,cat "\n" x"",y', seed=0, feature_dim=2)
     quoted = [
         (0, Percept('p,1', np.zeros(2), 'dog,cat', GridCell(1, 2), 3, "observed")),
         (1, Percept('say "hi"', np.ones(2), '"', GridCell(0, 0), 0, "style")),
         (1, Percept('a,"b",', np.ones(2), 'x"",y', GridCell(3, 1), 7, "received")),
     ]
     write_percepts_csv(str(path), quoted)
-    back = read_percepts_csv(str(path))
+    back = read_percepts_csv(str(path), NARROW, quoted_graph, quoted_graph)
     assert [(aid, p.id, p.category) for aid, p in back] == [
         (aid, p.id, p.category) for aid, p in quoted
     ]
@@ -220,16 +248,20 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
     [
         ("0,p1,bogus,dog,1,2,3,0.5;0.5", "unknown percept kind 'bogus'"),
         ("0,p1,observed,dog,1,2,-4,0.5;0.5", "percept tick must be >= 0, got -4"),
+        ("0,p1,style,dog,1,2,3,0.5;0.5", "category 'dog' not in world.style_graph"),
+        ("0,p1,received,dark,1,2,3,0.5;0.5", "category 'dark' not in world.content_graph"),
+        ("0,p1,observed,dog,1,2,3,0.5", "1 features, but world.feature_dim is 2"),
+        ("0,p1,observed,dog,1,8,3,0.5;0.5", "origin (1, 8) is off the grid"),
         # 200,000 characters, over csv's default field size limit
         ("0,p1,observed,dog,1,2,3," + ";".join(["0.5"] * 50_000), "field larger than field limit"),
     ],
-    ids=["kind", "tick", "csv-limit"],
+    ids=["kind", "tick", "style-category", "content-category", "width", "origin", "csv-limit"],
 )
 def test_read_percepts_csv_rejects_what_a_percept_rejects(tmp_path, row, message):
     path = tmp_path / "percepts.csv"
     path.write_text(",".join(PERCEPTS_HEADER) + "\n" + row + "\n", encoding="utf-8")
     with pytest.raises(TraceError) as exc:
-        read_percepts_csv(str(path))
+        read_percepts_csv(str(path), NARROW, *load_graphs(NARROW))
     assert "line 2" in str(exc.value) and message in str(exc.value)
     assert str(path) in str(exc.value)
 
@@ -315,10 +347,11 @@ def _oracle_interaction(r: InteractionRecord) -> list:
 
 
 def _oracle_dream(r: DreamFrameRow) -> list:
-    distance = "" if r.pair_distance is None else r.pair_distance
+    f = r.frame
+    distance = "" if f.pair_distance is None else f.pair_distance
     return [
-        r.agent_id, r.tick, r.frame_index, r.percept_id, r.content_category,
-        r.style_category, r.origin_i, r.origin_j, distance, r.valence,
+        r.agent_id, r.tick, r.frame_index, r.percept_id, f.content_category,
+        f.style_category, f.content_origin.i, f.content_origin.j, distance, r.valence,
     ]
 
 
@@ -343,7 +376,7 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
     texts = ["a,b", 'q"x', "line\nbreak", "car\rriage", '""', '"', "café 日本", "", "plain"]
     trace_rows = [
         TraceRow(
-            tick=t, agent_id=t % 3, i=1, j=2, mode="awake" if t % 3 else "asleep",
+            tick=0, agent_id=t, i=1, j=2, mode="awake" if t % 3 else "asleep",
             e_h=v, e_c=-v, e_f=floats[-1 - t], e_k=1, fatigue=np.float64(0.5),
             field_value=v,
             # a bare \r ends a record for csv.reader, so the rows read back below hold none
@@ -358,7 +391,11 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
         for t, v in enumerate(floats)
     ]
     dream_rows = [
-        DreamFrameRow(0, t, t, texts[t], texts[-1 - t], texts[(t + 3) % 9], 1, 2, distance, -1)
+        DreamFrameRow(
+            0, t, t, texts[t],
+            DreamFrame(np.zeros(2), texts[-1 - t], texts[(t + 3) % 9], GridCell(1, 2), distance),
+            -1,
+        )
         for t, distance in enumerate([None, 0, 3, None, 1, 2, None, 4, 0])
     ]
     # one array shared by several rows, an equal copy, the same values with
@@ -439,7 +476,12 @@ def test_cell_quotes_exactly_what_csv_writer_quotes():
     [
         (write_trace_csv, TraceRow(0, 0, 1, 2, "awake", 0.5, 0.5, 0.5, 0.5, 0.0, 0.1, ("p:1",))),
         (write_interactions_csv, InteractionRecord(0, 0, 1, GridCell(1, 2), "p1", "p2", 0.5, 0.2)),
-        (write_dreams_csv, DreamFrameRow(0, 1, 1, "p1", "dog", "dark", 1, 2, None, 0)),
+        (
+            write_dreams_csv,
+            DreamFrameRow(
+                0, 1, 1, "p1", DreamFrame(np.zeros(2), "dog", "dark", GridCell(1, 2), None), 0
+            ),
+        ),
         (write_percepts_csv, (0, Percept("p1", np.full(8, 0.1), "dog", GridCell(1, 2), 1, "style"))),
     ],
     ids=["trace", "interactions", "dreams", "percepts"],

@@ -11,6 +11,7 @@ from conscient_sim.errors import ConfigError
 from conscient_sim.fields import GridCell
 from conscient_sim.semantics import Percept
 from conscient_sim.seeds import derive_seed, make_rng
+from conscient_sim.traceio import write_dreams_csv
 from conscient_sim.world import (
     World,
     WorldConfig,
@@ -225,13 +226,16 @@ def test_step_resends_are_recorded_but_idempotent():
         assert len(a.percepts) == 2  # own photo + the single received copy
 
 
-def test_run_is_deterministic():
+def test_run_is_deterministic(tmp_path):
     cfg = WorldConfig(resolution=8, n_agents=2, total_ticks=60, master_seed=77)
     t1 = run(cfg)
     t2 = run(cfg)
     assert t1.rows == t2.rows
     assert t1.interactions == t2.interactions
-    assert t1.dream_rows == t2.dream_rows
+    # dream rows hold their frames, which compare by identity: compare the files
+    for name, t in (("d1.csv", t1), ("d2.csv", t2)):
+        write_dreams_csv(str(tmp_path / name), t.dream_rows)
+    assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
     assert len(t1.percept_rows) == len(t2.percept_rows)
     for (pa, p), (qa, q) in zip(t1.percept_rows, t2.percept_rows):
         assert p.id == q.id and pa == qa
@@ -291,4 +295,4 @@ def test_dream_rows_reference_attached_percepts():
     for row in trace.dream_rows:
         assert row.percept_id in percept_ids
         assert row.valence in (-1, 0, 1)
-        assert row.pair_distance is None or row.pair_distance >= 0
+        assert row.frame.pair_distance is None or row.frame.pair_distance >= 0
