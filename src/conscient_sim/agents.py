@@ -17,11 +17,12 @@ import numpy as np
 
 from .dreams import DreamConfig, DreamFrameRow, DreamWalk, dream_valence
 from .emotions import EmotionParams, EmotionState, apply_event, should_sleep, tick_emotions
-from .errors import ConfigError
+from .errors import bound, check_bounds
 from .fields import (
     GridCell,
     KernelConfig,
     ValueField,
+    check_width,
     contaminate,
     local_bump,
     moore_neighbors,
@@ -35,49 +36,24 @@ SENDABLE_KINDS = ("observed", "dreamed")
 
 @dataclass(frozen=True)
 class AgentConfig:
-    t_awake: int = 30
-    t_asleep: int = 10
-    photo_period: int = 3
-    explore_rate: float = 0.3
-    movement_budget: int = 1_000_000
-    visit_peak: float = -0.5
-    visit_width: float = 1.5
-    visit_reward: float = 0.3
-    noise_sigma: float = 0.05
-    style_every: int = 5
-    low_happiness_cutoff: float = 0.2
+    t_awake: int = bound(30, 1)
+    t_asleep: int = bound(10, 1)
+    photo_period: int = bound(3, 1)
+    explore_rate: float = bound(0.3, 0, 1)
+    movement_budget: int = bound(1_000_000, 0)
+    visit_peak: float = bound(-0.5, hi=0, strict=True)
+    visit_width: float = bound(1.5, 0, strict=True)
+    visit_reward: float = bound(0.3, 0)
+    noise_sigma: float = bound(0.05, 0)
+    style_every: int = bound(5, 1)
+    low_happiness_cutoff: float = bound(0.2, 0, 1)
     dream: DreamConfig = dc_field(default_factory=DreamConfig)
     emotion: EmotionParams = dc_field(default_factory=EmotionParams)
     kernel: KernelConfig = dc_field(default_factory=KernelConfig)
 
     def __post_init__(self) -> None:
-        if self.t_awake < 1:
-            raise ConfigError(f"agent.t_awake must be >= 1, got {self.t_awake}")
-        if self.t_asleep < 1:
-            raise ConfigError(f"agent.t_asleep must be >= 1, got {self.t_asleep}")
-        if self.photo_period < 1:
-            raise ConfigError(f"agent.photo_period must be >= 1, got {self.photo_period}")
-        if not (0.0 <= self.explore_rate <= 1.0):
-            raise ConfigError(f"agent.explore_rate must be in [0, 1], got {self.explore_rate}")
-        if self.movement_budget < 0:
-            raise ConfigError(
-                f"agent.movement_budget must be >= 0, got {self.movement_budget}"
-            )
-        if not (math.isfinite(self.visit_peak) and self.visit_peak < 0):
-            raise ConfigError(f"agent.visit_peak must be < 0, got {self.visit_peak}")
-        if not (math.isfinite(self.visit_width) and self.visit_width > 0):
-            raise ConfigError(f"agent.visit_width must be > 0, got {self.visit_width}")
-        if not (math.isfinite(self.visit_reward) and self.visit_reward >= 0):
-            raise ConfigError(f"agent.visit_reward must be >= 0, got {self.visit_reward}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigError(f"agent.noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.style_every < 1:
-            raise ConfigError(f"agent.style_every must be >= 1, got {self.style_every}")
-        if not (0.0 <= self.low_happiness_cutoff <= 1.0):
-            raise ConfigError(
-                f"agent.low_happiness_cutoff must be in [0, 1], "
-                f"got {self.low_happiness_cutoff}"
-            )
+        check_bounds(self, "agent")
+        check_width(self, "agent", "visit_width")
 
 
 class WorldContext(Protocol):

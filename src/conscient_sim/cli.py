@@ -26,11 +26,11 @@ from .optimizer import evolve
 from .seeds import derive_seed, make_rng
 from .semantics import PerceptStore
 from .traceio import (
-    atomic_write_text,
     read_percepts_csv,
     read_trace_csv,
     summarize_rows,
     write_dreams_csv,
+    write_ga_history_csv,
     write_interactions_csv,
     write_manifest,
     write_metrics_csv,
@@ -152,12 +152,7 @@ def _cmd_optimize(args) -> int:
     started = _now()
     bundle = parse_config(args.config)
     best, history = evolve(bundle.ga, bundle.world, seed=args.seed)
-    lines = ["generation,best_fitness,mean_fitness,best_genome"]
-    for h in history:
-        genome = ";".join(repr(float(g)) for g in h.best_genome)
-        lines.append(f"{h.generation},{repr(h.best_fitness)},{repr(h.mean_fitness)},{genome}")
-    text = "\n".join(lines) + "\n"
-    outputs = _write_outputs(args.out, {"ga_history.csv": (atomic_write_text, text)})
+    outputs = _write_outputs(args.out, {"ga_history.csv": (write_ga_history_csv, history)})
     manifest = _manifest(args, bundle, started, outputs)
     manifest["master_seed"] = args.seed
     manifest["results"] = {

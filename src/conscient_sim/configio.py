@@ -5,8 +5,10 @@ scalar field of the config dataclasses; a config file lists any subset of them
 and everything else takes its declared default. Blank lines and lines whose
 first non-blank character is `#` are ignored; there are no trailing comments,
 so `key = 6 # six` gives `key` the value `6 # six`. Unknown keys, duplicate
-keys, and type mismatches are rejected with the offending key and line number. Parsed values are echoed back
-in a canonical rendering so a manifest can reproduce the run exactly.
+keys, and type mismatches are rejected with the offending key and line
+number; each value's range is declared beside its field and checked when its
+section is built. Parsed values are echoed back in a canonical rendering so a
+manifest can reproduce the run exactly.
 """
 
 from __future__ import annotations

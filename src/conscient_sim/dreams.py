@@ -16,30 +16,25 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, bound, check_bounds
 from .fields import GridCell, ValueField
 from .semantics import Percept, PerceptStore, SemanticGraph, hop_counts, semantic_distance
 
 
 @dataclass(frozen=True)
 class DreamConfig:
-    step_lower: int = 1
+    step_lower: int = bound(1, 0)
     step_upper: int = 3
-    length: int = 8
-    style_weight: float = 0.5
+    length: int = bound(8, 0)
+    style_weight: float = bound(0.5, 0, 1)
 
     def __post_init__(self) -> None:
-        # step_upper >= step_lower >= 0 once both checks pass
-        if self.step_lower < 0:
-            raise ConfigError(f"dream.step_lower must be >= 0, got {self.step_lower}")
+        check_bounds(self, "dream")
+        # with step_lower >= 0 checked, this keeps step_upper >= step_lower >= 0
         if self.step_lower > self.step_upper:
             raise ConfigError(
                 f"dream.step_lower {self.step_lower} exceeds step_upper {self.step_upper}"
             )
-        if self.length < 0:
-            raise ConfigError(f"dream.length must be >= 0, got {self.length}")
-        if not (0.0 <= self.style_weight <= 1.0):
-            raise ConfigError(f"dream.style_weight must be in [0, 1], got {self.style_weight}")
 
 
 @dataclass(frozen=True, eq=False, slots=True)

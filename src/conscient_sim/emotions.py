@@ -10,12 +10,11 @@ never mutated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, bound, check_bounds
 
 EVENT_KINDS = ("photo_taken", "dream_frame", "interaction", "content_stimulus")
 
@@ -48,43 +47,29 @@ class EmotionParams:
 
     delta_lower: float = 0.02
     delta_upper: float = 0.08
-    fatigue_tick: float = 0.01
+    fatigue_tick: float = bound(0.01, 0)
     photo_fatigue_delta: float = 0.02
-    sleep_decay: float = 0.1
-    threshold: float = 0.8
+    sleep_decay: float = bound(0.1, 0)
+    threshold: float = bound(0.8, 0, 1)
     # No event moves courage, so nothing reads this gain; it stays a config key.
-    courage_gain: float = 0.5
+    courage_gain: float = bound(0.5, 0)
     valence_high: float = 0.5
     valence_low: float = -0.5
     high_value_cutoff: float = 0.0
-    curiosity_growth: float = 0.002
+    curiosity_growth: float = bound(0.002, 0)
 
     def __post_init__(self) -> None:
+        check_bounds(self, "emotion")
         if not (0.0 <= self.delta_lower <= self.delta_upper <= 1.0):
             raise ConfigError(
                 f"emotion.delta_lower and emotion.delta_upper need "
                 f"0 <= lower <= upper <= 1, got ({self.delta_lower}, {self.delta_upper})"
             )
-        if self.fatigue_tick < 0:
-            raise ConfigError(f"emotion.fatigue_tick must be >= 0, got {self.fatigue_tick}")
-        if self.sleep_decay < 0:
-            raise ConfigError(f"emotion.sleep_decay must be >= 0, got {self.sleep_decay}")
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ConfigError(f"emotion.threshold must be in [0, 1], got {self.threshold}")
-        if self.courage_gain < 0:
-            raise ConfigError(f"emotion.courage_gain must be >= 0, got {self.courage_gain}")
         if self.valence_low > self.valence_high:
             raise ConfigError(
                 f"emotion.valence_low {self.valence_low} exceeds "
                 f"emotion.valence_high {self.valence_high}"
             )
-        if self.curiosity_growth < 0:
-            raise ConfigError(
-                f"emotion.curiosity_growth must be >= 0, got {self.curiosity_growth}"
-            )
-        for key in ("photo_fatigue_delta", "high_value_cutoff", "valence_high", "valence_low"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"emotion.{key} must be finite")
 
 
 # Generator.uniform(lo, hi) returns lo + (hi - lo) * next_double, and

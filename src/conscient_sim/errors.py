@@ -1,4 +1,7 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the config bounds they report."""
+
+import math
+from dataclasses import field, fields
 
 
 class SimulatorError(Exception):
@@ -20,3 +23,27 @@ class CovarianceDegeneracyError(SimulatorError, ArithmeticError):
 
 class TraceError(SimulatorError, ValueError):
     """Trace file missing, malformed, or internally inconsistent."""
+
+
+def bound(default, lo=None, hi=None, *, strict=False):
+    """A config field whose value `check_bounds` keeps in [lo, hi], or in (lo, hi)
+    when `strict`; an end left None sets no limit."""
+    return field(default=default, metadata={"bound": (lo, hi, strict)})
+
+
+def check_bounds(config, section: str) -> None:
+    """Reject a float field of `config` that is not finite, or one outside its `bound`."""
+    for f in fields(config):
+        v = getattr(config, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{section}.{f.name} must be finite, got {v}")
+        lo, hi, strict = f.metadata.get("bound", (None, None, False))
+        above_lo = lo is None or (v > lo if strict else v >= lo)
+        below_hi = hi is None or (v < hi if strict else v <= hi)
+        if not (above_lo and below_hi):
+            if lo is not None and hi is not None:
+                rule = f"in ({lo}, {hi})" if strict else f"in [{lo}, {hi}]"
+            else:
+                op, end = (">", lo) if hi is None else ("<", hi)
+                rule = f"{op}{'' if strict else '='} {end}"
+            raise ConfigError(f"{section}.{f.name} must be {rule}, got {v}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, CovarianceDegeneracyError
+from .errors import ConfigError, CovarianceDegeneracyError, bound, check_bounds
 
 # Exact sampling factorizes an r^2 x r^2 covariance; memory grows as r^4, and
 # the last two factors stay cached.
@@ -37,15 +37,12 @@ class KernelConfig:
     Euclidean in cell units.
     """
 
-    amplitude: float = 1.0
-    lengthscale: float = 2.0
-    jitter: float = 1e-8
+    amplitude: float = bound(1.0, 0, strict=True)
+    lengthscale: float = bound(2.0, 0, strict=True)
+    jitter: float = bound(1e-8, 0)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ConfigError(f"kernel.amplitude must be > 0, got {self.amplitude}")
-        if not (math.isfinite(self.lengthscale) and self.lengthscale > 0):
-            raise ConfigError(f"kernel.lengthscale must be > 0, got {self.lengthscale}")
+        check_bounds(self, "kernel")
         # kernel_matrix divides by 2 * lengthscale**2: at 0 its diagonal is
         # 0/0, and a square that overflows raises OverflowError
         if not 0.0 < 2.0 * self.lengthscale * self.lengthscale < math.inf:
@@ -53,8 +50,6 @@ class KernelConfig:
                 f"kernel.lengthscale {self.lengthscale} is out of range: "
                 f"2 * lengthscale**2 underflows to 0 or overflows"
             )
-        if not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise ConfigError(f"kernel.jitter must be >= 0, got {self.jitter}")
 
 
 @dataclass(frozen=True, order=True)
@@ -150,6 +145,15 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
     return ValueField(field.resolution, values)
 
 
+def check_width(config, section: str, name: str) -> None:
+    """Reject a bump width of `config` whose 2 * width**2 underflows to 0."""
+    width = getattr(config, name)
+    if not 2.0 * width * width > 0.0:
+        raise ConfigError(
+            f"{section}.{name} {width} is out of range: 2 * {name}**2 underflows to 0"
+        )
+
+
 @functools.lru_cache(maxsize=8)
 def _unit_bump_window(resolution: int, width: float) -> np.ndarray:
     """Read-only unit bump exp(-d^2 / (2 width^2)) over every offset a grid holds.
@@ -160,7 +164,7 @@ def _unit_bump_window(resolution: int, width: float) -> np.ndarray:
     """
     off = np.arange(1 - resolution, resolution, dtype=float) ** 2
     d2 = off[:, None] + off[None, :]
-    # a width whose square underflows gives a NaN center, which ValueField rejects
+    # check_width keeps 2 width^2 > 0, but a tiny one still overflows far offsets
     with np.errstate(over="ignore", invalid="ignore"):
         window = np.exp(-d2 / (2.0 * width * width))
     window.flags.writeable = False

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, bound, check_bounds
 from .seeds import derive_seed, make_rng
 from .world import Metrics, SimulationTrace, WorldConfig, metrics, run
 
@@ -77,29 +77,18 @@ class Genome:
 
 @dataclass(frozen=True)
 class GAConfig:
-    population_size: int = 16
-    generations: int = 20
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.15
-    mutation_sigma: float = 0.1
+    population_size: int = bound(16, 2)
+    generations: int = bound(20, 1)
+    tournament_size: int = bound(3, 1)
+    crossover_rate: float = bound(0.9, 0, 1)
+    mutation_rate: float = bound(0.15, 0, 1)
+    mutation_sigma: float = bound(0.1, 0)
     elite_count: int = 1
     eval_seeds: tuple[int, ...] = (11, 12, 13)
-    movement_budget: int = 400
+    movement_budget: int = bound(400, 0)
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ConfigError(f"ga.population_size must be >= 2, got {self.population_size}")
-        if self.generations < 1:
-            raise ConfigError(f"ga.generations must be >= 1, got {self.generations}")
-        if self.tournament_size < 1:
-            raise ConfigError(f"ga.tournament_size must be >= 1, got {self.tournament_size}")
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            raise ConfigError(f"ga.crossover_rate must be in [0, 1], got {self.crossover_rate}")
-        if not (0.0 <= self.mutation_rate <= 1.0):
-            raise ConfigError(f"ga.mutation_rate must be in [0, 1], got {self.mutation_rate}")
-        if self.mutation_sigma < 0:
-            raise ConfigError(f"ga.mutation_sigma must be >= 0, got {self.mutation_sigma}")
+        check_bounds(self, "ga")
         if not (1 <= self.elite_count <= self.population_size):
             raise ConfigError(
                 f"ga.elite_count must be in [1, population_size], got {self.elite_count}"
@@ -111,8 +100,6 @@ class GAConfig:
                 raise ConfigError(
                     f"ga.eval_seeds entries must be unsigned 64-bit integers, got {seed}"
                 )
-        if self.movement_budget < 0:
-            raise ConfigError(f"ga.movement_budget must be >= 0, got {self.movement_budget}")
 
 
 @dataclass(eq=False)

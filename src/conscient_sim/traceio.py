@@ -1,4 +1,4 @@
-"""CSV serialization for traces, records, and metrics.
+"""CSV serialization for traces, records, metrics and the GA history.
 
 Owns the on-disk schemas. Numbers render via repr so floats round-trip
 exactly and identical runs produce byte-identical files. Each row is rendered
@@ -22,6 +22,7 @@ import numpy as np
 from .dreams import DreamFrameRow
 from .errors import TraceError
 from .fields import GridCell
+from .optimizer import GenerationStats
 from .semantics import PERCEPT_KINDS, Percept, SemanticGraph
 from .world import InteractionRecord, Metrics, TraceRow, WorldConfig, row_metrics
 
@@ -77,6 +78,8 @@ PERCEPTS_HEADER = [
 ]
 
 METRICS_HEADER = ["metric", "value"]
+
+GA_HISTORY_HEADER = ["generation", "best_fitness", "mean_fitness", "best_genome"]
 
 
 def _fmt(v: float) -> str:
@@ -368,6 +371,18 @@ def _render_metric(v) -> str:
 
 def write_metrics_csv(path: str, m: Metrics) -> None:
     _write_lines(path, METRICS_HEADER, (f"{_cell(k)},{_render_metric(v)}\n" for k, v in m.items()))
+
+
+def write_ga_history_csv(path: str, history: Iterable[GenerationStats]) -> None:
+    _write_lines(
+        path,
+        GA_HISTORY_HEADER,
+        (
+            f"{h.generation},{h.best_fitness!r},{h.mean_fitness!r},"
+            f"{';'.join(map(_fmt, h.best_genome))}\n"
+            for h in history
+        ),
+    )
 
 
 def write_manifest(path: str, manifest: dict) -> None:

@@ -10,7 +10,6 @@ The full run is captured in a replayable trace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field, fields
 from typing import NamedTuple, Optional
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from .agents import SENDABLE_KINDS, Agent, AgentConfig, agent_tick, receive_percept
 from .dreams import DreamFrameRow
-from .errors import ConfigError, GraphParseError
-from .fields import MAX_RESOLUTION, GridCell, local_bump, sample_field
+from .errors import ConfigError, GraphParseError, bound, check_bounds
+from .fields import MAX_RESOLUTION, GridCell, check_width, local_bump, sample_field
 from .seeds import derive_seed, make_rng
 from .semantics import (
     BUILTIN_CONTENT_EDGES,
@@ -37,46 +36,33 @@ MAX_FEATURE_DIM = 1024
 
 @dataclass(frozen=True)
 class WorldConfig:
-    resolution: int = 16
+    resolution: int = bound(16, 2, MAX_RESOLUTION)
     n_agents: int = 2
-    total_ticks: int = 500
+    total_ticks: int = bound(500, 0)
     reward_count: int = 3
     reward_peak: float = 0.8
-    reward_width: float = 2.0
-    stimulus_probability: float = 0.1
+    reward_width: float = bound(2.0, 0, strict=True)
+    stimulus_probability: float = bound(0.1, 0, 1)
     stimulus_modalities: tuple[str, ...] = STIMULUS_MODALITIES
-    feature_dim: int = 16
+    feature_dim: int = bound(16, 1, MAX_FEATURE_DIM)
     master_seed: int = 0
     agent: AgentConfig = dc_field(default_factory=AgentConfig)
     content_edges: str = BUILTIN_CONTENT_EDGES
     style_edges: str = BUILTIN_STYLE_EDGES
 
     def __post_init__(self) -> None:
-        if not (2 <= self.resolution <= MAX_RESOLUTION):
-            raise ConfigError(
-                f"world.resolution must be in [2, {MAX_RESOLUTION}], got {self.resolution}"
-            )
+        check_bounds(self, "world")
         cells = self.resolution * self.resolution
         if not (1 <= self.n_agents <= cells):
             raise ConfigError(
                 f"world.n_agents must be in [1, {cells}] for distinct spawns, "
                 f"got {self.n_agents}"
             )
-        if self.total_ticks < 0:
-            raise ConfigError(f"world.total_ticks must be >= 0, got {self.total_ticks}")
         if not (0 <= self.reward_count <= cells):
             raise ConfigError(
                 f"world.reward_count must be in [0, {cells}], got {self.reward_count}"
             )
-        if not math.isfinite(self.reward_peak):
-            raise ConfigError("world.reward_peak must be finite")
-        if not (math.isfinite(self.reward_width) and self.reward_width > 0):
-            raise ConfigError(f"world.reward_width must be > 0, got {self.reward_width}")
-        if not (0.0 <= self.stimulus_probability <= 1.0):
-            raise ConfigError(
-                f"world.stimulus_probability must be in [0, 1], "
-                f"got {self.stimulus_probability}"
-            )
+        check_width(self, "world", "reward_width")
         for m in self.stimulus_modalities:
             if m not in STIMULUS_MODALITIES:
                 raise ConfigError(
@@ -84,10 +70,6 @@ class WorldConfig:
                 )
         if len(set(self.stimulus_modalities)) != len(self.stimulus_modalities):
             raise ConfigError("world.stimulus_modalities has duplicates")
-        if not (1 <= self.feature_dim <= MAX_FEATURE_DIM):
-            raise ConfigError(
-                f"world.feature_dim must be in [1, {MAX_FEATURE_DIM}], got {self.feature_dim}"
-            )
         if not (0 <= self.master_seed < 2**64):
             raise ConfigError(
                 f"world.master_seed must be an unsigned 64-bit integer, "

@@ -140,6 +140,8 @@ BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
         ),
         ("simulate", "kernel.lengthscale = 1e-300", "1", "kernel.lengthscale"),
         ("simulate", "kernel.lengthscale = 1e200", "1", "kernel.lengthscale"),
+        ("simulate", "agent.visit_width = 1e-200", "1", "agent.visit_width"),
+        ("simulate", "world.reward_width = 1e-200", "1", "world.reward_width"),
         (
             "simulate",
             "agent.t_awake = 1\nagent.t_asleep = 1\nagent.noise_sigma = 1e308",
@@ -159,6 +161,8 @@ BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
         "reward-peak",
         "lengthscale-tiny",
         "lengthscale-huge",
+        "visit-width-tiny",
+        "reward-width-tiny",
         "noise-sigma",
         "feature-dim-huge",
         "kernel-simulate",

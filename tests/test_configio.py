@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import re
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -15,7 +18,7 @@ from conscient_sim.configio import (
     parse_config_text,
     render_config,
 )
-from conscient_sim.errors import ConfigError
+from conscient_sim.errors import ConfigError, bound, check_bounds
 from conscient_sim.optimizer import GAConfig
 from conscient_sim.world import WorldConfig
 
@@ -151,6 +154,96 @@ def test_every_key_reaches_its_field(entry):
     bundle = parse_config_text(f"{entry.key} = {entry.render(value)}\n")
     section, name = entry.key.split(".")
     assert getattr(_SECTION_IN_BUNDLE[section](bundle), name) == value
+
+
+# each section's config dataclass, as a default bundle holds it
+_SECTION_CLASS = {
+    section: type(get(parse_config_text(""))) for section, get in _SECTION_IN_BUNDLE.items()
+}
+FLOAT_FIELDS = [
+    f"{section}.{f.name}"
+    for section, cls in _SECTION_CLASS.items()
+    for f in fields(cls)
+    if get_type_hints(cls)[f.name] is float
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_every_float_field_rejects_non_finite_values(key, value):
+    section, name = key.split(".")
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        _SECTION_CLASS[section](**{name: value})
+
+
+def _bound_ends():
+    """(key, value just past an end, that end if closed else None) per declared end."""
+    out = []
+    for section, cls in _SECTION_CLASS.items():
+        for f in fields(cls):
+            lo, hi, strict = f.metadata.get("bound", (None, None, False))
+            for end, step in ((lo, -1), (hi, 1)):
+                if end is None:
+                    continue
+                if strict:
+                    out.append((f"{section}.{f.name}", end, None))
+                elif get_type_hints(cls)[f.name] is int:
+                    out.append((f"{section}.{f.name}", end + step, end))
+                else:
+                    out.append((f"{section}.{f.name}", math.nextafter(end, step * math.inf), end))
+    return out
+
+
+@pytest.mark.parametrize("key,past,end", _bound_ends(), ids=str)
+def test_every_bound_rejects_past_each_end_and_accepts_a_closed_end(key, past, end):
+    # the key in the message is the section string its __post_init__ passes
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"{key} = {past!r}\n")
+    assert str(exc.value).startswith(f"{key} must be ")
+    if end is not None:
+        parse_config_text(f"{key} = {end!r}\n")
+
+
+def test_bound_messages_keep_their_text():
+    for text, message in (
+        ("agent.t_awake = 0", "agent.t_awake must be >= 1, got 0"),
+        ("kernel.amplitude = 0", "kernel.amplitude must be > 0, got 0.0"),
+        ("agent.visit_peak = 0", "agent.visit_peak must be < 0, got 0.0"),
+        (
+            "world.stimulus_probability = 1.5",
+            "world.stimulus_probability must be in [0, 1], got 1.5",
+        ),
+        ("world.resolution = 129", "world.resolution must be in [2, 128], got 129"),
+        (
+            "agent.visit_width = 1e-200",
+            "agent.visit_width 1e-200 is out of range: 2 * visit_width**2 underflows to 0",
+        ),
+        (
+            "world.reward_width = 1e-200",
+            "world.reward_width 1e-200 is out of range: 2 * reward_width**2 underflows to 0",
+        ),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert str(exc.value) == message
+    with pytest.raises(ConfigError) as exc:
+        WorldConfig(reward_peak=math.nan)
+    assert str(exc.value) == "world.reward_peak must be finite, got nan"
+
+
+def test_check_bounds_renders_an_open_interval():
+    @dataclass(frozen=True)
+    class Probe:
+        x: float = bound(0.5, 0, 1, strict=True)
+
+        def __post_init__(self) -> None:
+            check_bounds(self, "probe")
+
+    Probe(math.nextafter(1.0, 0.0))
+    for bad in (0.0, 1.0):
+        with pytest.raises(ConfigError) as exc:
+            Probe(bad)
+        assert str(exc.value) == f"probe.x must be in (0, 1), got {bad}"
 
 
 def test_canonical_rendering_is_pinned():

@@ -16,9 +16,11 @@ from conscient_sim.cli import run_command
 from conscient_sim.dreams import DreamFrame, DreamFrameRow
 from conscient_sim.errors import TraceError
 from conscient_sim.fields import GridCell
+from conscient_sim.optimizer import GenerationStats
 from conscient_sim.semantics import Percept, load_graph
 from conscient_sim.traceio import (
     DREAMS_HEADER,
+    GA_HISTORY_HEADER,
     INTERACTIONS_HEADER,
     METRICS_HEADER,
     PERCEPTS_HEADER,
@@ -30,6 +32,7 @@ from conscient_sim.traceio import (
     read_trace_csv,
     summarize_rows,
     write_dreams_csv,
+    write_ga_history_csv,
     write_interactions_csv,
     write_manifest,
     write_metrics_csv,
@@ -361,6 +364,12 @@ def _oracle_percept(pair: tuple[int, Percept]) -> list:
     return [aid, p.id, p.kind, p.category, p.origin.i, p.origin.j, p.tick, features]
 
 
+def _oracle_ga_history(h: GenerationStats) -> list:
+    # bench `ga` pins these bytes: repr of each number, the genes joined by `;`
+    genome = ";".join(repr(float(g)) for g in h.best_genome)
+    return [h.generation, repr(h.best_fitness), repr(h.mean_fitness), genome]
+
+
 def _oracle_metrics(m: Metrics) -> list[list]:
     return [[k, str(v) if isinstance(v, (int, np.integer)) else _fmt(v)] for k, v in m.items()]
 
@@ -412,11 +421,17 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
         )
         for t, vec in enumerate(vectors)
     ]
+    # a failed search's -inf, signed zeros and repeating genes
+    history = [
+        GenerationStats(g, best, floats[-1 - g], np.array([*floats[g : g + 3], 1 / 3]))
+        for g, best in enumerate([2.5, -math.inf, 0.0, -0.0, 1 / 3])
+    ]
     cases = [
         (write_trace_csv, TRACE_HEADER, trace_rows, _oracle_trace),
         (write_interactions_csv, INTERACTIONS_HEADER, records, _oracle_interaction),
         (write_dreams_csv, DREAMS_HEADER, dream_rows, _oracle_dream),
         (write_percepts_csv, PERCEPTS_HEADER, percept_rows, _oracle_percept),
+        (write_ga_history_csv, GA_HISTORY_HEADER, history, _oracle_ga_history),
     ]
     for writer, header, rows, oracle in cases:
         path = tmp_path / f"{writer.__name__}.csv"
