@@ -16,25 +16,20 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, bound, check_bounds
+from .errors import bound, check_bounds
 from .fields import GridCell, ValueField
 from .semantics import Percept, PerceptStore, SemanticGraph, hop_counts, semantic_distance
 
 
 @dataclass(frozen=True)
 class DreamConfig:
-    step_lower: int = bound(1, 0)
+    step_lower: int = bound(1, 0, at_most="step_upper")
     step_upper: int = 3
     length: int = bound(8, 0)
     style_weight: float = bound(0.5, 0, 1)
 
     def __post_init__(self) -> None:
         check_bounds(self, "dream")
-        # with step_lower >= 0 checked, this keeps step_upper >= step_lower >= 0
-        if self.step_lower > self.step_upper:
-            raise ConfigError(
-                f"dream.step_lower {self.step_lower} exceeds step_upper {self.step_upper}"
-            )
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, bound, check_bounds
+from .errors import bound, check_bounds
 
 EVENT_KINDS = ("photo_taken", "dream_frame", "interaction", "content_stimulus")
 
@@ -45,8 +45,8 @@ class EmotionState:
 class EmotionParams:
     """Declared defaults for every rate; all overridable via config."""
 
-    delta_lower: float = 0.02
-    delta_upper: float = 0.08
+    delta_lower: float = bound(0.02, 0, at_most="delta_upper")
+    delta_upper: float = bound(0.08, hi=1)
     fatigue_tick: float = bound(0.01, 0)
     photo_fatigue_delta: float = 0.02
     sleep_decay: float = bound(0.1, 0)
@@ -54,22 +54,12 @@ class EmotionParams:
     # No event moves courage, so nothing reads this gain; it stays a config key.
     courage_gain: float = bound(0.5, 0)
     valence_high: float = 0.5
-    valence_low: float = -0.5
+    valence_low: float = bound(-0.5, at_most="valence_high")
     high_value_cutoff: float = 0.0
     curiosity_growth: float = bound(0.002, 0)
 
     def __post_init__(self) -> None:
         check_bounds(self, "emotion")
-        if not (0.0 <= self.delta_lower <= self.delta_upper <= 1.0):
-            raise ConfigError(
-                f"emotion.delta_lower and emotion.delta_upper need "
-                f"0 <= lower <= upper <= 1, got ({self.delta_lower}, {self.delta_upper})"
-            )
-        if self.valence_low > self.valence_high:
-            raise ConfigError(
-                f"emotion.valence_low {self.valence_low} exceeds "
-                f"emotion.valence_high {self.valence_high}"
-            )
 
 
 # Generator.uniform(lo, hi) returns lo + (hi - lo) * next_double, and

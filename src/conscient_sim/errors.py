@@ -25,14 +25,15 @@ class TraceError(SimulatorError, ValueError):
     """Trace file missing, malformed, or internally inconsistent."""
 
 
-def bound(default, lo=None, hi=None, *, strict=False):
-    """A config field whose value `check_bounds` keeps in [lo, hi], or in (lo, hi)
-    when `strict`; an end left None sets no limit."""
-    return field(default=default, metadata={"bound": (lo, hi, strict)})
+def bound(default, lo=None, hi=None, *, strict=False, at_most=None):
+    """A config field whose value `check_bounds` keeps in [lo, hi], or (lo, hi) when
+    `strict`, and at most the field named `at_most`; a None end or partner sets no limit."""
+    return field(default=default, metadata={"bound": (lo, hi, strict), "at_most": at_most})
 
 
 def check_bounds(config, section: str) -> None:
-    """Reject a float field of `config` that is not finite, or one outside its `bound`."""
+    """Reject a float field of `config` that is not finite or outside its `bound`, then
+    one above its `at_most` partner, so a partner out of its own range is named first."""
     for f in fields(config):
         v = getattr(config, f.name)
         if isinstance(v, float) and not math.isfinite(v):
@@ -47,3 +48,9 @@ def check_bounds(config, section: str) -> None:
                 op, end = (">", lo) if hi is None else ("<", hi)
                 rule = f"{op}{'' if strict else '='} {end}"
             raise ConfigError(f"{section}.{f.name} must be {rule}, got {v}")
+    for f in fields(config):
+        other = f.metadata.get("at_most")
+        if other is not None:
+            v, w = getattr(config, f.name), getattr(config, other)
+            if v > w:
+                raise ConfigError(f"{section}.{f.name} {v} exceeds {section}.{other} {w}")

@@ -18,11 +18,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from .agents import AgentConfig
+from .dreams import DreamConfig
+from .emotions import EmotionParams
 from .errors import ConfigError, bound, check_bounds
 from .seeds import derive_seed, make_rng
 from .world import Metrics, SimulationTrace, WorldConfig, metrics, run
@@ -39,9 +42,9 @@ class BoundSpec:
 
 
 # Each gene is named by the config key it sets, and decode order is the gene
-# order. Integer genes round half-up after the linear map; the step and delta
-# (lower, upper) pairs are sorted after decoding so any genome yields a valid
-# config.
+# order. Integer genes round half-up after the linear map; each declared
+# `at_most` pair of genes is sorted after decoding, so any genome yields a
+# valid config (tests/test_optimizer.py::test_genes_keep_to_declared_bounds).
 DEFAULT_BOUNDS: tuple[BoundSpec, ...] = (
     BoundSpec("agent.t_awake", 5, 60, integer=True),
     BoundSpec("agent.t_asleep", 2, 30, integer=True),
@@ -58,10 +61,24 @@ DEFAULT_BOUNDS: tuple[BoundSpec, ...] = (
     BoundSpec("emotion.high_value_cutoff", -1.0, 1.0),
 )
 
-_SORTED_PAIRS = (
-    ("dream.step_lower", "dream.step_upper"),
-    ("emotion.delta_lower", "emotion.delta_upper"),
-)
+# the config sections genes set, with the class that builds each
+_GENE_SECTIONS = {"agent": AgentConfig, "dream": DreamConfig, "emotion": EmotionParams}
+
+
+def _gene_pairs() -> tuple[tuple[str, str], ...]:
+    """Each declared `at_most` rule whose two keys are both genes, as (key, partner)."""
+    genes = {spec.name for spec in DEFAULT_BOUNDS}
+    pairs = []
+    for section, cls in _GENE_SECTIONS.items():
+        for f in fields(cls):
+            other = f.metadata.get("at_most")
+            pair = (f"{section}.{f.name}", f"{section}.{other}")
+            if other is not None and set(pair) <= genes:
+                pairs.append(pair)
+    return tuple(pairs)
+
+
+_SORTED_PAIRS = _gene_pairs()
 
 
 @dataclass(eq=False)
@@ -83,16 +100,12 @@ class GAConfig:
     crossover_rate: float = bound(0.9, 0, 1)
     mutation_rate: float = bound(0.15, 0, 1)
     mutation_sigma: float = bound(0.1, 0)
-    elite_count: int = 1
+    elite_count: int = bound(1, 1, at_most="population_size")
     eval_seeds: tuple[int, ...] = (11, 12, 13)
     movement_budget: int = bound(400, 0)
 
     def __post_init__(self) -> None:
         check_bounds(self, "ga")
-        if not (1 <= self.elite_count <= self.population_size):
-            raise ConfigError(
-                f"ga.elite_count must be in [1, population_size], got {self.elite_count}"
-            )
         if not self.eval_seeds:
             raise ConfigError("ga.eval_seeds must not be empty")
         for seed in self.eval_seeds:
@@ -138,11 +151,8 @@ def configure_world(
     base: WorldConfig, params: dict[str, float | int], movement_budget: int
 ) -> WorldConfig:
     """Overlay decoded `{config key: value}` parameters and the GA movement budget."""
-    by_section: dict[str, dict[str, float | int]] = {
-        "agent": {"movement_budget": movement_budget},
-        "dream": {},
-        "emotion": {},
-    }
+    by_section: dict[str, dict[str, float | int]] = {s: {} for s in _GENE_SECTIONS}
+    by_section["agent"]["movement_budget"] = movement_budget
     for key, value in params.items():
         section, _, name = key.partition(".")
         by_section[section][name] = value
@@ -164,8 +174,9 @@ def fitness(
 ) -> FitnessReport:
     """Mean interaction count over the evaluation seeds.
 
-    Every decoded genome is a valid config, so a simulation error means the
-    base world cannot run: it propagates and stops the search.
+    Every decoded genome is a valid config (`test_genes_keep_to_declared_bounds`),
+    so a simulation error means the base world cannot run: it propagates and
+    stops the search.
     """
     cfg = configure_world(base, decode_genome(genome), ga.movement_budget)
     per_seed: list[Metrics] = []

@@ -45,7 +45,7 @@ class WorldConfig:
     stimulus_probability: float = bound(0.1, 0, 1)
     stimulus_modalities: tuple[str, ...] = STIMULUS_MODALITIES
     feature_dim: int = bound(16, 1, MAX_FEATURE_DIM)
-    master_seed: int = 0
+    master_seed: int = bound(0, 0, 2**64 - 1)
     agent: AgentConfig = dc_field(default_factory=AgentConfig)
     content_edges: str = BUILTIN_CONTENT_EDGES
     style_edges: str = BUILTIN_STYLE_EDGES
@@ -70,11 +70,6 @@ class WorldConfig:
                 )
         if len(set(self.stimulus_modalities)) != len(self.stimulus_modalities):
             raise ConfigError("world.stimulus_modalities has duplicates")
-        if not (0 <= self.master_seed < 2**64):
-            raise ConfigError(
-                f"world.master_seed must be an unsigned 64-bit integer, "
-                f"got {self.master_seed}"
-            )
 
 
 @dataclass(frozen=True)

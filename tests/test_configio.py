@@ -18,6 +18,7 @@ from conscient_sim.configio import (
     parse_config_text,
     render_config,
 )
+from conscient_sim.emotions import EmotionParams
 from conscient_sim.errors import ConfigError, bound, check_bounds
 from conscient_sim.optimizer import GAConfig
 from conscient_sim.world import WorldConfig
@@ -204,6 +205,28 @@ def test_every_bound_rejects_past_each_end_and_accepts_a_closed_end(key, past, e
         parse_config_text(f"{key} = {end!r}\n")
 
 
+def _at_most_rules():
+    """(key, partner key, partner's default) per declared `at_most` rule."""
+    out = []
+    for section, cls in _SECTION_CLASS.items():
+        for f in fields(cls):
+            other = f.metadata.get("at_most")
+            if other is not None:
+                out.append((f"{section}.{f.name}", f"{section}.{other}", getattr(cls(), other)))
+    return out
+
+
+@pytest.mark.parametrize("key,partner,default", _at_most_rules(), ids=str)
+def test_every_at_most_rule_accepts_its_partner_and_rejects_one_step_above(
+    key, partner, default
+):
+    parse_config_text(f"{key} = {default!r}\n")
+    above = default + 1 if isinstance(default, int) else math.nextafter(default, math.inf)
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"{key} = {above!r}\n")
+    assert str(exc.value) == f"{key} {above} exceeds {partner} {default}"
+
+
 def test_bound_messages_keep_their_text():
     for text, message in (
         ("agent.t_awake = 0", "agent.t_awake must be >= 1, got 0"),
@@ -222,6 +245,24 @@ def test_bound_messages_keep_their_text():
             "world.reward_width = 1e-200",
             "world.reward_width 1e-200 is out of range: 2 * reward_width**2 underflows to 0",
         ),
+        ("dream.step_lower = 4", "dream.step_lower 4 exceeds dream.step_upper 3"),
+        ("emotion.delta_lower = -0.1", "emotion.delta_lower must be >= 0, got -0.1"),
+        ("emotion.delta_upper = 1.5", "emotion.delta_upper must be <= 1, got 1.5"),
+        (
+            "emotion.delta_lower = 0.1",
+            "emotion.delta_lower 0.1 exceeds emotion.delta_upper 0.08",
+        ),
+        (
+            "emotion.valence_low = 0.9",
+            "emotion.valence_low 0.9 exceeds emotion.valence_high 0.5",
+        ),
+        ("ga.elite_count = 0", "ga.elite_count must be >= 1, got 0"),
+        ("ga.elite_count = 17", "ga.elite_count 17 exceeds ga.population_size 16"),
+        (
+            "world.master_seed = 18446744073709551616",
+            "world.master_seed must be in [0, 18446744073709551615], "
+            "got 18446744073709551616",
+        ),
     ):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(text)
@@ -229,6 +270,9 @@ def test_bound_messages_keep_their_text():
     with pytest.raises(ConfigError) as exc:
         WorldConfig(reward_peak=math.nan)
     assert str(exc.value) == "world.reward_peak must be finite, got nan"
+    with pytest.raises(ConfigError) as exc:
+        EmotionParams(delta_upper=math.nan)
+    assert str(exc.value) == "emotion.delta_upper must be finite, got nan"
 
 
 def test_check_bounds_renders_an_open_interval():

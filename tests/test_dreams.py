@@ -55,7 +55,7 @@ def test_dream_config_validation():
         DreamConfig(step_lower=2, step_upper=1)
     with pytest.raises(ConfigError, match="dream.step_lower"):
         DreamConfig(step_lower=-1)
-    with pytest.raises(ConfigError, match="dream.step_lower 0 exceeds step_upper -1"):
+    with pytest.raises(ConfigError, match="dream.step_lower 0 exceeds dream.step_upper -1"):
         DreamConfig(step_lower=0, step_upper=-1)
     with pytest.raises(ConfigError):
         DreamConfig(length=-1)

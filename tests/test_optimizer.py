@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from conscient_sim.optimizer import (
     DEFAULT_BOUNDS,
     GAConfig,
     Genome,
+    _SORTED_PAIRS,
     _resolve_workers,
     _tournament,
     configure_world,
@@ -43,14 +46,17 @@ def test_decode_endpoints():
     d = len(DEFAULT_BOUNDS)
     lo = decode_genome(Genome(np.zeros(d)))
     hi = decode_genome(Genome(np.ones(d)))
+    paired = {key for pair in _SORTED_PAIRS for key in pair}
     for spec in DEFAULT_BOUNDS:
-        if spec.name in ("dream.step_lower", "emotion.delta_lower"):
+        if spec.name in paired:
             continue  # pair sorting may move these, checked separately
         assert lo[spec.name] == pytest.approx(min(spec.lo, spec.hi))
         assert hi[spec.name] == pytest.approx(max(spec.lo, spec.hi))
     # at all-zeros / all-ones the pairs are already ordered
     assert (lo["dream.step_lower"], lo["dream.step_upper"]) == (0, 1)
     assert (hi["dream.step_lower"], hi["dream.step_upper"]) == (3, 6)
+    assert (lo["emotion.delta_lower"], lo["emotion.delta_upper"]) == (0.0, 0.02)
+    assert (hi["emotion.delta_lower"], hi["emotion.delta_upper"]) == pytest.approx((0.1, 0.3))
 
 
 def test_decode_midpoint_rounds_half_up():
@@ -102,6 +108,38 @@ def test_configure_world_places_every_parameter():
     # world-level settings pass through untouched
     assert cfg.resolution == SMALL_WORLD.resolution
     assert cfg.total_ticks == SMALL_WORLD.total_ticks
+
+
+def test_genes_keep_to_declared_bounds():
+    # every decoded genome is a valid config: each gene range lies inside its
+    # field's declared bound, and each declared order rule either joins two
+    # genes, which decode_genome sorts, or touches no gene at all
+    genes = {spec.name for spec in DEFAULT_BOUNDS}
+    declared = {
+        f"{section}.{f.name}": f.metadata
+        for section, get in _SECTION_IN_WORLD.items()
+        for f in fields(get(SMALL_WORLD))
+    }
+    for spec in DEFAULT_BOUNDS:
+        lo, hi, strict = declared[spec.name].get("bound", (None, None, False))
+        assert lo is None or (spec.lo > lo if strict else spec.lo >= lo), spec.name
+        assert hi is None or (spec.hi < hi if strict else spec.hi <= hi), spec.name
+    pairs = [
+        (key, f"{key.partition('.')[0]}.{meta['at_most']}")
+        for key, meta in declared.items()
+        if meta.get("at_most") is not None
+    ]
+    for pair in pairs:
+        # a rule with one gene key could break against the base config's value
+        assert len(genes & set(pair)) in (0, 2), pair
+    assert _SORTED_PAIRS == tuple(pair for pair in pairs if set(pair) <= genes)
+
+
+def test_every_decoded_genome_builds_a_config():
+    d = len(DEFAULT_BOUNDS)
+    budget = GAConfig().movement_budget
+    for genes in (np.zeros(d), np.ones(d), *np.random.default_rng(21).random((1000, d))):
+        configure_world(WorldConfig(), decode_genome(Genome(genes)), budget)
 
 
 def test_fitness_equals_independent_reruns():
