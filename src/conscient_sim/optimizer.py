@@ -6,7 +6,8 @@ Fitness of a genome is the mean interaction count over a fixed list of
 evaluation seeds (common random numbers across genomes), with the movement
 budget applied to every agent. Evaluation is a pure function of (genome,
 seeds), so concurrent and sequential evaluation give identical results; the
-CONSCIENT_SIM_THREADS environment variable caps worker count (0 = auto).
+CONSCIENT_SIM_THREADS environment variable caps worker count (0 = the CPUs
+this process may use).
 A world that cannot run stops the search with its error, in process or from
 the pool.
 """
@@ -200,7 +201,11 @@ def _resolve_workers(workers: Optional[int]) -> int:
     if workers < 0:
         raise ConfigError(f"{name} must be >= 0, got {workers}")
     if workers == 0:
-        workers = os.cpu_count() or 1
+        # the CPUs this process may run on, where the platform reports them
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     return workers
 
 
@@ -234,7 +239,8 @@ def evolve(
     history: list[GenerationStats] = []
     best_overall: Optional[FitnessReport] = None
     # one pool for the whole search, so each worker factors the covariance
-    # once; hooks cannot cross process boundaries, so they run in-process
+    # once and builds each eval seed's world layout once (at most 8 stay
+    # cached); hooks cannot cross process boundaries, so they run in-process
     parallel = n_workers > 1 and trace_hook is None
     with ProcessPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map

@@ -78,7 +78,8 @@ class SemanticGraph:
     `_hop_rows` memoises BFS hop counts per start node as `hop_counts` is
     asked for them, and `_classified` memoises `classify` by the bytes of the
     feature vector: at most one entry per distinct vector classified against
-    this graph (a world classifies only its r^2 cell vectors).
+    this graph. A world's graphs belong to its cached layout and outlive the
+    world; each layout's graphs classify only that layout's r^2 cell vectors.
     """
 
     nodes: tuple[str, ...]

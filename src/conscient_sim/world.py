@@ -3,22 +3,34 @@
 A world holds n agents on a shared r x r grid. Each agent perceives the grid
 through its own sampled importance field; the environment itself contributes
 reward hotspots (positive bumps on every field) and one-shot content stimuli
-scattered over cells. Per tick, agents act in ascending id order, then every
+scattered over cells. Fields, spawns, stimuli, graphs and cell features
+depend on no agent setting but the kernel, so worlds share them through a
+per-process `WorldLayout` cache. Per tick, agents act in ascending id order, then every
 unordered pair of awake co-located agents exchanges percepts exactly once.
 The full run is captured in a replayable trace.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field, fields
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .agents import SENDABLE_KINDS, Agent, AgentConfig, agent_tick, receive_percept
 from .dreams import DreamFrameRow
 from .errors import ConfigError, GraphParseError, bound, check_bounds
-from .fields import MAX_RESOLUTION, GridCell, check_width, local_bump, sample_field
+from .fields import (
+    MAX_RESOLUTION,
+    GridCell,
+    KernelConfig,
+    ValueField,
+    check_width,
+    local_bump,
+    sample_field,
+)
 from .seeds import derive_seed, make_rng
 from .semantics import (
     BUILTIN_CONTENT_EDGES,
@@ -183,52 +195,108 @@ def load_graphs(config: WorldConfig) -> tuple[SemanticGraph, SemanticGraph]:
     return graphs[0], graphs[1]
 
 
+@dataclass(frozen=True, eq=False)
+class WorldLayout:
+    """The part of a world that is fixed before its first tick and that no gene moves.
+
+    Worlds whose configs differ only in `world.total_ticks` and in the agent
+    settings other than the kernel (`agent.*`, `dream.*` and `emotion.*`, where
+    the genes live) share one layout: the graphs and their warm memos, each
+    agent's reward-bumped field and spawn cell, the stimulus table, and the
+    cell features those worlds have asked for. Worlds only read it; the field
+    arrays and feature vectors are read-only, and each world copies the
+    stimulus table it consumes.
+    """
+
+    content_graph: SemanticGraph
+    style_graph: SemanticGraph
+    agent_fields: tuple[ValueField, ...]  # indexed by agent id
+    spawns: tuple[GridCell, ...]  # indexed by agent id
+    stimuli: Mapping[GridCell, ContentStimulus]
+    features: dict[GridCell, np.ndarray]  # filled lazily by `World.cell_features`
+
+
+# WorldConfig fields no layout reads; of `agent`, only the kernel shapes a field
+_RUN_FIELDS = ("agent", "total_ticks")
+
+
+def world_layout(config: WorldConfig) -> WorldLayout:
+    """The layout of `config`, built once per process for each distinct key."""
+    key = tuple(
+        (f.name, getattr(config, f.name)) for f in fields(config) if f.name not in _RUN_FIELDS
+    )
+    return _cached_layout(key, config.agent.kernel)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_layout(
+    world_items: tuple[tuple[str, object], ...], kernel: KernelConfig
+) -> WorldLayout:
+    # every config sharing this key has this layout; a failed build raises and is not cached
+    config = WorldConfig(**dict(world_items), agent=AgentConfig(kernel=kernel))
+    ms = config.master_seed
+    fd = config.feature_dim
+    content_graph, style_graph = load_graphs(config)
+    r = config.resolution
+    rng = make_rng(derive_seed(ms, "world"))
+    spawns = tuple(
+        GridCell(int(idx) // r, int(idx) % r)
+        for idx in rng.choice(r * r, size=config.n_agents, replace=False)
+    )
+    # Environmental rewards land on every agent's field at the same cells.
+    rewards: tuple[GridCell, ...] = ()
+    if config.reward_count > 0:
+        reward_idx = rng.choice(r * r, size=config.reward_count, replace=False)
+        rewards = tuple(GridCell(int(idx) // r, int(idx) % r) for idx in reward_idx)
+    agent_fields = []
+    for aid in range(config.n_agents):
+        field = sample_field(kernel, r, make_rng(derive_seed(ms, "field", aid)))
+        for cell in rewards:
+            field = local_bump(field, cell, config.reward_peak, config.reward_width)
+        field.values.flags.writeable = False
+        agent_fields.append(field)
+    # One-shot stimuli, at most one per cell, row-major placement order.
+    stimuli: dict[GridCell, ContentStimulus] = {}
+    mods = config.stimulus_modalities
+    if mods and config.stimulus_probability > 0:
+        for i in range(r):
+            for j in range(r):
+                if float(rng.random()) < config.stimulus_probability:
+                    modality = mods[int(rng.integers(len(mods)))]
+                    # the feature mean, rescaled from [0, 1] to [-1, 1]
+                    score = 2.0 * float(np.mean(rng.random(fd))) - 1.0
+                    stimuli[GridCell(i, j)] = ContentStimulus(modality, score)
+    return WorldLayout(
+        content_graph=content_graph,
+        style_graph=style_graph,
+        agent_fields=tuple(agent_fields),
+        spawns=spawns,
+        stimuli=MappingProxyType(stimuli),
+        features={},
+    )
+
+
 class World:
-    """Mutable simulation state; see `build_world` and `run`."""
+    """Mutable simulation state over a shared `WorldLayout`; see `build_world` and `run`."""
 
     def __init__(self, config: WorldConfig):
         self.config = config
         self.tick = 0
+        layout = world_layout(config)
+        self.content_graph, self.style_graph = layout.content_graph, layout.style_graph
+        self._features = layout.features
+        self.stimuli: dict[GridCell, ContentStimulus] = dict(layout.stimuli)
         ms = config.master_seed
-        fd = config.feature_dim
-        self.content_graph, self.style_graph = load_graphs(config)
-        r = config.resolution
-        rng = make_rng(derive_seed(ms, "world"))
-        spawn_idx = rng.choice(r * r, size=config.n_agents, replace=False)
-        self.agents: list[Agent] = []
-        for aid in range(config.n_agents):
-            field = sample_field(config.agent.kernel, r, make_rng(derive_seed(ms, "field", aid)))
-            idx = int(spawn_idx[aid])
-            self.agents.append(
-                Agent(
-                    id=aid,
-                    config=config.agent,
-                    position=GridCell(idx // r, idx % r),
-                    field=field,
-                    rng=make_rng(derive_seed(ms, "agent", aid)),
-                )
+        self.agents: list[Agent] = [
+            Agent(
+                id=aid,
+                config=config.agent,
+                position=spawn,
+                field=field,
+                rng=make_rng(derive_seed(ms, "agent", aid)),
             )
-        # Environmental rewards land on every agent's field at the same cells.
-        if config.reward_count > 0:
-            reward_idx = rng.choice(r * r, size=config.reward_count, replace=False)
-            for idx in reward_idx:
-                cell = GridCell(int(idx) // r, int(idx) % r)
-                for agent in self.agents:
-                    agent.field = local_bump(
-                        agent.field, cell, config.reward_peak, config.reward_width
-                    )
-        # One-shot stimuli, at most one per cell, row-major placement order.
-        self.stimuli: dict[GridCell, ContentStimulus] = {}
-        mods = config.stimulus_modalities
-        if mods and config.stimulus_probability > 0:
-            for i in range(r):
-                for j in range(r):
-                    if float(rng.random()) < config.stimulus_probability:
-                        modality = mods[int(rng.integers(len(mods)))]
-                        # the feature mean, rescaled from [0, 1] to [-1, 1]
-                        score = 2.0 * float(np.mean(rng.random(fd))) - 1.0
-                        self.stimuli[GridCell(i, j)] = ContentStimulus(modality, score)
-        self._feature_cache: dict[GridCell, np.ndarray] = {}
+            for aid, (spawn, field) in enumerate(zip(layout.spawns, layout.agent_fields))
+        ]
         self.rows: list[TraceRow] = []
         self.interactions: list[InteractionRecord] = []
         self.dream_rows: list[DreamFrameRow] = []
@@ -239,12 +307,13 @@ class World:
     # -- agent environment hooks ------------------------------------------
 
     def cell_features(self, cell: GridCell) -> np.ndarray:
-        """Deterministic per-cell feature vector in [0, 1]^feature_dim."""
-        cached = self._feature_cache.get(cell)
+        """Deterministic, read-only per-cell feature vector in [0, 1]^feature_dim."""
+        cached = self._features.get(cell)
         if cached is None:
             rng = make_rng(derive_seed(self.config.master_seed, "cell", cell.i, cell.j))
             cached = rng.random(self.config.feature_dim)
-            self._feature_cache[cell] = cached
+            cached.flags.writeable = False
+            self._features[cell] = cached
         return cached
 
     def take_stimulus(self, cell: GridCell) -> Optional[ContentStimulus]:

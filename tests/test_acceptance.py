@@ -12,10 +12,12 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conscient_sim.agents import AgentConfig
 from conscient_sim.cli import run_command
 from conscient_sim.configio import render_config
 from conscient_sim.dreams import walk_step
@@ -40,7 +42,7 @@ from conscient_sim.traceio import (
     write_percepts_csv,
     write_trace_csv,
 )
-from conscient_sim.world import WorldConfig, metrics, run
+from conscient_sim.world import WorldConfig, _cached_layout, metrics, run, world_layout
 
 # Reference scenario for the determinism and replay gates.  The pinned
 # numbers below were produced by this exact configuration; a change in
@@ -247,9 +249,12 @@ def test_criterion_06_byte_identical_traces_and_pinned_count(tmp_path):
         assert m.dream_frames == PINNED_DREAM_FRAMES
 
 
-@pytest.mark.parametrize("name", ["reference", "crowded"])
-def test_output_bytes_are_pinned(name, tmp_path):
-    trace = run({"reference": REFERENCE_CONFIG, "crowded": CROWDED_CONFIG}[name])
+PINNED_SCENARIOS = {"reference": REFERENCE_CONFIG, "crowded": CROWDED_CONFIG}
+
+
+def _output_digests(config, out_dir):
+    """SHA-256 of each CSV `simulate` writes for one run of `config`."""
+    trace = run(config)
     writers = {
         "trace.csv": (write_trace_csv, trace.rows),
         "interactions.csv": (write_interactions_csv, trace.interactions),
@@ -259,10 +264,29 @@ def test_output_bytes_are_pinned(name, tmp_path):
     }
     digests = {}
     for filename, (write, payload) in writers.items():
-        path = tmp_path / filename
+        path = out_dir / filename
         write(str(path), payload)
         digests[filename] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == PINNED_OUTPUT_SHA256[name]
+    return digests
+
+
+@pytest.mark.parametrize("name", ["reference", "crowded"])
+def test_output_bytes_are_pinned(name, tmp_path):
+    assert _output_digests(PINNED_SCENARIOS[name], tmp_path) == PINNED_OUTPUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["reference", "crowded"])
+def test_output_bytes_same_from_cold_and_warm_layout(name, tmp_path):
+    config = PINNED_SCENARIOS[name]
+    _cached_layout.cache_clear()
+    cold = _output_digests(config, tmp_path)
+    layout = world_layout(config)
+    assert layout.features  # the cold run filled the shared cell features
+    # a world with other agent settings shares the layout and warms it further
+    run(replace(config, total_ticks=300, agent=AgentConfig(explore_rate=0.9)))
+    warm = _output_digests(config, tmp_path)
+    assert world_layout(config) is layout
+    assert warm == cold == PINNED_OUTPUT_SHA256[name]
 
 
 def test_criterion_07_replay_summary_matches_live_metrics(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -219,6 +220,14 @@ def test_resolve_workers_env(monkeypatch):
     assert _resolve_workers(2) == 2
     with pytest.raises(ConfigError):
         _resolve_workers(-1)
+
+
+def test_zero_workers_means_the_cpus_this_process_may_use(monkeypatch):
+    # as under `taskset -c 0` on a host with more CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setenv("CONSCIENT_SIM_THREADS", "0")
+    assert _resolve_workers(None) == 1
+    assert _resolve_workers(0) == 1
 
 
 def test_ga_config_validation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conscient_sim.agents import AgentConfig
+from conscient_sim.configio import ENTRIES, parse_config_text
 from conscient_sim.emotions import EmotionParams
 from conscient_sim.errors import ConfigError
 from conscient_sim.fields import GridCell
@@ -15,10 +16,12 @@ from conscient_sim.traceio import write_dreams_csv
 from conscient_sim.world import (
     World,
     WorldConfig,
+    _cached_layout,
     build_world,
     interact,
     metrics,
     run,
+    world_layout,
 )
 
 
@@ -104,12 +107,75 @@ def test_stimulus_placement_extremes_and_score():
 
 
 def test_stimulus_layout_deterministic():
-    a = build_world(WorldConfig(resolution=6, stimulus_probability=0.4, master_seed=9))
-    b = build_world(WorldConfig(resolution=6, stimulus_probability=0.4, master_seed=9))
+    cfg = WorldConfig(resolution=6, stimulus_probability=0.4, master_seed=9)
+    build_world(cfg)
+    a = build_world(cfg)  # from the cached layout
+    _cached_layout.cache_clear()
+    b = build_world(cfg)  # from a cold build
     assert sorted(a.stimuli) == sorted(b.stimuli)
     for cell in a.stimuli:
+        assert a.stimuli[cell] is not b.stimuli[cell]
         assert a.stimuli[cell].modality == b.stimuli[cell].modality
         assert a.stimuli[cell].score == b.stimuli[cell].score
+    for x, y in zip(a.agents, b.agents):
+        assert x.position == y.position
+        assert x.field.values.tobytes() == y.field.values.tobytes()
+
+
+def test_worlds_share_a_read_only_layout():
+    cfg = WorldConfig(resolution=5, stimulus_probability=0.5, master_seed=8, total_ticks=80)
+    first = build_world(cfg)
+    table = dict(first.stimuli)
+    field_bytes = [agent.field.values.tobytes() for agent in first.agents]
+    for _ in range(cfg.total_ticks):
+        first.step()
+    for cell in list(first.stimuli):
+        first.take_stimulus(cell)
+    assert first.stimuli == {} and table
+    assert [a.field.values.tobytes() for a in first.agents] != field_bytes
+    second = build_world(cfg)
+    assert second.stimuli == table
+    assert [agent.field.values.tobytes() for agent in second.agents] == field_bytes
+    # an in-place write into shared state fails instead of leaking into the next world
+    with pytest.raises(ValueError):
+        second.agents[0].field.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        second.cell_features(GridCell(0, 0))[0] = 0.5
+
+
+def _changed_value(entry, tmp_path):
+    """Rendered values for `entry`'s key that differ from its default, most plausible first."""
+    d = entry.default
+    if entry.key in ("world.content_graph", "world.style_graph"):
+        path = tmp_path / "graph.txt"
+        path.write_text("left right\n", encoding="utf-8")
+        return [str(path)]
+    if isinstance(d, tuple):
+        return [entry.render(d[:1])]
+    candidates = [d + 1, d - 1] if isinstance(d, int) else [d * 0.5, d + 0.01, d - 0.01]
+    return [entry.render(v) for v in candidates]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in ENTRIES if e.section != "ga"],
+    ids=lambda e: e.key,
+)
+def test_layout_key_holds_every_world_and_kernel_key(entry, tmp_path):
+    base = parse_config_text("").world
+    for raw in _changed_value(entry, tmp_path):
+        try:
+            changed = parse_config_text("", overrides={entry.key: raw}).world
+        except ConfigError:
+            continue  # outside the key's range or order rule; try the next value
+        if changed == base:
+            continue
+        shared = world_layout(base)
+        reused = world_layout(changed) is shared
+        per_run = entry.section in ("agent", "dream", "emotion") or entry.key == "world.total_ticks"
+        assert reused == per_run
+        return
+    pytest.fail(f"no valid value for {entry.key} other than its default")
 
 
 def test_cell_features_deterministic_and_cached():
