@@ -114,9 +114,7 @@ def navigate_step(agent: Agent) -> GridCell:
         agent.moves_used += 1
         if agent.emotions.happiness < cfg.low_happiness_cutoff:
             # sad movement is costly: one extra fatigue tick per move
-            bumped = agent.emotions.copy()
-            bumped.fatigue = min(1.0, bumped.fatigue + cfg.emotion.fatigue_tick)
-            agent.emotions = bumped
+            agent.emotions.fatigue = min(1.0, agent.emotions.fatigue + cfg.emotion.fatigue_tick)
     return agent.position
 
 
@@ -158,7 +156,7 @@ def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Per
             )
         )
     agent.field = local_bump(agent.field, agent.position, cfg.visit_peak, cfg.visit_width)
-    agent.emotions = apply_event(agent.emotions, "photo_taken", value, cfg.emotion, agent.rng)
+    apply_event(agent.emotions, "photo_taken", value, cfg.emotion, agent.rng)
     return percept
 
 
@@ -185,7 +183,7 @@ def receive_percept(agent: Agent, percept: Percept) -> float:
             kind="received",
         )
     )
-    agent.emotions = apply_event(agent.emotions, "interaction", evaluation, cfg.emotion, agent.rng)
+    apply_event(agent.emotions, "interaction", evaluation, cfg.emotion, agent.rng)
     peak = cfg.visit_reward if evaluation > cfg.emotion.high_value_cutoff else -cfg.visit_reward
     if peak != 0.0:
         agent.field = local_bump(agent.field, percept.origin, peak, cfg.visit_width)
@@ -206,11 +204,9 @@ def agent_tick(
             events.append(f"photo:{photo.id}")
         stim = ctx.take_stimulus(agent.position)
         if stim is not None:
-            agent.emotions = apply_event(
-                agent.emotions, "content_stimulus", stim.score, cfg.emotion, agent.rng
-            )
+            apply_event(agent.emotions, "content_stimulus", stim.score, cfg.emotion, agent.rng)
             events.append(f"stim:{stim.modality}")
-        agent.emotions = tick_emotions(agent.emotions, cfg.emotion, "awake")
+        tick_emotions(agent.emotions, cfg.emotion, "awake")
         agent.ticks_in_mode += 1
         if should_sleep(agent.emotions, agent.ticks_in_mode, cfg.t_awake, cfg.emotion, agent.rng):
             agent.mode = "asleep"
@@ -233,9 +229,7 @@ def agent_tick(
             valence = dream_valence(
                 frame, agent.field, cfg.emotion.valence_high, cfg.emotion.valence_low
             )
-            agent.emotions = apply_event(
-                agent.emotions, "dream_frame", float(valence), cfg.emotion, agent.rng
-            )
+            apply_event(agent.emotions, "dream_frame", float(valence), cfg.emotion, agent.rng)
             agent.dream_frame_count += 1
             dreamed = Percept(
                 id=f"a{agent.id}-d{agent.dream_frame_count}",
@@ -252,7 +246,7 @@ def agent_tick(
             )
         else:
             events.append("dreamless")
-        agent.emotions = tick_emotions(agent.emotions, cfg.emotion, "asleep")
+        tick_emotions(agent.emotions, cfg.emotion, "asleep")
         agent.ticks_in_mode += 1
         if agent.ticks_in_mode >= cfg.t_asleep:
             agent.field = contaminate(agent.field, cfg.noise_sigma, agent.rng)

@@ -161,9 +161,9 @@ def _load_edges(label: str, base_dir: str, key: str) -> tuple[str, str]:
         raise ConfigError(f"key {key}: cannot read graph file {path}: {exc}") from None
 
 
-def _canonical(entry: _Entry, raw: str, where: str) -> str:
+def _cast(entry: _Entry, raw: str, where: str) -> object:
     try:
-        return entry.render(entry.cast(raw))
+        return entry.cast(raw)
     except ValueError:
         raise ConfigError(
             f"{where}: key {entry.key}: expected {entry.typename}, got {raw!r}"
@@ -174,7 +174,7 @@ def parse_config_text(
     text: str, base_dir: str = ".", overrides: Optional[dict[str, str]] = None
 ) -> ConfigBundle:
     """Parse flat config text; see module docstring for the format."""
-    values = default_values()
+    values = {entry.key: entry.default for entry in ENTRIES}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -189,12 +189,12 @@ def parse_config_text(
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        values[key] = _canonical(_BY_KEY[key], val.strip(), f"line {lineno}")
+        values[key] = _cast(_BY_KEY[key], val.strip(), f"line {lineno}")
     if overrides:
         for key, val in overrides.items():
             if key not in _BY_KEY:
                 raise ConfigError(f"override: unknown key {key!r}")
-            values[key] = _canonical(_BY_KEY[key], val, "override")
+            values[key] = _cast(_BY_KEY[key], val, "override")
     return _build(values, base_dir)
 
 
@@ -207,14 +207,14 @@ def parse_config(path: str, overrides: Optional[dict[str, str]] = None) -> Confi
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)), overrides=overrides)
 
 
-def _build(values: dict[str, str], base_dir: str) -> ConfigBundle:
-    """Construct each section from its keys, nested sections before their parents."""
-    effective = dict(values)
+def _build(values: dict[str, object], base_dir: str) -> ConfigBundle:
+    """Construct each section from its typed values, nested sections before their parents."""
+    effective = {entry.key: entry.render(values[entry.key]) for entry in ENTRIES}
     built: dict[str, object] = {}
     for section in reversed(_SECTIONS):
         kwargs = {name: built[name] for name in _NESTED[section]}
         for entry in _BY_SECTION[section]:
-            value = entry.cast(values[entry.key])
+            value = values[entry.key]
             if entry.key in _GRAPH_KEYS.values():
                 value, effective[entry.key] = _load_edges(value, base_dir, entry.key)
             kwargs[entry.field] = value

@@ -4,8 +4,8 @@ Four emotion intensities (happiness, curiosity, friendship, courage) plus
 fatigue, each clamped to [0, 1] after every update. Events move emotions by a
 step drawn uniformly from [delta_lower, delta_upper]; the passage of time
 moves fatigue and curiosity. Each emotion's complement (sadness, boredom,
-enmity, fear) is implicit as 1 - value. Updates return new states; inputs are
-never mutated.
+enmity, fear) is implicit as 1 - value. An `EmotionState` is its agent's own
+record for the agent's whole life: updates write into it in place.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ class EmotionState:
     friendship: float = 0.5
     courage: float = 0.5
     fatigue: float = 0.0
-
-    def copy(self) -> "EmotionState":
-        new = object.__new__(EmotionState)
-        new.happiness = self.happiness
-        new.curiosity = self.curiosity
-        new.friendship = self.friendship
-        new.courage = self.courage
-        new.fatigue = self.fatigue
-        return new
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,8 +68,8 @@ def apply_event(
     payload: float,
     params: EmotionParams,
     rng: np.random.Generator,
-) -> EmotionState:
-    """Move emotions for one event of `kind`. Every delta below is an independent draw.
+) -> None:
+    """Move emotions in place for one event of `kind`. Every delta below is an independent draw.
 
     photo_taken: payload is the field value at the photo cell. Above the
       high-value cutoff happiness rises and fatigue takes min(eps, 0); at or
@@ -92,43 +83,39 @@ def apply_event(
     Each payload is a finite field value, valence or score, and `kind` is one
     of EVENT_KINDS.
     """
-    new = state.copy()
     eps = params.photo_fatigue_delta
     if kind == "photo_taken":
         if payload > params.high_value_cutoff:
-            new.happiness = _clamp01(new.happiness + _delta(params, rng))
-            new.fatigue = _clamp01(new.fatigue + min(eps, 0.0))
+            state.happiness = _clamp01(state.happiness + _delta(params, rng))
+            state.fatigue = _clamp01(state.fatigue + min(eps, 0.0))
         else:
-            new.happiness = _clamp01(new.happiness - _delta(params, rng))
-            new.fatigue = _clamp01(new.fatigue + max(eps, 0.0))
+            state.happiness = _clamp01(state.happiness - _delta(params, rng))
+            state.fatigue = _clamp01(state.fatigue + max(eps, 0.0))
     elif kind == "dream_frame":
-        new.happiness = _clamp01(new.happiness + payload * _delta(params, rng))
+        state.happiness = _clamp01(state.happiness + payload * _delta(params, rng))
     elif kind == "interaction":
         sign = 1.0 if payload > 0.0 else -1.0
-        new.friendship = _clamp01(new.friendship + sign * _delta(params, rng))
-        new.happiness = _clamp01(new.happiness + sign * _delta(params, rng))
+        state.friendship = _clamp01(state.friendship + sign * _delta(params, rng))
+        state.happiness = _clamp01(state.happiness + sign * _delta(params, rng))
     else:  # content_stimulus
-        new.curiosity = _clamp01(new.curiosity - _delta(params, rng))
+        state.curiosity = _clamp01(state.curiosity - _delta(params, rng))
         if payload > 0.0:
-            new.happiness = _clamp01(new.happiness + _delta(params, rng))
+            state.happiness = _clamp01(state.happiness + _delta(params, rng))
         elif payload < 0.0:
-            new.happiness = _clamp01(new.happiness - _delta(params, rng))
-    return new
+            state.happiness = _clamp01(state.happiness - _delta(params, rng))
 
 
-def tick_emotions(state: EmotionState, params: EmotionParams, mode: str) -> EmotionState:
-    """One tick of time. Awake: fatigue grows, faster when unhappy, and
-    curiosity drifts up toward boredom. Asleep: fatigue decays.
+def tick_emotions(state: EmotionState, params: EmotionParams, mode: str) -> None:
+    """One tick of time, in place. Awake: fatigue grows, faster when unhappy,
+    and curiosity drifts up toward boredom. Asleep: fatigue decays.
     """
-    new = state.copy()
     if mode == "awake":
-        new.fatigue = _clamp01(
-            new.fatigue + params.fatigue_tick * (1.0 + (1.0 - new.happiness))
+        state.fatigue = _clamp01(
+            state.fatigue + params.fatigue_tick * (1.0 + (1.0 - state.happiness))
         )
-        new.curiosity = _clamp01(new.curiosity + params.curiosity_growth)
+        state.curiosity = _clamp01(state.curiosity + params.curiosity_growth)
     else:
-        new.fatigue = _clamp01(new.fatigue - params.sleep_decay)
-    return new
+        state.fatigue = _clamp01(state.fatigue - params.sleep_decay)
 
 
 def should_sleep(

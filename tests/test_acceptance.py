@@ -183,8 +183,8 @@ def test_criterion_04_emotion_bounds_and_directions():
             if r < 0.7:
                 kind = EVENT_KINDS[int(rng.integers(len(EVENT_KINDS)))]
                 payload = payloads[int(rng.integers(len(payloads)))]
-                before = state
-                state = apply_event(state, kind, payload, params, rng)
+                before = replace(state)
+                apply_event(state, kind, payload, params, rng)
                 if kind == "photo_taken":
                     if payload > params.high_value_cutoff:
                         assert state.happiness >= before.happiness
@@ -211,7 +211,7 @@ def test_criterion_04_emotion_bounds_and_directions():
                     else:
                         assert state.happiness == before.happiness
             else:
-                state = tick_emotions(state, params, "awake" if r < 0.85 else "asleep")
+                tick_emotions(state, params, "awake" if r < 0.85 else "asleep")
             for v in (
                 state.happiness,
                 state.curiosity,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ def test_receive_percept_duplicate_is_inert():
     p = _foreign_percept("b1-p1", GridCell(2, 2))
     receive_percept(agent, p)
     snapshot_field = agent.field.values.copy()
-    snapshot_emotions = agent.emotions.copy()
+    snapshot_emotions = replace(agent.emotions)
     snapshot_rng = agent.rng.bit_generator.state
     ev = receive_percept(agent, p)
     assert ev == pytest.approx(agent.field.value_at(GridCell(2, 2)))

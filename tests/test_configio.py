@@ -301,10 +301,22 @@ def test_canonical_rendering_is_pinned():
 
 
 def test_effective_values_are_canonical_fixpoint():
-    text = "world.stimulus_probability = .25\nagent.visit_peak = -5e-1\n"
+    text = (
+        "world.stimulus_probability = .25\n"
+        "agent.visit_peak = -5e-1\n"
+        "world.n_agents = 007\n"
+        "kernel.jitter = 1E-8\n"
+        "ga.eval_seeds = 11 , 12\n"
+        "world.stimulus_modalities = recipe , music\n"
+    )
     b1 = parse_config_text(text)
     assert b1.effective["world.stimulus_probability"] == "0.25"
     assert b1.effective["agent.visit_peak"] == "-0.5"
+    # one input of each type: integer, number, integer list, string list
+    assert b1.effective["world.n_agents"] == "7"
+    assert b1.effective["kernel.jitter"] == "1e-08"
+    assert b1.effective["ga.eval_seeds"] == "11,12"
+    assert b1.effective["world.stimulus_modalities"] == "recipe,music"
     # re-rendering the effective values and parsing again changes nothing
     b2 = parse_config_text(render_config(b1.effective))
     assert b2.effective == b1.effective

@@ -7,7 +7,7 @@ import pytest
 
 from conscient_sim.agents import AgentConfig
 from conscient_sim.configio import ENTRIES, parse_config_text
-from conscient_sim.emotions import EmotionParams
+from conscient_sim.emotions import EmotionParams, EmotionState
 from conscient_sim.errors import ConfigError
 from conscient_sim.fields import GridCell
 from conscient_sim.semantics import Percept
@@ -206,6 +206,25 @@ def test_tick0_rows_snapshot_initial_state():
         assert row.mode == "awake"
         assert row.events == ()
         assert (row.i, row.j) == (agent.position.i, agent.position.j)
+    # emotions update in place: the rows copied the values, not the live states,
+    # and no two agents share one state
+    defaults = EmotionState()
+    states = [agent.emotions for agent in w.agents]
+    assert len({id(e) for e in states}) == len(states)
+    for _ in range(20):
+        w.step()
+    tick0 = w.rows[:3]
+    for row, agent, state in zip(tick0, w.agents, states):
+        assert row.tick == 0
+        assert (row.e_h, row.e_c, row.e_f, row.e_k, row.fatigue) == (
+            defaults.happiness,
+            defaults.curiosity,
+            defaults.friendship,
+            defaults.courage,
+            defaults.fatigue,
+        )
+        assert agent.emotions is state
+        assert agent.emotions.fatigue != defaults.fatigue
 
 
 def test_interact_exchanges_and_records():
