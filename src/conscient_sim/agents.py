@@ -28,6 +28,7 @@ from .fields import (
     moore_neighbors,
     steepest_neighbor,
 )
+from .seeds import Stream
 from .semantics import Percept, PerceptStore, SemanticGraph, classify
 
 # Percept kinds an agent is willing to send to a peer.
@@ -74,7 +75,7 @@ class Agent:
     config: AgentConfig
     position: GridCell
     field: ValueField
-    rng: np.random.Generator
+    rng: Stream
     emotions: EmotionState = dc_field(default_factory=EmotionState)
     mode: str = "awake"
     ticks_in_mode: int = 0

@@ -7,7 +7,8 @@ Subcommands:
   metrics   recompute the summary from an existing trace.csv
 
 Exit codes: 0 on success, 1 on config or runtime validation failures (the
-message names the offending key), 2 on unknown flags or subcommands (argparse
+message names the offending key) and on running out of memory (the message
+names the keys that size a run), 2 on unknown flags or subcommands (argparse
 prints usage).
 """
 
@@ -23,7 +24,7 @@ from .configio import ConfigBundle, parse_config
 from .dreams import DreamFrameRow, DreamWalk
 from .errors import SimulatorError, TraceError
 from .optimizer import evolve
-from .seeds import derive_seed, make_rng
+from .seeds import Stream, derive_seed
 from .semantics import PerceptStore
 from .traceio import (
     read_percepts_csv,
@@ -136,7 +137,7 @@ def _cmd_dream(args) -> int:
     for kind, store in (("content", content_store), ("style", style_store)):
         if len(store) == 0:
             raise TraceError(f"percept log {log}: no {kind} percepts to dream with")
-    rng = make_rng(derive_seed(world_cfg.master_seed, "dream-cli"))
+    rng = Stream(derive_seed(world_cfg.master_seed, "dream-cli"))
     dream_cfg = world_cfg.agent.dream
     walk = DreamWalk(content_store, content_graph, style_store, style_graph, dream_cfg, rng)
     # bare frames have no agent and no field: agent 0, tick = frame index
@@ -194,6 +195,13 @@ def run_command(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except (SimulatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # the keys that size a run's arrays
+        print(
+            "error: out of memory: lower world.resolution, world.n_agents, "
+            "world.total_ticks or world.feature_dim",
+            file=sys.stderr,
+        )
         return 1
 
 

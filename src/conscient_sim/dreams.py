@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import bound, check_bounds
 from .fields import GridCell, ValueField
+from .seeds import Stream
 from .semantics import Percept, PerceptStore, SemanticGraph, hop_counts, semantic_distance
 
 
@@ -56,7 +57,7 @@ class DreamFrameRow:
     valence: int
 
 
-def walk_step(graph: SemanticGraph, current: str, omega: int, rng: np.random.Generator) -> str:
+def walk_step(graph: SemanticGraph, current: str, omega: int, rng: Stream) -> str:
     """Take `omega` uniform neighbor hops from `current`.
 
     The endpoint is always within `omega` edges of the start.
@@ -85,9 +86,7 @@ def _nearest_populated(graph: SemanticGraph, start: str, store: PerceptStore) ->
     return min(reachable)[1] if reachable else populated[0]
 
 
-def _pick(
-    store: PerceptStore, graph: SemanticGraph, category: str, rng: np.random.Generator
-) -> Percept:
+def _pick(store: PerceptStore, graph: SemanticGraph, category: str, rng: Stream) -> Percept:
     """A uniform draw from the category's bucket, or the nearest populated one's."""
     cands = store.in_category(category)
     if not cands:
@@ -111,7 +110,7 @@ class DreamWalk:
         style_store: PerceptStore,
         style_graph: SemanticGraph,
         config: DreamConfig,
-        rng: np.random.Generator,
+        rng: Stream,
     ) -> None:
         self.content_store = content_store
         self.content_graph = content_graph
@@ -124,7 +123,7 @@ class DreamWalk:
         self._style_cat = scats[int(rng.integers(len(scats)))]
         self._prev_frame_cat = self._content_cat
 
-    def step(self, rng: np.random.Generator) -> DreamFrame:
+    def step(self, rng: Stream) -> DreamFrame:
         """Advance both walks one frame, each by a step drawn from the config."""
         lo, hi = self.config.step_lower, self.config.step_upper
         omega_c = int(rng.integers(lo, hi + 1))

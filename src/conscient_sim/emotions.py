@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import bound, check_bounds
+from .seeds import Stream
 
 EVENT_KINDS = ("photo_taken", "dream_frame", "interaction", "content_stimulus")
 
@@ -54,10 +53,10 @@ class EmotionParams:
 
 
 # Generator.uniform(lo, hi) returns lo + (hi - lo) * next_double, and
-# Generator.random() returns next_double from the same stream position, so
+# Stream.random() returns next_double from the same stream position, so
 # _delta and should_sleep draw uniform's doubles bit for bit without paying
 # for its argument handling.
-def _delta(params: EmotionParams, rng: np.random.Generator) -> float:
+def _delta(params: EmotionParams, rng: Stream) -> float:
     lo = params.delta_lower
     return lo + (params.delta_upper - lo) * rng.random()
 
@@ -67,7 +66,7 @@ def apply_event(
     kind: str,
     payload: float,
     params: EmotionParams,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> None:
     """Move emotions in place for one event of `kind`. Every delta below is an independent draw.
 
@@ -123,7 +122,7 @@ def should_sleep(
     ticks_awake: int,
     t_awake_cap: int,
     params: EmotionParams,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> bool:
     """Sleep at the awake-tick cap, else with a fatigue-driven random draw.
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, CovarianceDegeneracyError, bound, check_bounds
+from .seeds import Stream
 
 # Exact sampling factorizes an r^2 x r^2 covariance; memory grows as r^4, and
 # the last two factors stay cached.
@@ -171,7 +172,7 @@ def _unit_bump_window(resolution: int, width: float) -> np.ndarray:
     return window
 
 
-def contaminate(field: ValueField, sigma: float, rng: np.random.Generator) -> ValueField:
+def contaminate(field: ValueField, sigma: float, rng: Stream) -> ValueField:
     """Add i.i.d. N(0, sigma^2) noise to every cell; sigma 0 is the identity."""
     noise = rng.normal(0.0, sigma, size=field.values.shape)
     with np.errstate(over="ignore", invalid="ignore"):

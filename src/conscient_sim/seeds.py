@@ -3,8 +3,10 @@
 All randomness flows from 64-bit unsigned master seeds. Sub-streams are seeded
 by hashing the master seed together with a path of labels (SHA-256, first 8
 bytes, big-endian), so any component can be re-seeded in isolation and the
-scheme is stable across platforms and Python versions. Streams themselves are
-numpy PCG64 generators.
+scheme is stable across platforms and Python versions. Every stream is a numpy
+PCG64 bit generator. Layout, field, cell and graph streams draw through a numpy
+`Generator`; the per-tick agent and dream streams draw through a `Stream`,
+which computes numpy's scalar draws itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+_LOW32 = 0xFFFFFFFF
+_SPAN32 = 2**32
 
 
 def derive_seed(master: int, *labels: object) -> int:
@@ -26,3 +32,75 @@ def derive_seed(master: int, *labels: object) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
+
+
+class StoredSeed(ISeedSequence):
+    """`SeedSequence(seed)` with the four words that seed a PCG64 computed once.
+
+    `PCG64(StoredSeed(s))` is the bit generator `PCG64(s)` is, without hashing
+    the seed again; any other request goes to the `SeedSequence`.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._sequence = np.random.SeedSequence(seed)
+        self._words = self._sequence.generate_state(4, np.uint64)
+        self._words.flags.writeable = False
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self._words
+        return self._sequence.generate_state(n_words, dtype)
+
+
+class Stream:
+    """A PCG64 stream whose scalar draws equal numpy `Generator`'s, bit for bit.
+
+    `random()` is numpy's `next_double`. `integers` over a span of at most 2**32
+    is numpy's Lemire multiply-shift on 32-bit halves of the raw output: the
+    low half is used first and the high half is kept for the next such draw,
+    as the bit generator's own `has_uint32` buffer would keep it. Every other
+    draw goes to a `Generator` on the same bit generator; none of them reads
+    a kept half, so the stream is the one `make_rng(seed)` gives.
+    """
+
+    __slots__ = ("_raw", "_half", "_gen")
+
+    def __init__(self, seed: int | ISeedSequence) -> None:
+        bitgen = np.random.PCG64(seed)
+        self._raw = bitgen.random_raw
+        self._half: int | None = None
+        self._gen = np.random.Generator(bitgen)
+
+    def random(self) -> float:
+        """A double in [0, 1) from the top 53 bits of one raw output."""
+        return (self._raw() >> 11) * 2.0**-53
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is None:
+            raw = self._raw()
+            self._half = raw >> 32
+            return raw & _LOW32
+        self._half = None
+        return half
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """A uniform int in [low, high), or in [0, low) when `high` is None."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if not 0 < span <= _SPAN32:
+            # numpy's ValueError for an empty range, or its 64-bit algorithm
+            return int(self._gen.integers(low, high))
+        if span == 1:
+            return low
+        m = self._next32() * span
+        if (m & _LOW32) < span:
+            threshold = (_SPAN32 - span) % span
+            while (m & _LOW32) < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+    def normal(self, loc: float, scale: float, size) -> np.ndarray:
+        """numpy's own `Generator.normal`, drawn from this stream."""
+        return self._gen.normal(loc, scale, size)

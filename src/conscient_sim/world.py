@@ -31,7 +31,7 @@ from .fields import (
     local_bump,
     sample_field,
 )
-from .seeds import derive_seed, make_rng
+from .seeds import StoredSeed, Stream, derive_seed, make_rng
 from .semantics import (
     BUILTIN_CONTENT_EDGES,
     BUILTIN_STYLE_EDGES,
@@ -202,16 +202,17 @@ class WorldLayout:
     Worlds whose configs differ only in `world.total_ticks` and in the agent
     settings other than the kernel (`agent.*`, `dream.*` and `emotion.*`, where
     the genes live) share one layout: the graphs and their warm memos, each
-    agent's reward-bumped field and spawn cell, the stimulus table, and the
-    cell features those worlds have asked for. Worlds only read it; the field
-    arrays and feature vectors are read-only, and each world copies the
-    stimulus table it consumes.
+    agent's reward-bumped field, spawn cell and stream seed, the stimulus
+    table, and the cell features those worlds have asked for. Worlds only
+    read it; the field arrays and feature vectors are read-only, and each
+    world copies the stimulus table it consumes.
     """
 
     content_graph: SemanticGraph
     style_graph: SemanticGraph
     agent_fields: tuple[ValueField, ...]  # indexed by agent id
     spawns: tuple[GridCell, ...]  # indexed by agent id
+    agent_seeds: tuple[StoredSeed, ...]  # indexed by agent id
     stimuli: Mapping[GridCell, ContentStimulus]
     features: dict[GridCell, np.ndarray]  # filled lazily by `World.cell_features`
 
@@ -249,7 +250,9 @@ def _cached_layout(
         reward_idx = rng.choice(r * r, size=config.reward_count, replace=False)
         rewards = tuple(GridCell(int(idx) // r, int(idx) % r) for idx in reward_idx)
     agent_fields = []
+    agent_seeds = []
     for aid in range(config.n_agents):
+        agent_seeds.append(StoredSeed(derive_seed(ms, "agent", aid)))
         field = sample_field(kernel, r, make_rng(derive_seed(ms, "field", aid)))
         for cell in rewards:
             field = local_bump(field, cell, config.reward_peak, config.reward_width)
@@ -271,6 +274,7 @@ def _cached_layout(
         style_graph=style_graph,
         agent_fields=tuple(agent_fields),
         spawns=spawns,
+        agent_seeds=tuple(agent_seeds),
         stimuli=MappingProxyType(stimuli),
         features={},
     )
@@ -286,16 +290,11 @@ class World:
         self.content_graph, self.style_graph = layout.content_graph, layout.style_graph
         self._features = layout.features
         self.stimuli: dict[GridCell, ContentStimulus] = dict(layout.stimuli)
-        ms = config.master_seed
         self.agents: list[Agent] = [
-            Agent(
-                id=aid,
-                config=config.agent,
-                position=spawn,
-                field=field,
-                rng=make_rng(derive_seed(ms, "agent", aid)),
+            Agent(id=aid, config=config.agent, position=spawn, field=field, rng=Stream(seed))
+            for aid, (spawn, field, seed) in enumerate(
+                zip(layout.spawns, layout.agent_fields, layout.agent_seeds)
             )
-            for aid, (spawn, field) in enumerate(zip(layout.spawns, layout.agent_fields))
         ]
         self.rows: list[TraceRow] = []
         self.interactions: list[InteractionRecord] = []

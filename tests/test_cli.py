@@ -214,6 +214,30 @@ def test_malformed_graph_names_its_key_and_line(
         assert not out.exists()
 
 
+def test_exit_code_1_when_the_run_does_not_fit_in_memory(tmp_path):
+    # 16,384 fields of 128 x 128 need 2 GiB alone; the address-space limit is
+    # set in the child, so the test process keeps its own
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("world.resolution = 128\nworld.n_agents = 16384\n", encoding="utf-8")
+    out = tmp_path / "out"
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from conscient_sim.cli import run_command\n"
+        "sys.exit(run_command(sys.argv[1:]))\n"
+    )
+    argv = ["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), proc.stderr
+    for key in ("world.resolution", "world.n_agents", "world.total_ticks", "world.feature_dim"):
+        assert key in lines[0]
+    assert not out.exists()
+
+
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     rc = run_command(["simulate", "--config", cfg_path, "--seed", "7", "--out", str(out)])
