@@ -19,7 +19,7 @@ import numpy as np
 from .errors import bound, check_bounds
 from .fields import GridCell, ValueField
 from .seeds import Stream
-from .semantics import Percept, PerceptStore, SemanticGraph, hop_counts, semantic_distance
+from .semantics import Percept, PerceptStore, SemanticGraph, semantic_distance
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,11 @@ def walk_step(graph: SemanticGraph, current: str, omega: int, rng: Stream) -> st
 
     The endpoint is always within `omega` edges of the start.
     """
+    adjacency = graph.adjacency
     node = current
     for _ in range(omega):
-        nbrs = graph.neighbors(node)
-        node = nbrs[int(rng.integers(len(nbrs)))]
+        nbrs = adjacency[node]
+        node = nbrs[rng.integers(len(nbrs))]
     return node
 
 
@@ -74,24 +75,10 @@ def blend(content: Percept, style: Percept, style_weight: float) -> np.ndarray:
     return (1.0 - style_weight) * content.features + style_weight * style.features
 
 
-def _nearest_populated(graph: SemanticGraph, start: str, store: PerceptStore) -> str:
-    """Closest category (by hop count) holding at least one percept.
-
-    Ties at the same distance resolve lexicographically; if nothing populated
-    is reachable, the smallest populated category overall is used.
-    """
-    hops = hop_counts(graph, start)
-    populated = store.categories()
-    reachable = [(hops[c], c) for c in populated if c in hops]
-    return min(reachable)[1] if reachable else populated[0]
-
-
 def _pick(store: PerceptStore, graph: SemanticGraph, category: str, rng: Stream) -> Percept:
     """A uniform draw from the category's bucket, or the nearest populated one's."""
-    cands = store.in_category(category)
-    if not cands:
-        cands = store.in_category(_nearest_populated(graph, category, store))
-    return cands[int(rng.integers(len(cands)))]
+    cands = store.dream_bucket(graph, category)
+    return cands[rng.integers(len(cands))]
 
 
 class DreamWalk:
@@ -126,9 +113,9 @@ class DreamWalk:
     def step(self, rng: Stream) -> DreamFrame:
         """Advance both walks one frame, each by a step drawn from the config."""
         lo, hi = self.config.step_lower, self.config.step_upper
-        omega_c = int(rng.integers(lo, hi + 1))
+        omega_c = rng.integers(lo, hi + 1)
         self._content_cat = walk_step(self.content_graph, self._content_cat, omega_c, rng)
-        omega_s = int(rng.integers(lo, hi + 1))
+        omega_s = rng.integers(lo, hi + 1)
         self._style_cat = walk_step(self.style_graph, self._style_cat, omega_s, rng)
         content_p = _pick(self.content_store, self.content_graph, self._content_cat, rng)
         style_p = _pick(self.style_store, self.style_graph, self._style_cat, rng)

@@ -1,5 +1,6 @@
 """Exception types shared across the simulator, and the config bounds they report."""
 
+import functools
 import math
 from dataclasses import field, fields
 
@@ -31,14 +32,23 @@ def bound(default, lo=None, hi=None, *, strict=False, at_most=None):
     return field(default=default, metadata={"bound": (lo, hi, strict), "at_most": at_most})
 
 
+@functools.lru_cache(maxsize=16)
+def _rules(cls) -> tuple[tuple[str, object, object, bool, str | None], ...]:
+    """(name, lo, hi, strict, at_most) per field of a config class, in field order."""
+    return tuple(
+        (f.name, *f.metadata.get("bound", (None, None, False)), f.metadata.get("at_most"))
+        for f in fields(cls)
+    )
+
+
 def check_bounds(config, section: str) -> None:
     """Reject a float field of `config` that is not finite or outside its `bound`, then
     one above its `at_most` partner, so a partner out of its own range is named first."""
-    for f in fields(config):
-        v = getattr(config, f.name)
+    rules = _rules(type(config))
+    for name, lo, hi, strict, _ in rules:
+        v = getattr(config, name)
         if isinstance(v, float) and not math.isfinite(v):
-            raise ConfigError(f"{section}.{f.name} must be finite, got {v}")
-        lo, hi, strict = f.metadata.get("bound", (None, None, False))
+            raise ConfigError(f"{section}.{name} must be finite, got {v}")
         above_lo = lo is None or (v > lo if strict else v >= lo)
         below_hi = hi is None or (v < hi if strict else v <= hi)
         if not (above_lo and below_hi):
@@ -47,10 +57,9 @@ def check_bounds(config, section: str) -> None:
             else:
                 op, end = (">", lo) if hi is None else ("<", hi)
                 rule = f"{op}{'' if strict else '='} {end}"
-            raise ConfigError(f"{section}.{f.name} must be {rule}, got {v}")
-    for f in fields(config):
-        other = f.metadata.get("at_most")
+            raise ConfigError(f"{section}.{name} must be {rule}, got {v}")
+    for name, _, _, _, other in rules:
         if other is not None:
-            v, w = getattr(config, f.name), getattr(config, other)
+            v, w = getattr(config, name), getattr(config, other)
             if v > w:
-                raise ConfigError(f"{section}.{f.name} {v} exceeds {section}.{other} {w}")
+                raise ConfigError(f"{section}.{name} {v} exceeds {section}.{other} {w}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,9 @@ class KernelConfig:
             )
 
 
-@dataclass(frozen=True, order=True)
-class GridCell:
+class GridCell(NamedTuple):
+    """A grid cell, row `i` and column `j`; hashes, compares and orders as (i, j)."""
+
     i: int
     j: int
 
@@ -76,7 +78,7 @@ class ValueField:
             )
 
     def value_at(self, cell: GridCell) -> float:
-        return float(self.values[cell.i, cell.j])
+        return self.values.item(cell)
 
 
 def kernel_matrix(kernel: KernelConfig, resolution: int) -> np.ndarray:
@@ -204,7 +206,7 @@ def steepest_neighbor(field: ValueField, cell: GridCell) -> GridCell:
     best_val = field.value_at(cell)
     values = field.values
     for nb in moore_neighbors(cell, field.resolution):
-        v = values.item(nb.i, nb.j)
+        v = values.item(nb)
         if v > best_val:
             best, best_val = nb, v
     return best

@@ -7,6 +7,13 @@ scheme is stable across platforms and Python versions. Every stream is a numpy
 PCG64 bit generator. Layout, field, cell and graph streams draw through a numpy
 `Generator`; the per-tick agent and dream streams draw through a `Stream`,
 which computes numpy's scalar draws itself, bit for bit.
+
+A `Stream` reads the bit generator's raw 64-bit outputs from a buffer that
+`random_raw(256)` fills when it runs dry. The bit generator's state is thus
+ahead of the stream by the outputs still unread; before any draw it hands to
+numpy, the stream rewinds the bit generator by that many steps
+(`PCG64.advance(-left)`) and empties the buffer, so numpy reads the next
+output of the stream, as it would without the buffer.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from numpy.random.bit_generator import ISeedSequence
 
 _LOW32 = 0xFFFFFFFF
 _SPAN32 = 2**32
+# raw outputs a `Stream` reads per refill
+_BUFFER = 256
 
 
 def derive_seed(master: int, *labels: object) -> int:
@@ -59,30 +68,51 @@ class Stream:
     is numpy's Lemire multiply-shift on 32-bit halves of the raw output: the
     low half is used first and the high half is kept for the next such draw,
     as the bit generator's own `has_uint32` buffer would keep it. Every other
-    draw goes to a `Generator` on the same bit generator; none of them reads
-    a kept half, so the stream is the one `make_rng(seed)` gives.
+    draw goes to a `Generator` on the same bit generator, after `_rewind`;
+    none of them reads a kept half, so the stream is the one `make_rng(seed)`
+    gives. The kept half belongs to the stream and outlives a rewind.
     """
 
-    __slots__ = ("_raw", "_half", "_gen")
+    __slots__ = ("_bitgen", "_buf", "_pos", "_half", "_gen")
 
     def __init__(self, seed: int | ISeedSequence) -> None:
-        bitgen = np.random.PCG64(seed)
-        self._raw = bitgen.random_raw
+        self._bitgen = np.random.PCG64(seed)
+        self._buf: list[int] | tuple[()] = ()  # raw outputs; _buf[_pos:] are unread
+        self._pos = 0
         self._half: int | None = None
-        self._gen = np.random.Generator(bitgen)
+        self._gen = np.random.Generator(self._bitgen)
+
+    def _refill(self) -> list[int]:
+        buf = self._buf = self._bitgen.random_raw(_BUFFER).tolist()
+        return buf
+
+    def _rewind(self) -> None:
+        """Give the unread raw outputs back to the bit generator."""
+        left = len(self._buf) - self._pos
+        if left:
+            self._bitgen.advance(-left)
+        self._buf, self._pos = (), 0
 
     def random(self) -> float:
         """A double in [0, 1) from the top 53 bits of one raw output."""
-        return (self._raw() >> 11) * 2.0**-53
+        buf, pos = self._buf, self._pos
+        if pos == len(buf):
+            buf, pos = self._refill(), 0
+        self._pos = pos + 1
+        return (buf[pos] >> 11) * 2.0**-53
 
     def _next32(self) -> int:
         half = self._half
-        if half is None:
-            raw = self._raw()
-            self._half = raw >> 32
-            return raw & _LOW32
-        self._half = None
-        return half
+        if half is not None:
+            self._half = None
+            return half
+        buf, pos = self._buf, self._pos
+        if pos == len(buf):
+            buf, pos = self._refill(), 0
+        self._pos = pos + 1
+        raw = buf[pos]
+        self._half = raw >> 32
+        return raw & _LOW32
 
     def integers(self, low: int, high: int | None = None) -> int:
         """A uniform int in [low, high), or in [0, low) when `high` is None."""
@@ -91,6 +121,7 @@ class Stream:
         span = high - low
         if not 0 < span <= _SPAN32:
             # numpy's ValueError for an empty range, or its 64-bit algorithm
+            self._rewind()
             return int(self._gen.integers(low, high))
         if span == 1:
             return low
@@ -103,4 +134,5 @@ class Stream:
 
     def normal(self, loc: float, scale: float, size) -> np.ndarray:
         """numpy's own `Generator.normal`, drawn from this stream."""
+        self._rewind()
         return self._gen.normal(loc, scale, size)

@@ -203,12 +203,17 @@ class PerceptStore:
     """Insertion-ordered percept memory with category buckets.
 
     Attaching a percept whose id is already present is a no-op, which makes
-    repeated exchanges of the same percept idempotent.
+    repeated exchanges of the same percept idempotent. The store keeps its
+    sorted category names, and memoises per (graph, category) the bucket a
+    dream pick draws from, at most one entry per node of each graph asked
+    about; a new category clears that memo.
     """
 
     def __init__(self) -> None:
         self._by_id: dict[str, Percept] = {}  # insertion order is attach order
         self._by_category: dict[str, list[Percept]] = {}
+        self._categories: tuple[str, ...] = ()
+        self._dream_buckets: dict[tuple[SemanticGraph, str], list[Percept]] = {}
 
     def __contains__(self, percept_id: str) -> bool:
         return percept_id in self._by_id
@@ -217,7 +222,12 @@ class PerceptStore:
         if percept.id in self._by_id:
             return False
         self._by_id[percept.id] = percept
-        self._by_category.setdefault(percept.category, []).append(percept)
+        bucket = self._by_category.get(percept.category)
+        if bucket is None:
+            bucket = self._by_category[percept.category] = []
+            self._categories = tuple(sorted(self._by_category))
+            self._dream_buckets.clear()
+        bucket.append(percept)
         return True
 
     def __len__(self) -> int:
@@ -228,11 +238,28 @@ class PerceptStore:
 
     def categories(self) -> tuple[str, ...]:
         """Sorted category names that currently hold at least one percept."""
-        return tuple(sorted(self._by_category))
+        return self._categories
 
-    def in_category(self, category: str) -> Sequence[Percept]:
-        """The category's live bucket in attach order; callers must not mutate it."""
-        return self._by_category.get(category, ())
+    def dream_bucket(self, graph: SemanticGraph, category: str) -> Sequence[Percept]:
+        """The live bucket, in attach order, that a dream pick at `category` draws from.
+
+        That is the category's own bucket when it holds a percept, else the
+        bucket of the closest populated category by hop count on `graph`:
+        ties at the same distance resolve lexicographically, and when nothing
+        populated is reachable the smallest populated category is used. The
+        store must hold a percept; callers must not mutate the bucket.
+        """
+        key = (graph, category)
+        bucket = self._dream_buckets.get(key)
+        if bucket is None:
+            bucket = self._by_category.get(category)
+            if bucket is None:
+                hops = hop_counts(graph, category)
+                reachable = [(hops[c], c) for c in self._categories if c in hops]
+                nearest = min(reachable)[1] if reachable else self._categories[0]
+                bucket = self._by_category[nearest]
+            self._dream_buckets[key] = bucket
+        return bucket
 
     def latest(self, kinds: Container[str]) -> Optional[Percept]:
         """Most recently attached percept of one of the kinds."""

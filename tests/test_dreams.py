@@ -9,7 +9,6 @@ from conscient_sim.dreams import (
     DreamConfig,
     DreamFrame,
     DreamWalk,
-    _nearest_populated,
     _pick,
     blend,
     dream_valence,
@@ -115,22 +114,48 @@ def test_blend_stays_in_unit_interval():
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
+def _nearest(store, graph, start):
+    """The category of the bucket a dream pick at `start` draws from."""
+    return store.dream_bucket(graph, start)[0].category
+
+
 def test_nearest_populated_walks_out_and_breaks_ties():
     g = _graph(["a b", "b c", "c d"])
     only_d = _store(_percept("p", "d"))
-    assert _nearest_populated(g, "a", only_d) == "d"
-    assert _nearest_populated(g, "d", only_d) == "d"
+    assert _nearest(only_d, g, "a") == "d"
+    assert _nearest(only_d, g, "d") == "d"
     star = _graph(["x b", "x c"])
     tied = _store(_percept("p1", "b"), _percept("p2", "c"))
-    assert _nearest_populated(star, "x", tied) == "b"
+    assert _nearest(tied, star, "x") == "b"
     split = _graph(["a b", "c d"])
     far = _store(_percept("p1", "d"), _percept("p2", "c"))
     # nothing populated reachable from a: smallest populated category wins
-    assert _nearest_populated(split, "a", far) == "c"
+    assert _nearest(far, split, "a") == "c"
+
+
+def test_dream_bucket_memo_clears_when_a_category_appears():
+    g = _graph(["a b", "b c", "c d"])
+    store = _store(_percept("p1", "d"))
+    assert _nearest(store, g, "a") == "d"
+    # a percept of a known category joins the memoised bucket
+    store.attach(_percept("p2", "d"))
+    assert [p.id for p in store.dream_bucket(g, "a")] == ["p1", "p2"]
+    store.attach(_percept("p3", "b"))
+    assert _nearest(store, g, "a") == "b"
+    assert store.dream_bucket(g, "b") is store.dream_bucket(g, "a")
+    # the memo is per graph: on another graph a is as far from b as from d
+    ring = _graph(["a b", "b c", "c d", "d a"])
+    assert _nearest(store, ring, "a") == "b"
+    assert _nearest(store, ring, "c") == "b"
+    assert _nearest(store, g, "c") == "b"
+    store.attach(_percept("p4", "c"))
+    assert _nearest(store, g, "d") == "d"
+    assert _nearest(store, ring, "a") == "b"
+    assert _nearest(store, g, "a") == "b"
 
 
 def _level_bfs_nearest(graph, start, populated):
-    """The level-by-level search `_nearest_populated` used before hop counts."""
+    """The level-by-level search dream picks used before hop counts."""
     if start in populated:
         return start
     seen = {start}
@@ -162,16 +187,16 @@ def test_nearest_populated_matches_level_bfs_oracle():
             store = _store(*(_percept(f"p-{c}", c) for c in populated))
             for start in g.nodes:
                 want = _level_bfs_nearest(g, start, set(populated))
-                assert _nearest_populated(g, start, store) == want, (start, populated)
+                assert _nearest(store, g, start) == want, (start, populated)
                 cases += 1
     assert cases == 60 * (30 + 8 + 9)
 
 
 def _copying_pick(store, graph, category, rng):
-    """`_pick` as it was when every pick drew from a tuple copy of the bucket."""
-    cands = tuple(store.in_category(category))
-    if not cands:
-        cands = tuple(store.in_category(_nearest_populated(graph, category, store)))
+    """`_pick` as it was when every pick searched the store and drew from a
+    tuple copy of the bucket."""
+    nearest = _level_bfs_nearest(graph, category, set(store.categories()))
+    cands = tuple(p for p in store if p.category == nearest)
     return cands[int(rng.integers(len(cands)))]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -197,6 +198,20 @@ def test_contaminate_noise_scale():
     noisy = contaminate(base, 0.5, make_rng(404))
     sd = float(np.std(noisy.values - base.values))
     assert abs(sd - 0.5) < 0.05
+
+
+def test_grid_cell_is_an_immutable_ordered_picklable_value():
+    cell = GridCell(2, 3)
+    with pytest.raises(AttributeError):
+        cell.i = 0
+    assert (cell.i, cell.j) == (2, 3)
+    assert repr(cell) == "GridCell(i=2, j=3)"
+    cells = [GridCell(i, j) for i in (3, 0, 2) for j in (1, 4, 0)]
+    assert sorted(cells) == [GridCell(i, j) for i in (0, 2, 3) for j in (0, 1, 4)]
+    # values cross the GA's process pool by pickle
+    back = pickle.loads(pickle.dumps(cell))
+    assert back == cell and type(back) is GridCell and hash(back) == hash(cell)
+    assert {GridCell(2, 3): "x"}[back] == "x"
 
 
 def test_moore_neighbors_bounds_and_order():

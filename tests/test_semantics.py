@@ -228,7 +228,7 @@ def test_percept_store_attach_and_idempotence():
     q = _percept("x1", "cat", 2)
     assert store.attach(q) is False
     assert list(store) == [p]
-    assert store.in_category("cat") == ()
+    assert store.categories() == ("dog",)
 
 
 def test_percept_store_categories_and_latest():
@@ -237,8 +237,10 @@ def test_percept_store_categories_and_latest():
     store.attach(_percept("b", "cat", 2, kind="received"))
     store.attach(_percept("c", "dog", 3))
     assert store.categories() == ("cat", "dog")
-    assert tuple(p.id for p in store.in_category("dog")) == ("a", "c")
-    assert store.in_category("fish") == ()
+    graph = load_graph("cat dog\ndog fish", seed=0, feature_dim=2)
+    assert tuple(p.id for p in store.dream_bucket(graph, "dog")) == ("a", "c")
+    # fish is empty: its picks draw from dog, one hop away
+    assert store.dream_bucket(graph, "fish") is store.dream_bucket(graph, "dog")
     latest = store.latest(("observed",))
     assert latest is not None and latest.id == "c"
     assert store.latest(("dreamed",)) is None
@@ -247,12 +249,13 @@ def test_percept_store_categories_and_latest():
     assert mixed is not None and mixed.id == "c"
 
 
-def test_in_category_is_the_live_bucket():
+def test_dream_bucket_is_the_live_bucket():
+    graph = load_graph("cat dog", seed=0, feature_dim=2)
     store = PerceptStore()
     store.attach(_percept("a", "dog", 1))
-    dogs = store.in_category("dog")
+    dogs = store.dream_bucket(graph, "dog")
     store.attach(_percept("b", "cat", 2))
     store.attach(_percept("c", "dog", 3))
     store.attach(_percept("a", "dog", 4))  # a duplicate id is not attached
     assert [p.id for p in dogs] == ["a", "c"]
-    assert store.in_category("dog") is dogs
+    assert store.dream_bucket(graph, "dog") is dogs
