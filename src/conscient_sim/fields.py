@@ -9,8 +9,12 @@ and the supplied random stream: callers get a new field back, inputs are never
 mutated.
 
 A bump on an r x r grid is an r x r slice of one cached (2r - 1) x (2r - 1)
-window of the unit bump per (resolution, width), so repeated bumps exponentiate
-nothing; the slice holds the same doubles a per-cell evaluation gives.
+window per (resolution, width, peak), already multiplied by the peak, so a bump
+is one slice and one add; each sum is the same double a per-cell evaluation
+gives. Every field carries `limit`, a finite upper bound on its |values|,
+measured by one scan when a field is built from values. A bump whose new bound,
+the old one plus the window's largest |entry|, is finite cannot overflow, so it
+skips the scan; any other bump is added and scanned in full.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,14 +67,24 @@ class GridCell(NamedTuple):
 
 @dataclass(eq=False)
 class ValueField:
-    """Importance values on an r x r grid, row-major, always finite."""
+    """Importance values on an r x r grid, row-major, always finite.
+
+    `limit` is a finite upper bound on every |value|. Left out, it is measured
+    from the values, and a value that is not finite raises ConfigError; a
+    caller that passes it vouches for it, as `local_bump` does.
+    """
 
     resolution: int
     values: np.ndarray
+    limit: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.limit is not None:
+            return
         self.values = np.asarray(self.values, dtype=float)
-        if not np.isfinite(self.values).all():
+        # max propagates NaN, so one scan checks and bounds every value
+        self.limit = float(np.abs(self.values).max(initial=0.0))
+        if not self.limit < math.inf:
             raise ConfigError(
                 "field values must be finite; check the keys that feed a field: "
                 "world.reward_peak, world.reward_count, agent.visit_peak, "
@@ -138,14 +152,20 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
     peaks reward. Exactly inverted by a second bump with -peak.
     """
     r = field.resolution
-    window = _unit_bump_window(r, width)
+    window, height = _bump_window(r, width, abs(peak), math.copysign(1.0, peak))
     # rows r-1-i .. 2r-2-i hold offsets -i .. r-1-i from the center row, so the
-    # slice holds exp(-d^2 / (2 width^2)) at every cell of the grid
-    unit = window[r - 1 - center.i : 2 * r - 1 - center.i, r - 1 - center.j : 2 * r - 1 - center.j]
+    # slice holds peak * exp(-d^2 / (2 width^2)) at every cell of the grid
+    bump = window[r - 1 - center.i : 2 * r - 1 - center.i, r - 1 - center.j : 2 * r - 1 - center.j]
+    # every |value| <= field.limit and every |bump| <= height; rounding is
+    # monotone, so no |sum| exceeds their sum, and when that is finite no sum
+    # overflowed and none is NaN
+    limit = field.limit + height
+    if limit < math.inf:
+        return ValueField(r, field.values + bump, limit)
     # ValueField reports a non-finite peak or an overflowing sum, naming the keys
     with np.errstate(over="ignore", invalid="ignore"):
-        values = field.values + peak * unit
-    return ValueField(field.resolution, values)
+        values = field.values + bump
+    return ValueField(r, values)
 
 
 def check_width(config, section: str, name: str) -> None:
@@ -157,21 +177,27 @@ def check_width(config, section: str, name: str) -> None:
         )
 
 
+# Keyed on the peak's magnitude and sign: the cache merges equal keys and
+# 0.0 == -0.0, yet x + 0.0 and x + -0.0 differ where x is -0.0.
 @functools.lru_cache(maxsize=8)
-def _unit_bump_window(resolution: int, width: float) -> np.ndarray:
-    """Read-only unit bump exp(-d^2 / (2 width^2)) over every offset a grid holds.
+def _bump_window(
+    resolution: int, width: float, magnitude: float, sign: float
+) -> tuple[np.ndarray, float]:
+    """Read-only bump of peak copysign(magnitude, sign) over every offset a grid holds.
 
     Entry [a, b] is at offset (a - r + 1, b - r + 1), so the window is
     (2r - 1) x (2r - 1) and its center is offset (0, 0). d^2 is an exact
-    integer in float, the same value as the per-cell squared distance.
+    integer in float, the same value as the per-cell squared distance. Also
+    returns the largest |entry|, which is NaN when an entry is: an infinite
+    peak times an underflowed 0, or a NaN peak or width.
     """
     off = np.arange(1 - resolution, resolution, dtype=float) ** 2
     d2 = off[:, None] + off[None, :]
     # check_width keeps 2 width^2 > 0, but a tiny one still overflows far offsets
     with np.errstate(over="ignore", invalid="ignore"):
-        window = np.exp(-d2 / (2.0 * width * width))
+        window = math.copysign(magnitude, sign) * np.exp(-d2 / (2.0 * width * width))
     window.flags.writeable = False
-    return window
+    return window, float(np.abs(window).max())
 
 
 def contaminate(field: ValueField, sigma: float, rng: Stream) -> ValueField:

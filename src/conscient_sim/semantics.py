@@ -187,7 +187,7 @@ def classify(features: np.ndarray, graph: SemanticGraph) -> str:
     return best
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Percept:
     """One remembered frame: features plus provenance; `kind` is one of PERCEPT_KINDS."""
 

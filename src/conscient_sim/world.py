@@ -92,8 +92,9 @@ class ContentStimulus:
     score: float
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
+class InteractionRecord(NamedTuple):
+    """One interactions.csv row: a tuple, cheap to build for every exchange."""
+
     tick: int
     agent_a: int
     agent_b: int

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conscient_sim.fields import (
     GridCell,
     KernelConfig,
     ValueField,
+    _bump_window,
     _covariance_factor,
     bump_amount,
     contaminate,
@@ -182,6 +184,70 @@ def test_local_bump_validation():
         local_bump(base, GridCell(0, 0), float("nan"), 1.0)
 
 
+def _bump_oracle(base: ValueField, center: GridCell, peak: float, width: float) -> np.ndarray:
+    idx = np.arange(base.resolution, dtype=float)
+    d2 = (idx[:, None] - center.i) ** 2 + (idx[None, :] - center.j) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        return base.values + peak * np.exp(-d2 / (2.0 * width * width))
+
+
+@pytest.mark.parametrize("peaks", [(0.0, -0.0), (-0.0, 0.0)])
+def test_local_bump_keeps_signed_zero_peaks_apart(peaks):
+    # x + 0.0 is 0.0 but x + -0.0 is -0.0 where x is -0.0: a window cached
+    # for one zero must not serve the other
+    values = np.full((4, 4), -0.0)
+    values[1, 2] = 0.25
+    base = ValueField(4, values)
+    center = GridCell(1, 1)
+    _bump_window.cache_clear()
+    for peak in peaks:
+        got = local_bump(base, center, peak, 1.5)
+        assert got.values.tobytes() == _bump_oracle(base, center, peak, 1.5).tobytes()
+
+
+def test_local_bump_near_the_largest_double():
+    top = np.finfo(float).max
+    values = np.zeros((5, 5))
+    values[0, 0] = 0.75 * top
+    base = ValueField(5, values)
+    assert base.limit == 0.75 * top
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the bound 0.75 top + 0.5 top overflows, but at (0, 0) the bump is
+        # 0.5 top * exp(-64) and no value does
+        far = local_bump(base, GridCell(4, 4), 0.5 * top, 0.5)
+        assert far.values.tobytes() == _bump_oracle(base, GridCell(4, 4), 0.5 * top, 0.5).tobytes()
+        assert math.isfinite(far.limit) and far.limit >= np.abs(far.values).max()
+        message = "field values must be finite"
+        with pytest.raises(ConfigError, match=message):
+            local_bump(base, GridCell(0, 0), 0.5 * top, 0.5)
+        for peak in (math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=message):
+                local_bump(base, GridCell(2, 2), peak, 1.0)
+            with pytest.raises(ConfigError, match=message):
+                local_bump(ValueField(5, np.zeros((5, 5))), GridCell(2, 2), peak, 1.0)
+
+
+def test_field_limit_bounds_values_through_random_bumps_and_noise():
+    rng = make_rng(2718)
+    fields = [ValueField(r, rng.normal(size=(r, r))) for r in (2, 5, 9)]
+    for _ in range(2000):
+        k = int(rng.integers(len(fields)))
+        field = fields[k]
+        r = field.resolution
+        if rng.random() < 0.2:
+            field = contaminate(field, float(rng.uniform(0.0, 2.0)), rng)
+        else:
+            # peaks from 1e-6 to 1e300 and both zeros; widths 0.3 to 5
+            scale = float(rng.choice([0.0, -0.0, 10.0 ** rng.uniform(-6, 300)]))
+            peak = scale * (1.0 if rng.random() < 0.5 else -1.0)
+            cell = GridCell(int(rng.integers(r)), int(rng.integers(r)))
+            field = local_bump(field, cell, peak, float(rng.uniform(0.3, 5.0)))
+        assert math.isfinite(field.limit)
+        assert field.limit >= np.abs(field.values).max()
+        fields[k] = field
+
+
 def test_contaminate_identity_and_determinism():
     rng = make_rng(8)
     base = ValueField(6, rng.normal(size=(6, 6)))
@@ -273,3 +339,8 @@ def test_value_field_validation():
     bad[0, 0] = float("nan")
     with pytest.raises(ConfigError):
         ValueField(3, bad)
+    bad[0, 0] = -math.inf
+    with pytest.raises(ConfigError):
+        ValueField(3, bad)
+    field = ValueField(3, [[1, -4, 2], [0, 3, 0], [0, 0, 0]])
+    assert field.values.dtype == float and field.limit == 4.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,15 @@ def test_classify_exact_prototype_and_tie():
 
 def _percept(pid, category, tick, kind="observed"):
     return Percept(pid, np.zeros(2), category, GridCell(0, 0), tick=tick, kind=kind)
+
+
+def test_percept_is_a_frozen_slotted_identity_record():
+    p = _percept("p1", "dog", 1)
+    assert not hasattr(p, "__dict__")  # slots: no per-percept dict
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.tick = 2
+    # compared by identity, so a copy is a different percept
+    assert p != dataclasses.replace(p) and p == p
 
 
 def test_percept_store_attach_and_idempotence():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,12 @@ from conscient_sim.agents import AgentConfig
 from conscient_sim.configio import ENTRIES, parse_config_text
 from conscient_sim.emotions import EmotionParams, EmotionState
 from conscient_sim.errors import ConfigError
-from conscient_sim.fields import GridCell
+from conscient_sim.fields import GridCell, _bump_window
 from conscient_sim.semantics import Percept
 from conscient_sim.seeds import derive_seed, make_rng
 from conscient_sim.traceio import write_dreams_csv
 from conscient_sim.world import (
+    InteractionRecord,
     World,
     WorldConfig,
     _cached_layout,
@@ -143,6 +147,32 @@ def test_worlds_share_a_read_only_layout():
         second.cell_features(GridCell(0, 0))[0] = 0.5
 
 
+def test_crowded_run_leaves_windows_and_layout_fields_read_only():
+    cfg = WorldConfig(resolution=8, n_agents=32, master_seed=21, total_ticks=200)
+    _cached_layout.cache_clear()
+    _bump_window.cache_clear()
+    world = build_world(cfg)
+    for _ in range(cfg.total_ticks):
+        world.step()
+    assert world.interactions  # the received-percept bumps ran
+    agent = cfg.agent
+    bumps = [(cfg.reward_width, cfg.reward_peak), (agent.visit_width, agent.visit_peak)]
+    bumps += [(agent.visit_width, p) for p in (agent.visit_reward, -agent.visit_reward)]
+    misses = _bump_window.cache_info().misses
+    assert misses == len(bumps)
+    for width, peak in bumps:
+        window, _ = _bump_window(cfg.resolution, width, abs(peak), math.copysign(1.0, peak))
+        assert not window.flags.writeable
+    assert _bump_window.cache_info().misses == misses  # each was the cached array
+    warm = world_layout(cfg)
+    _cached_layout.cache_clear()
+    cold = world_layout(cfg)
+    assert cold is not warm
+    for w, c in zip(warm.agent_fields, cold.agent_fields, strict=True):
+        assert not w.values.flags.writeable
+        assert w.values.tobytes() == c.values.tobytes()
+
+
 def _changed_value(entry, tmp_path):
     """Rendered values for `entry`'s key that differ from its default, most plausible first."""
     d = entry.default
@@ -246,6 +276,13 @@ def test_interact_exchanges_and_records():
     assert rec.eval_by_a == pytest.approx(ev_a_expected)
     assert {p.id: p for p in b.percepts}["a0-p1"].kind == "received"
     assert {p.id: p for p in a.percepts}["a1-p1"].kind == "received"
+    # a record is a value: equal and hashed by its fields, immutable, picklable
+    same = InteractionRecord(*rec)
+    assert same == rec and hash(same) == hash(rec) and same is not rec
+    assert rec._replace(tick=4) != rec
+    with pytest.raises(AttributeError):
+        rec.tick = 4
+    assert pickle.loads(pickle.dumps(rec)) == rec
 
 
 def test_step_pairs_all_colocated_awake_agents():
