@@ -20,7 +20,6 @@ from .emotions import EmotionParams, EmotionState, apply_event, should_sleep, ti
 from .errors import bound, check_bounds
 from .fields import (
     GridCell,
-    KernelConfig,
     ValueField,
     check_width,
     contaminate,
@@ -50,7 +49,6 @@ class AgentConfig:
     low_happiness_cutoff: float = bound(0.2, 0, 1)
     dream: DreamConfig = dc_field(default_factory=DreamConfig)
     emotion: EmotionParams = dc_field(default_factory=EmotionParams)
-    kernel: KernelConfig = dc_field(default_factory=KernelConfig)
 
     def __post_init__(self) -> None:
         check_bounds(self, "agent")
@@ -105,9 +103,9 @@ def navigate_step(agent: Agent) -> GridCell:
     cfg, rng = agent.config, agent.rng
     if agent.moves_used >= cfg.movement_budget:
         return agent.position
-    if float(rng.random()) < cfg.explore_rate:
+    if rng.random() < cfg.explore_rate:
         nbrs = moore_neighbors(agent.position, agent.field.resolution)
-        target = nbrs[int(rng.integers(len(nbrs)))]
+        target = nbrs[rng.integers(len(nbrs))]
     else:
         target = steepest_neighbor(agent.field, agent.position)
     if target != agent.position:
@@ -131,8 +129,8 @@ def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Per
     cfg = agent.config
     if (agent.ticks_in_mode + 1) % cfg.photo_period != 0:
         return None
-    value = agent.field.value_at(agent.position)
-    if float(agent.rng.random()) >= logistic(value):
+    value = agent.field.values.item(agent.position)
+    if agent.rng.random() >= logistic(value):
         return None
     features = ctx.cell_features(agent.position)
     agent.photo_count += 1
@@ -170,7 +168,7 @@ def receive_percept(agent: Agent, percept: Percept) -> float:
     the evaluation compares with the high-value cutoff, and moves friendship;
     a duplicate id changes nothing but is still evaluated.
     """
-    evaluation = agent.field.value_at(percept.origin)
+    evaluation = agent.field.values.item(percept.origin)
     if percept.id in agent.percepts:
         return evaluation
     cfg = agent.config
@@ -230,7 +228,7 @@ def agent_tick(
             valence = dream_valence(
                 frame, agent.field, cfg.emotion.valence_high, cfg.emotion.valence_low
             )
-            apply_event(agent.emotions, "dream_frame", float(valence), cfg.emotion, agent.rng)
+            apply_event(agent.emotions, "dream_frame", valence, cfg.emotion, agent.rng)
             agent.dream_frame_count += 1
             dreamed = Percept(
                 id=f"a{agent.id}-d{agent.dream_frame_count}",

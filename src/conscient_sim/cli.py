@@ -156,9 +156,12 @@ def _cmd_optimize(args) -> int:
     outputs = _write_outputs(args.out, {"ga_history.csv": (write_ga_history_csv, history)})
     manifest = _manifest(args, bundle, started, outputs)
     manifest["master_seed"] = args.seed
+    # `evolve` replaces its best only on a strict improvement, so the first
+    # generation to reach the best fitness is the winner's
+    best_generation = next(h.generation for h in history if h.best_fitness == best.fitness)
     manifest["results"] = {
         "best_fitness": best.fitness,
-        "best_generation": best.generation,
+        "best_generation": best_generation,
         "best_genome": [float(g) for g in best.genome.genes],
     }
     write_manifest(os.path.join(args.out, "manifest.json"), manifest)

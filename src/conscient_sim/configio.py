@@ -29,10 +29,6 @@ from .world import WorldConfig
 BUILTIN_GRAPH = "builtin"
 
 
-def _cast_int(raw: str) -> int:
-    return int(raw, 10)
-
-
 def _cast_float(raw: str) -> float:
     v = float(raw)
     if v != v or v in (float("inf"), float("-inf")):
@@ -40,23 +36,15 @@ def _cast_float(raw: str) -> float:
     return v
 
 
-def _cast_str(raw: str) -> str:
-    return raw
-
-
 def _cast_int_list(raw: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected comma-separated integers")
-    return tuple(int(p, 10) for p in parts)
+    return tuple(int(p) for p in parts)
 
 
 def _cast_str_list(raw: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in raw.split(",") if p.strip())
-
-
-def _render_plain(v) -> str:
-    return str(v)
 
 
 def _render_float(v) -> str:
@@ -86,9 +74,9 @@ _GRAPH_KEYS = {
 
 # field type -> (cast, render, type name in error messages)
 _TYPES: dict[object, tuple[Callable[[str], object], Callable[[object], str], str]] = {
-    int: (_cast_int, _render_plain, "integer"),
+    int: (int, str, "integer"),
     float: (_cast_float, _render_float, "number"),
-    str: (_cast_str, _render_plain, "string"),
+    str: (str, str, "string"),
     tuple[int, ...]: (_cast_int_list, _render_list, "integer list"),
     tuple[str, ...]: (_cast_str_list, _render_list, "string list"),
 }

@@ -105,9 +105,9 @@ class DreamWalk:
         self.style_graph = style_graph
         self.config = config
         cats = content_store.categories()
-        self._content_cat = cats[int(rng.integers(len(cats)))]
+        self._content_cat = cats[rng.integers(len(cats))]
         scats = style_store.categories()
-        self._style_cat = scats[int(rng.integers(len(scats)))]
+        self._style_cat = scats[rng.integers(len(scats))]
         self._prev_frame_cat = self._content_cat
 
     def step(self, rng: Stream) -> DreamFrame:
@@ -134,7 +134,7 @@ def dream_valence(
     the dreamed content was originally perceived. `EmotionParams` keeps the
     thresholds finite and ordered.
     """
-    v = field.value_at(frame.content_origin)
+    v = field.values.item(frame.content_origin)
     if v > theta_high:
         return 1
     if v < theta_low:

@@ -91,9 +91,6 @@ class ValueField:
                 "agent.visit_reward, agent.noise_sigma and kernel.*"
             )
 
-    def value_at(self, cell: GridCell) -> float:
-        return self.values.item(cell)
-
 
 def kernel_matrix(kernel: KernelConfig, resolution: int) -> np.ndarray:
     """Covariance over the r^2 grid cells in row-major order, jitter included."""
@@ -229,7 +226,7 @@ def steepest_neighbor(field: ValueField, cell: GridCell) -> GridCell:
     equally good neighbors resolve to the lowest (i, j).
     """
     best = cell
-    best_val = field.value_at(cell)
+    best_val = field.values.item(cell)
     values = field.values
     for nb in moore_neighbors(cell, field.resolution):
         v = values.item(nb)

@@ -121,7 +121,6 @@ class FitnessReport:
     genome: Genome
     fitness: float
     per_seed: list[Metrics]
-    generation: int
 
 
 @dataclass(eq=False)
@@ -170,7 +169,6 @@ def fitness(
     genome: Genome,
     ga: GAConfig,
     base: WorldConfig,
-    generation: int = 0,
     trace_hook: Optional[TraceHook] = None,
 ) -> FitnessReport:
     """Mean interaction count over the evaluation seeds.
@@ -187,7 +185,7 @@ def fitness(
             trace_hook(genome, seed, trace)
         per_seed.append(metrics(trace))
     value = sum(m.interactions for m in per_seed) / len(per_seed)
-    return FitnessReport(genome, value, per_seed, generation)
+    return FitnessReport(genome, value, per_seed)
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -238,29 +236,21 @@ def evolve(
     population = [Genome(rng.random(d)) for _ in range(ga.population_size)]
     history: list[GenerationStats] = []
     best_overall: Optional[FitnessReport] = None
-    # one pool for the whole search, so each worker factors the covariance
-    # once and builds each eval seed's world layout once (at most 8 stay
-    # cached); hooks cannot cross process boundaries, so they run in-process
+    evaluate = functools.partial(fitness, ga=ga, base=base, trace_hook=trace_hook)
+    # one `evaluate` and one pool for the whole search, so each worker factors
+    # the covariance once and builds each eval seed's world layout once (at
+    # most 8 stay cached); hooks cannot cross process boundaries, so they run
+    # in-process
     parallel = n_workers > 1 and trace_hook is None
     with ProcessPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         for gen in range(ga.generations):
-            evaluate = functools.partial(
-                fitness, ga=ga, base=base, generation=gen, trace_hook=trace_hook
-            )
             reports = list(mapper(evaluate, population))
-            order = sorted(
-                range(len(reports)), key=lambda k: (-reports[k].fitness, k)
-            )
+            order = sorted(range(len(reports)), key=lambda k: (-reports[k].fitness, k))
             gen_best = reports[order[0]]
             mean_fit = sum(r.fitness for r in reports) / len(reports)
             history.append(
-                GenerationStats(
-                    generation=gen,
-                    best_fitness=gen_best.fitness,
-                    mean_fitness=mean_fit,
-                    best_genome=gen_best.genome.genes.copy(),
-                )
+                GenerationStats(gen, gen_best.fitness, mean_fit, gen_best.genome.genes.copy())
             )
             if best_overall is None or gen_best.fitness > best_overall.fitness:
                 best_overall = gen_best

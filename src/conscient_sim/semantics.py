@@ -88,12 +88,6 @@ class SemanticGraph:
     _hop_rows: dict[str, dict[str, int]] = field(init=False, repr=False, default_factory=dict)
     _classified: dict[bytes, str] = field(init=False, repr=False, default_factory=dict)
 
-    def has_node(self, name: str) -> bool:
-        return name in self.adjacency
-
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        return self.adjacency[name]
-
 
 def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
     """Parse a newline-delimited `nodeA nodeB` edge list into a graph.
@@ -150,7 +144,7 @@ def hop_counts(graph: SemanticGraph, start: str) -> dict[str, int]:
         while queue:
             node = queue.popleft()
             d = hops[node]
-            for nb in graph.neighbors(node):
+            for nb in graph.adjacency[node]:
                 if nb not in hops:
                     hops[nb] = d + 1
                     queue.append(nb)

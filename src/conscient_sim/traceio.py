@@ -195,12 +195,23 @@ class _ParseMemo(dict):
         return value
 
 
+def _check_partner(path: str, lineno: int, token: str, partner: int, n: int) -> None:
+    """Raise `TraceError` at `lineno` unless an `int:` token's partner is in 0..n-1."""
+    if not 0 <= partner < n:
+        raise TraceError(
+            f"trace file {path}, line {lineno}: interaction token {token!r} names agent "
+            f"{partner}, but each tick holds agents 0..{n - 1}"
+        )
+
+
 def read_trace_csv(path: str) -> list[TraceRow]:
-    """Parse and validate a trace file: each tick holds agents 0..n-1, n being the first's count."""
+    """Parse and validate a trace file: each tick holds agents 0..n-1, n being the first's
+    count, and each `int:` token names another of them."""
     rows = []
     # emotions and field values repeat across agents and ticks
     num = _ParseMemo()
     prev_tick, want, n = None, 0, 0  # want: the next agent id; n: 0 until the first tick ends
+    first: list[tuple[int, str, int]] = []  # the first tick's partners, checked once n is known
     for lineno, rec in _read_csv(path, TRACE_HEADER, "trace file"):
         tick, agent_id, i, j, mode, e_h, e_c, e_f, e_k, fatigue, field_value, ev = rec
         try:
@@ -224,13 +235,22 @@ def read_trace_csv(path: str) -> list[TraceRow]:
                 for token in row.events:
                     if token.startswith("int:"):
                         try:
-                            int(token.split(":", 2)[1])
+                            partner = int(token.split(":", 2)[1])
                         except ValueError:
                             raise ValueError(f"malformed interaction token {token!r}") from None
+                        if partner == row.agent_id:
+                            raise ValueError(f"interaction token {token!r} names its own agent")
+                        if n:
+                            _check_partner(path, lineno, token, partner, n)
+                        else:
+                            first.append((lineno, token, partner))
             if row.tick != prev_tick:
                 if prev_tick is not None and row.tick < prev_tick:
                     raise ValueError("rows not ordered by tick")
-                n = n or want
+                if not n and prev_tick is not None:  # the first tick has ended
+                    n = want
+                    for line, token, partner in first:
+                        _check_partner(path, line, token, partner, n)
                 if want != n:
                     raise ValueError(f"expected agent_id {want}, got tick {row.tick}")
                 want = 0
@@ -238,6 +258,8 @@ def read_trace_csv(path: str) -> list[TraceRow]:
                 raise ValueError(f"tick {row.tick} holds more than the first tick's {n} agents")
             if row.agent_id != want:
                 raise ValueError(f"expected agent_id {want}, got {row.agent_id}")
+        except TraceError:
+            raise  # from `_check_partner`, which names its token's own line
         except ValueError as exc:
             raise TraceError(f"trace file {path}, line {lineno}: {exc}") from None
         prev_tick, want = row.tick, want + 1
@@ -246,6 +268,8 @@ def read_trace_csv(path: str) -> list[TraceRow]:
         raise TraceError(
             f"trace file {path}, line {lineno + 1}: expected agent_id {want}, got end of file"
         )
+    for line, token, partner in first:  # unchecked yet if the trace is one tick long
+        _check_partner(path, line, token, partner, n or want)
     return rows
 
 
@@ -254,8 +278,8 @@ def summarize_rows(rows: list[TraceRow]) -> Metrics:
 
     Photos, dream frames, and interactions are counted from event tokens; an
     interaction appears on both partners' rows, so only the row with the lower
-    agent id counts it; `read_trace_csv` has checked each `int:` token. Moves
-    and means come from `row_metrics`.
+    agent id counts it; `read_trace_csv` has checked that each `int:` token
+    names another agent of the trace. Moves and means come from `row_metrics`.
     """
     photos = 0
     dream_frames = 0
@@ -350,7 +374,7 @@ def read_percepts_csv(
                 raise ValueError(f"percept tick must be >= 0, got {percept.tick}")
             kind = "style" if percept.kind == "style" else "content"
             graph = style_graph if kind == "style" else content_graph
-            if not graph.has_node(percept.category):
+            if percept.category not in graph.adjacency:
                 raise ValueError(f"category {percept.category!r} not in world.{kind}_graph")
             if len(feats) != world.feature_dim:
                 raise ValueError(

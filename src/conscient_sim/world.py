@@ -4,8 +4,8 @@ A world holds n agents on a shared r x r grid. Each agent perceives the grid
 through its own sampled importance field; the environment itself contributes
 reward hotspots (positive bumps on every field) and one-shot content stimuli
 scattered over cells. Fields, spawns, stimuli, graphs and cell features
-depend on no agent setting but the kernel, so worlds share them through a
-per-process `WorldLayout` cache. Per tick, agents act in ascending id order, then every
+depend on no agent setting, so worlds share them through a per-process
+`WorldLayout` cache. Per tick, agents act in ascending id order, then every
 unordered pair of awake co-located agents exchanges percepts exactly once.
 The full run is captured in a replayable trace.
 """
@@ -59,6 +59,7 @@ class WorldConfig:
     feature_dim: int = bound(16, 1, MAX_FEATURE_DIM)
     master_seed: int = bound(0, 0, 2**64 - 1)
     agent: AgentConfig = dc_field(default_factory=AgentConfig)
+    kernel: KernelConfig = dc_field(default_factory=KernelConfig)
     content_edges: str = BUILTIN_CONTENT_EDGES
     style_edges: str = BUILTIN_STYLE_EDGES
 
@@ -201,12 +202,12 @@ class WorldLayout:
     """The part of a world that is fixed before its first tick and that no gene moves.
 
     Worlds whose configs differ only in `world.total_ticks` and in the agent
-    settings other than the kernel (`agent.*`, `dream.*` and `emotion.*`, where
-    the genes live) share one layout: the graphs and their warm memos, each
-    agent's reward-bumped field, spawn cell and stream seed, the stimulus
-    table, and the cell features those worlds have asked for. Worlds only
-    read it; the field arrays and feature vectors are read-only, and each
-    world copies the stimulus table it consumes.
+    settings (`agent.*`, `dream.*` and `emotion.*`, where the genes live)
+    share one layout, as no agent setting shapes it: the graphs and their
+    warm memos, each agent's reward-bumped field, spawn cell and stream seed,
+    the stimulus table, and the cell features those worlds have asked for.
+    Worlds only read it; the field arrays and feature vectors are read-only,
+    and each world copies the stimulus table it consumes.
     """
 
     content_graph: SemanticGraph
@@ -218,7 +219,7 @@ class WorldLayout:
     features: dict[GridCell, np.ndarray]  # filled lazily by `World.cell_features`
 
 
-# WorldConfig fields no layout reads; of `agent`, only the kernel shapes a field
+# WorldConfig fields no layout reads
 _RUN_FIELDS = ("agent", "total_ticks")
 
 
@@ -227,15 +228,13 @@ def world_layout(config: WorldConfig) -> WorldLayout:
     key = tuple(
         (f.name, getattr(config, f.name)) for f in fields(config) if f.name not in _RUN_FIELDS
     )
-    return _cached_layout(key, config.agent.kernel)
+    return _cached_layout(key)
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_layout(
-    world_items: tuple[tuple[str, object], ...], kernel: KernelConfig
-) -> WorldLayout:
+def _cached_layout(world_items: tuple[tuple[str, object], ...]) -> WorldLayout:
     # every config sharing this key has this layout; a failed build raises and is not cached
-    config = WorldConfig(**dict(world_items), agent=AgentConfig(kernel=kernel))
+    config = WorldConfig(**dict(world_items))
     ms = config.master_seed
     fd = config.feature_dim
     content_graph, style_graph = load_graphs(config)
@@ -254,7 +253,7 @@ def _cached_layout(
     agent_seeds = []
     for aid in range(config.n_agents):
         agent_seeds.append(StoredSeed(derive_seed(ms, "agent", aid)))
-        field = sample_field(kernel, r, make_rng(derive_seed(ms, "field", aid)))
+        field = sample_field(config.kernel, r, make_rng(derive_seed(ms, "field", aid)))
         for cell in rewards:
             field = local_bump(field, cell, config.reward_peak, config.reward_width)
         field.values.flags.writeable = False

@@ -191,7 +191,7 @@ def test_photo_postconditions():
     ctx = FakeWorld()
     cfg = AgentConfig(photo_period=1, visit_peak=-0.5, style_every=2)
     agent = _agent(np.full((5, 5), 50.0), config=cfg, position=GridCell(2, 3))
-    before = agent.field.value_at(GridCell(2, 3))
+    before = agent.field.values.item(GridCell(2, 3))
     p = maybe_take_photo(agent, ctx, tick=7)
     assert p is not None
     assert p.id == "a1-p1" and p.kind == "observed" and p.tick == 7
@@ -201,7 +201,7 @@ def test_photo_postconditions():
     ]
     assert np.array_equal(p.features, ctx.cell_features(GridCell(2, 3)))
     # the visited cell is penalized by exactly the bump peak
-    after = agent.field.value_at(GridCell(2, 3))
+    after = agent.field.values.item(GridCell(2, 3))
     assert after == pytest.approx(before - 0.5, abs=1e-12)
     assert {q.id: q for q in agent.percepts} == {p.id: p}
     assert len(agent.styles) == 0
@@ -246,7 +246,7 @@ def test_receive_percept_evaluates_then_bumps():
     stored = {p.id: p for p in agent.percepts}["b2-p9"]
     assert stored.kind == "received"
     # positive evaluation rewards the origin cell by the full peak
-    assert agent.field.value_at(origin) == pytest.approx(0.7, abs=1e-12)
+    assert agent.field.values.item(origin) == pytest.approx(0.7, abs=1e-12)
     # next exchange at the same origin sees the post-bump field
     ev2 = receive_percept(agent, _foreign_percept("b2-p10", origin))
     assert ev2 == pytest.approx(0.7, abs=1e-12)
@@ -260,7 +260,7 @@ def test_receive_percept_negative_evaluation_penalizes():
     ev = receive_percept(agent, _foreign_percept("b9-p1", GridCell(3, 3)))
     assert ev == pytest.approx(-0.2)
     assert agent.emotions.friendship < f0
-    assert agent.field.value_at(GridCell(3, 3)) == pytest.approx(-0.5, abs=1e-12)
+    assert agent.field.values.item(GridCell(3, 3)) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_receive_percept_duplicate_is_inert():
@@ -271,7 +271,7 @@ def test_receive_percept_duplicate_is_inert():
     snapshot_emotions = replace(agent.emotions)
     snapshot_rng = agent.rng.bit_generator.state
     ev = receive_percept(agent, p)
-    assert ev == pytest.approx(agent.field.value_at(GridCell(2, 2)))
+    assert ev == pytest.approx(agent.field.values.item(GridCell(2, 2)))
     assert sum(p.kind == "received" for p in agent.percepts) == 1
     assert len(agent.percepts) == 1
     assert np.array_equal(agent.field.values, snapshot_field)

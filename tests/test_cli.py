@@ -312,6 +312,57 @@ def test_metrics_subcommand_matches_written_summary(tmp_path, cfg_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_TRACE_ROW = "{},{},1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,{}\n"
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        # a partner equal to the row's own id
+        (
+            [(0, 0, ""), (0, 1, ""), (1, 0, "int:1:a1-p1"), (1, 1, "int:1:a1-p1")],
+            5,
+            "interaction token 'int:1:a1-p1' names its own agent",
+        ),
+        # a partner past the last agent in a later tick
+        (
+            [(0, 0, ""), (0, 1, ""), (1, 0, "int:7:a9-p1"), (1, 1, "int:0:a0-p1")],
+            4,
+            "interaction token 'int:7:a9-p1' names agent 7, but each tick holds agents 0..1",
+        ),
+        # a partner past the last agent in the first tick, whose count the next tick fixes
+        (
+            [(0, 0, "int:2:a2-p1"), (0, 1, "int:0:a0-p1"), (1, 0, ""), (1, 1, "")],
+            2,
+            "interaction token 'int:2:a2-p1' names agent 2, but each tick holds agents 0..1",
+        ),
+        # the same in a one-tick trace, whose count the end of the file fixes
+        (
+            [(0, 0, ""), (0, 1, "photo:a1-p1;int:3:a3-p1")],
+            3,
+            "interaction token 'int:3:a3-p1' names agent 3, but each tick holds agents 0..1",
+        ),
+        (
+            [(0, 0, ""), (0, 1, ""), (1, 0, ""), (1, 1, "int:-1:a0-p1")],
+            5,
+            "interaction token 'int:-1:a0-p1' names agent -1, but each tick holds agents 0..1",
+        ),
+    ],
+    ids=["own-id", "later-tick", "first-tick", "one-tick", "negative"],
+)
+def test_metrics_rejects_interactions_with_absent_agents(tmp_path, capsys, rows, line, message):
+    # an interaction counts once, on the lower id's row: a partner the trace
+    # does not hold would be counted, or dropped, without a word
+    trace = tmp_path / "trace.csv"
+    header = "tick,agent_id,i,j,mode,e_h,e_c,e_f,e_k,fatigue,field_value,event\n"
+    trace.write_text(header + "".join(_TRACE_ROW.format(*r) for r in rows), encoding="utf-8")
+    capsys.readouterr()
+    assert run_command(["metrics", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: trace file {trace}, line {line}: {message}\n"
+
+
 def test_dream_subcommand_replays_from_percept_log(tmp_path, cfg_path, capsys):
     sim_out = tmp_path / "sim"
     assert run_command(["simulate", "--config", cfg_path, "--seed", "7", "--out", str(sim_out)]) == 0
@@ -476,6 +527,34 @@ def test_optimize_subcommand_writes_history(tmp_path, capsys):
     assert run_command(["optimize", "--config", str(cfg), "--seed", "3", "--out", str(out2)]) == 0
     capsys.readouterr()
     assert (out1 / "ga_history.csv").read_bytes() == (out2 / "ga_history.csv").read_bytes()
+
+
+def test_optimize_manifest_names_the_first_generation_that_reached_the_best(tmp_path, capsys):
+    cfg = tmp_path / "opt.cfg"
+    cfg.write_text(
+        "world.resolution = 6\n"
+        "world.total_ticks = 40\n"
+        "ga.population_size = 3\n"
+        "ga.generations = 4\n"
+        "ga.eval_seeds = 11\n"
+        "ga.movement_budget = 50\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert run_command(["optimize", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with (out / "ga_history.csv").open(encoding="utf-8", newline="") as fh:
+        history = list(csv.DictReader(fh))
+    best = max(float(row["best_fitness"]) for row in history)
+    first = next(row for row in history if float(row["best_fitness"]) == best)
+    # the search's premise: the best arrives after generation 0, and an elite
+    # carries it into a later row that ties it
+    assert int(first["generation"]) > 0
+    assert float(history[-1]["best_fitness"]) == best and history[-1] is not first
+    results = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["results"]
+    assert results["best_generation"] == int(first["generation"])
+    assert results["best_fitness"] == best
+    assert results["best_genome"] == [float(g) for g in first["best_genome"].split(";")]
 
 
 def _declared_console_script() -> str:

@@ -128,7 +128,7 @@ _SECTION_IN_BUNDLE = {
     "agent": lambda b: b.world.agent,
     "dream": lambda b: b.world.agent.dream,
     "emotion": lambda b: b.world.agent.emotion,
-    "kernel": lambda b: b.world.agent.kernel,
+    "kernel": lambda b: b.world.kernel,
     "ga": lambda b: b.ga,
 }
 

@@ -163,7 +163,7 @@ def _level_bfs_nearest(graph, start, populated):
     while level:
         nxt, hits = [], []
         for node in level:
-            for nb in graph.neighbors(node):
+            for nb in graph.adjacency[node]:
                 if nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)

@@ -166,10 +166,7 @@ def test_fitness_raises_when_the_world_cannot_run():
     from dataclasses import replace
 
     # a kernel whose covariance cannot be repaired within the jitter ceiling
-    broken_agent = replace(
-        SMALL_WORLD.agent, kernel=KernelConfig(amplitude=1e16, lengthscale=1e6)
-    )
-    broken = replace(SMALL_WORLD, agent=broken_agent)
+    broken = replace(SMALL_WORLD, kernel=KernelConfig(amplitude=1e16, lengthscale=1e6))
     with pytest.raises(CovarianceDegeneracyError, match="kernel.amplitude"):
         fitness(Genome(np.full(len(DEFAULT_BOUNDS), 0.5)), GAConfig(), broken)
     # the search stops with the same error in process and from the pool

@@ -15,6 +15,7 @@ is how a pool worker's error reaches the parent.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import pickle
 import re
@@ -24,6 +25,7 @@ import pytest
 
 import conscient_sim
 from conscient_sim import errors
+from conscient_sim.agents import AgentConfig
 from conscient_sim.configio import default_values
 
 PACKAGE_DIR = Path(conscient_sim.__file__).parent
@@ -180,6 +182,13 @@ def test_module_dataclass_fields_are_read(path):
     allowed = [q.split(".", 1)[1] for q in UNREAD_ALLOWED if q.split(".")[0] == path.stem]
     unread = _unread_fields(tree, loads, allowed)
     assert unread == [], f"{path.name} has record fields nothing reads"
+
+
+def test_every_agent_setting_is_read_by_the_agents():
+    # a setting only the world layout reads belongs to the world section, as
+    # the kernel does; kept under `agent`, it would need a layout-key exception
+    loads = _attribute_loads([PACKAGE_DIR / "agents.py"])
+    assert [f.name for f in dataclasses.fields(AgentConfig) if f.name not in loads] == []
 
 
 def test_unread_allowlist_names_modules():

@@ -30,13 +30,13 @@ def test_load_graph_collects_nodes_and_edges():
     g = _graph(["a b", "b c", "a c"])
     assert g.nodes == ("a", "b", "c")
     assert sum(len(nbrs) for nbrs in g.adjacency.values()) == 2 * 3
-    assert g.neighbors("a") == ("b", "c")
+    assert g.adjacency["a"] == ("b", "c")
 
 
 def test_load_graph_dedup_comments_whitespace():
     g = _graph(["a b", "  b   a  ", "", "# note", "b c"])
     assert sum(len(nbrs) for nbrs in g.adjacency.values()) == 2 * 2
-    assert g.neighbors("b") == ("a", "c")
+    assert g.adjacency["b"] == ("a", "c")
 
 
 def test_load_graph_parse_errors_carry_line_numbers():
@@ -80,7 +80,7 @@ def _all_pairs_oracle(g):
     inf = float("inf")
     dist = {a: {b: (0 if a == b else inf) for b in nodes} for a in nodes}
     for a in nodes:
-        for b in g.neighbors(a):
+        for b in g.adjacency[a]:
             dist[a][b] = 1
     for k in nodes:
         for a in nodes:
@@ -136,7 +136,7 @@ def test_builtin_graphs_shape():
     assert len(style.nodes) == 8
     # style ring: every node has exactly two neighbours
     for node in style.nodes:
-        assert len(style.neighbors(node)) == 2
+        assert len(style.adjacency[node]) == 2
     # content: ring of five hubs, five leaves each
     assert semantic_distance(content, "dog", "cat") == 2
     assert semantic_distance(content, "animal", "plant") == 1

@@ -389,7 +389,7 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
             e_h=v, e_c=-v, e_f=floats[-1 - t], e_k=1, fatigue=np.float64(0.5),
             field_value=v,
             # a bare \r ends a record for csv.reader, so the rows read back below hold none
-            events=("photo:a,b", 'int:1:q"x', "dream:x\ny", '""', '"') if t % 2 else (),
+            events=("photo:a,b", 'int:0:q"x', "dream:x\ny", '""', '"') if t % 2 else (),
         )
         for t, v in enumerate(floats)
     ]
@@ -450,7 +450,7 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
     # the rows did reach what they target
     text = (tmp_path / "write_trace_csv.csv").read_text(encoding="utf-8")
     assert ",-0.0," in text and ",0.0," in text
-    assert ',"photo:a,b;int:1:q""x;dream:x\ny;"""";"""\n' in text
+    assert ',"photo:a,b;int:0:q""x;dream:x\ny;"""";"""\n' in text
     # and read back equal, each float with its sign, though the reader parses
     # each distinct cell text once
     back = read_trace_csv(str(tmp_path / "write_trace_csv.csv"))

@@ -266,8 +266,8 @@ def test_interact_exchanges_and_records():
     _attach_photo(a, w)
     assert interact(a, b, 1) is None  # still one-sided
     _attach_photo(b, w)
-    ev_b_expected = b.field.value_at({p.id: p for p in a.percepts}["a0-p1"].origin)
-    ev_a_expected = a.field.value_at({p.id: p for p in b.percepts}["a1-p1"].origin)
+    ev_b_expected = b.field.values.item({p.id: p for p in a.percepts}["a0-p1"].origin)
+    ev_a_expected = a.field.values.item({p.id: p for p in b.percepts}["a1-p1"].origin)
     rec = interact(a, b, 3)
     assert rec is not None
     assert (rec.agent_a, rec.agent_b, rec.tick) == (0, 1, 3)
