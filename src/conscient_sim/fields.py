@@ -51,11 +51,14 @@ class KernelConfig:
         check_bounds(self, "kernel")
         # kernel_matrix divides by 2 * lengthscale**2: at 0 its diagonal is
         # 0/0, and a square that overflows raises OverflowError
-        if not 0.0 < 2.0 * self.lengthscale * self.lengthscale < math.inf:
+        try:
+            if not 0.0 < 2.0 * self.lengthscale**2 < math.inf:
+                raise OverflowError
+        except OverflowError:
             raise ConfigError(
                 f"kernel.lengthscale {self.lengthscale} is out of range: "
                 f"2 * lengthscale**2 underflows to 0 or overflows"
-            )
+            ) from None
 
 
 class GridCell(NamedTuple):

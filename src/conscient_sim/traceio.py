@@ -3,10 +3,10 @@
 Owns the on-disk schemas. Numbers render via repr so floats round-trip
 exactly and identical runs produce byte-identical files. Each row is rendered
 as one line, with text cells quoted CSV-style only when they need it, and the
-lines stream into a temp file that is renamed into place. `summarize_rows`
-recomputes a full metrics summary from trace rows alone, independently of the
-in-memory record lists, which is what the `metrics` subcommand and the
-consistency checks use.
+lines stream into a temp file that is renamed into place. `read_trace_csv`
+validates a trace tick by tick, and `summarize_rows` recomputes a full metrics
+summary from its rows alone, independently of the in-memory record lists,
+which is what the `metrics` subcommand and the consistency checks use.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ TRACE_HEADER = [
     "field_value",
     "event",
 ]
+
+# what `agent_tick` and `World.step` write in an event cell: whole words and payload prefixes
+EVENT_WORDS = frozenset({"sleep", "dreamless", "wake"})
+EVENT_PREFIXES = ("photo:", "stim:", "dream:", "int:")
 
 INTERACTIONS_HEADER = [
     "tick",
@@ -195,29 +199,35 @@ class _ParseMemo(dict):
         return value
 
 
-def _check_partner(path: str, lineno: int, token: str, partner: int, n: int) -> None:
-    """Raise `TraceError` at `lineno` unless an `int:` token's partner is in 0..n-1."""
-    if not 0 <= partner < n:
-        raise TraceError(
-            f"trace file {path}, line {lineno}: interaction token {token!r} names agent "
-            f"{partner}, but each tick holds agents 0..{n - 1}"
-        )
+def _check_tick(path: str, pairs: dict[tuple[int, int], tuple[int, str]], n: int) -> None:
+    """Raise `TraceError` at a token's line unless each (agent, partner) pair of one
+    tick's `int:` tokens names an agent in 0..n-1 whose row holds the mirror pair."""
+    for (agent, partner), (lineno, token) in pairs.items():
+        if not 0 <= partner < n:
+            fault = f"names agent {partner}, but each tick holds agents 0..{n - 1}"
+        elif (partner, agent) not in pairs:
+            fault = f"has no partner token on agent {partner}'s row"
+        else:
+            continue
+        raise TraceError(f"trace file {path}, line {lineno}: interaction token {token!r} {fault}")
 
 
 def read_trace_csv(path: str) -> list[TraceRow]:
     """Parse and validate a trace file: each tick holds agents 0..n-1, n being the first's
-    count, and each `int:` token names another of them."""
+    count; events are in the writer's vocabulary; `int:` tokens pair up within each tick."""
     rows = []
     # emotions and field values repeat across agents and ticks
     num = _ParseMemo()
     prev_tick, want, n = None, 0, 0  # want: the next agent id; n: 0 until the first tick ends
-    first: list[tuple[int, str, int]] = []  # the first tick's partners, checked once n is known
+    pairs = {}  # (agent, partner): (line, token) of this tick's `int:` tokens
     for lineno, rec in _read_csv(path, TRACE_HEADER, "trace file"):
         tick, agent_id, i, j, mode, e_h, e_c, e_f, e_k, fatigue, field_value, ev = rec
         try:
+            events = tuple(filter(None, ev.split(";"))) if ev else ()
+            t, aid = int(tick), int(agent_id)
             row = TraceRow(
-                int(tick),
-                int(agent_id),
+                t,
+                aid,
                 int(i),
                 int(j),
                 mode,
@@ -227,72 +237,72 @@ def read_trace_csv(path: str) -> list[TraceRow]:
                 num[e_k],
                 num[fatigue],
                 num[field_value],
-                tuple(filter(None, ev.split(";"))),
+                events,
             )
             if mode not in ("awake", "asleep"):
                 raise ValueError(f"unknown mode {mode!r}")
-            if "int:" in ev:
-                for token in row.events:
-                    if token.startswith("int:"):
-                        try:
-                            partner = int(token.split(":", 2)[1])
-                        except ValueError:
-                            raise ValueError(f"malformed interaction token {token!r}") from None
-                        if partner == row.agent_id:
-                            raise ValueError(f"interaction token {token!r} names its own agent")
-                        if n:
-                            _check_partner(path, lineno, token, partner, n)
-                        else:
-                            first.append((lineno, token, partner))
-            if row.tick != prev_tick:
-                if prev_tick is not None and row.tick < prev_tick:
+            if t != prev_tick:
+                if prev_tick is not None and t < prev_tick:
                     raise ValueError("rows not ordered by tick")
                 if not n and prev_tick is not None:  # the first tick has ended
                     n = want
-                    for line, token, partner in first:
-                        _check_partner(path, line, token, partner, n)
                 if want != n:
-                    raise ValueError(f"expected agent_id {want}, got tick {row.tick}")
+                    raise ValueError(f"expected agent_id {want}, got tick {t}")
+                if pairs:
+                    _check_tick(path, pairs, n)
+                    pairs = {}
                 want = 0
             elif want == n:
-                raise ValueError(f"tick {row.tick} holds more than the first tick's {n} agents")
-            if row.agent_id != want:
-                raise ValueError(f"expected agent_id {want}, got {row.agent_id}")
+                raise ValueError(f"tick {t} holds more than the first tick's {n} agents")
+            if aid != want:
+                raise ValueError(f"expected agent_id {want}, got {aid}")
+            for token in events:
+                if token.startswith("int:"):
+                    try:
+                        partner = int(token.split(":", 2)[1])
+                    except ValueError:
+                        raise ValueError(f"malformed interaction token {token!r}") from None
+                    if partner == want:
+                        raise ValueError(f"interaction token {token!r} names its own agent")
+                    if (want, partner) in pairs:
+                        raise ValueError(f"interaction token {token!r} names agent {partner} again")
+                    pairs[want, partner] = lineno, token
+                elif not token.startswith(EVENT_PREFIXES) and token not in EVENT_WORDS:
+                    raise ValueError(f"unknown event token {token!r}")
         except TraceError:
-            raise  # from `_check_partner`, which names its token's own line
+            raise  # from `_check_tick`, which names each token's own line
         except ValueError as exc:
             raise TraceError(f"trace file {path}, line {lineno}: {exc}") from None
-        prev_tick, want = row.tick, want + 1
+        prev_tick, want = t, want + 1
         rows.append(row)
     if n and want != n:
         raise TraceError(
             f"trace file {path}, line {lineno + 1}: expected agent_id {want}, got end of file"
         )
-    for line, token, partner in first:  # unchecked yet if the trace is one tick long
-        _check_partner(path, line, token, partner, n or want)
+    _check_tick(path, pairs, n or want)  # the last tick's
     return rows
 
 
 def summarize_rows(rows: list[TraceRow]) -> Metrics:
     """Recompute the metrics summary from trace rows alone.
 
-    Photos, dream frames, and interactions are counted from event tokens; an
-    interaction appears on both partners' rows, so only the row with the lower
-    agent id counts it; `read_trace_csv` has checked that each `int:` token
-    names another agent of the trace. Moves and means come from `row_metrics`.
+    Photos, dream frames, and interactions are counted from event tokens. An
+    interaction puts one `int:` token on each partner's row, and `read_trace_csv`
+    rejects a token without its mirror or repeated in a tick, so interactions are
+    half the `int:` tokens. Moves and means come from `row_metrics`.
     """
     photos = 0
     dream_frames = 0
-    interactions = 0
+    int_tokens = 0
     for row in rows:
         for token in row.events:
             if token.startswith("photo:"):
                 photos += 1
             elif token.startswith("dream:"):
                 dream_frames += 1
-            elif token.startswith("int:") and int(token.split(":", 2)[1]) > row.agent_id:
-                interactions += 1
-    return row_metrics(rows, interactions=interactions, photos=photos, dream_frames=dream_frames)
+            elif token.startswith("int:"):
+                int_tokens += 1
+    return row_metrics(rows, interactions=int_tokens // 2, photos=photos, dream_frames=dream_frames)
 
 
 def write_interactions_csv(path: str, records: Iterable[InteractionRecord]) -> None:

@@ -140,6 +140,8 @@ BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
         ),
         ("simulate", "kernel.lengthscale = 1e-300", "1", "kernel.lengthscale"),
         ("simulate", "kernel.lengthscale = 1e200", "1", "kernel.lengthscale"),
+        # l * l is subnormal, but l**2, which the kernel divides by, is 0
+        ("simulate", "kernel.lengthscale = 1.3e-162", "1", "kernel.lengthscale"),
         ("simulate", "agent.visit_width = 1e-200", "1", "agent.visit_width"),
         ("simulate", "world.reward_width = 1e-200", "1", "world.reward_width"),
         (
@@ -161,6 +163,7 @@ BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
         "reward-peak",
         "lengthscale-tiny",
         "lengthscale-huge",
+        "lengthscale-subnormal",
         "visit-width-tiny",
         "reward-width-tiny",
         "noise-sigma",
@@ -347,12 +350,46 @@ _TRACE_ROW = "{},{},1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,{}\n"
             5,
             "interaction token 'int:-1:a0-p1' names agent -1, but each tick holds agents 0..1",
         ),
+        # an interaction held by one partner's row only, the lower id's or the higher's
+        (
+            [(0, 0, ""), (0, 1, ""), (1, 0, "int:1:a1-p1"), (1, 1, "")],
+            4,
+            "interaction token 'int:1:a1-p1' has no partner token on agent 1's row",
+        ),
+        (
+            [(0, 0, ""), (0, 1, ""), (1, 0, ""), (1, 1, "int:0:a0-p1")],
+            5,
+            "interaction token 'int:0:a0-p1' has no partner token on agent 0's row",
+        ),
+        # one row naming the same partner twice in a tick
+        (
+            [(0, 0, ""), (0, 1, ""), (1, 0, "int:1:a1-p1;int:1:a1-p2"), (1, 1, "int:0:a0-p1")],
+            4,
+            "interaction token 'int:1:a1-p2' names agent 1 again",
+        ),
+        # a token of no kind the writer emits
+        (
+            [(0, 0, ""), (0, 1, ""), (1, 0, "phot:a0-p1;bogus"), (1, 1, "")],
+            4,
+            "unknown event token 'phot:a0-p1'",
+        ),
     ],
-    ids=["own-id", "later-tick", "first-tick", "one-tick", "negative"],
+    ids=[
+        "own-id",
+        "later-tick",
+        "first-tick",
+        "one-tick",
+        "negative",
+        "one-sided-lower",
+        "one-sided-higher",
+        "duplicate",
+        "unknown-token",
+    ],
 )
 def test_metrics_rejects_interactions_with_absent_agents(tmp_path, capsys, rows, line, message):
-    # an interaction counts once, on the lower id's row: a partner the trace
-    # does not hold would be counted, or dropped, without a word
+    # an interaction is counted from the tokens on both partners' rows: a
+    # partner the trace does not hold, a token without its mirror, a repeated
+    # one or a token of an unknown kind would be miscounted without a word
     trace = tmp_path / "trace.csv"
     header = "tick,agent_id,i,j,mode,e_h,e_c,e_f,e_k,fatigue,field_value,event\n"
     trace.write_text(header + "".join(_TRACE_ROW.format(*r) for r in rows), encoding="utf-8")

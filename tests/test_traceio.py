@@ -12,6 +12,7 @@ import stat
 import numpy as np
 import pytest
 
+from conscient_sim.agents import AgentConfig
 from conscient_sim.cli import run_command
 from conscient_sim.dreams import DreamFrame, DreamFrameRow
 from conscient_sim.errors import TraceError
@@ -20,6 +21,8 @@ from conscient_sim.optimizer import GenerationStats
 from conscient_sim.semantics import Percept, load_graph
 from conscient_sim.traceio import (
     DREAMS_HEADER,
+    EVENT_PREFIXES,
+    EVENT_WORDS,
     GA_HISTORY_HEADER,
     INTERACTIONS_HEADER,
     METRICS_HEADER,
@@ -128,7 +131,7 @@ def test_read_trace_csv_validation(tmp_path):
         assert str(exc.value) == f"trace file {gap}, line {line}: {message}", name
 
     # a row's faults are reported in one order: a number that does not
-    # parse, then the mode, then an interaction token, then the row order
+    # parse, then the mode, then the row order, then an event token
     bad_float_and_mode = tmp_path / "fm.csv"
     bad_float_and_mode.write_text(
         head + "0,0,1,1,groggy,0.5,oops,0.5,0.5,0.0,0.1,\n", encoding="utf-8"
@@ -148,6 +151,16 @@ def test_read_trace_csv_validation(tmp_path):
     with pytest.raises(TraceError) as exc:
         read_trace_csv(str(bad_mode_and_order))
     assert str(exc.value) == f"trace file {bad_mode_and_order}, line 3: unknown mode 'groggy'"
+    bad_order_and_token = tmp_path / "ot.csv"
+    bad_order_and_token.write_text(
+        head
+        + "1,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
+        + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,int:x:a1-p1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TraceError) as exc:
+        read_trace_csv(str(bad_order_and_token))
+    assert str(exc.value) == f"trace file {bad_order_and_token}, line 3: rows not ordered by tick"
 
     bad_token = tmp_path / "t.csv"
     bad_token.write_text(
@@ -192,6 +205,27 @@ def test_summarize_rows_counts_interactions_once(trace):
         sum(1 for e in r.events if e.startswith("int:")) for r in trace.rows
     )
     assert tokens == 2 * m.interactions  # every meeting marks both partners
+
+
+def test_reader_knows_every_event_kind_the_writer_emits(tmp_path):
+    # a world small and busy enough to write all seven kinds: a kind that
+    # `agent_tick` or `World.step` starts writing must join the reader's table
+    cfg = WorldConfig(
+        resolution=4, n_agents=6, total_ticks=200, stimulus_probability=0.5, master_seed=1,
+        agent=AgentConfig(t_awake=8, t_asleep=3),
+    )
+    trace = run(cfg)
+    kinds = {
+        token if token in EVENT_WORDS else token[: token.index(":") + 1]
+        for row in trace.rows
+        for token in row.events
+    }
+    assert kinds == EVENT_WORDS | set(EVENT_PREFIXES)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace.rows)
+    back = read_trace_csv(str(path))
+    assert back == trace.rows
+    assert summarize_rows(back) == metrics(trace)
 
 
 def test_interactions_csv_contents(tmp_path, trace):
@@ -389,7 +423,7 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
             e_h=v, e_c=-v, e_f=floats[-1 - t], e_k=1, fatigue=np.float64(0.5),
             field_value=v,
             # a bare \r ends a record for csv.reader, so the rows read back below hold none
-            events=("photo:a,b", 'int:0:q"x', "dream:x\ny", '""', '"') if t % 2 else (),
+            events=("photo:a,b", 'stim:q"x', "dream:x\ny", 'photo:""', 'stim:"') if t % 2 else (),
         )
         for t, v in enumerate(floats)
     ]
@@ -450,7 +484,7 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
     # the rows did reach what they target
     text = (tmp_path / "write_trace_csv.csv").read_text(encoding="utf-8")
     assert ",-0.0," in text and ",0.0," in text
-    assert ',"photo:a,b;int:0:q""x;dream:x\ny;"""";"""\n' in text
+    assert ',"photo:a,b;stim:q""x;dream:x\ny;photo:"""";stim:"""\n' in text
     # and read back equal, each float with its sign, though the reader parses
     # each distinct cell text once
     back = read_trace_csv(str(tmp_path / "write_trace_csv.csv"))
