@@ -6,6 +6,10 @@ Subcommands:
   optimize  run the genetic search over agent hyperparameters
   metrics   recompute the summary from an existing trace.csv
 
+Commands write through `_write_outputs`: files first, `manifest.json` last. A
+directory without a manifest is incomplete, and only the files its manifest
+lists under `outputs` belong to its run.
+
 Exit codes: 0 on success, 1 on config or runtime validation failures (the
 message names the offending key) and on running out of memory (the message
 names the keys that size a run), 2 on unknown flags or subcommands (argparse
@@ -75,10 +79,21 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _manifest(args, bundle: ConfigBundle, started: str, outputs: list[str]) -> dict:
-    """A command's manifest: its parsed flags, effective config and output file names."""
+def _write_outputs(args, bundle: ConfigBundle, started: str, files: dict, **manifest) -> None:
+    """Write each `name: (writer, payload)` of `files` into `args.out`, then the manifest.
+
+    An old manifest is removed first, so none vouches for files a failed run
+    left half-replaced. The manifest records the parsed flags, the effective
+    config and the file names as `outputs`; `manifest` adds or overrides keys.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "manifest.json")
+    if os.path.lexists(path):
+        os.remove(path)
+    for name, (write, payload) in files.items():
+        write(os.path.join(args.out, name), payload)
     arguments = vars(args).copy()
-    return {
+    record = {
         "command": arguments.pop("command"),
         "tool": "conscient-sim",
         "version": __version__,
@@ -87,16 +102,9 @@ def _manifest(args, bundle: ConfigBundle, started: str, outputs: list[str]) -> d
         "started_at": started,
         "finished_at": _now(),
         "effective_config": dict(bundle.effective),
-        "outputs": outputs,
+        "outputs": list(files),
     }
-
-
-def _write_outputs(out_dir: str, outputs: dict) -> list[str]:
-    """Write each `file name: (writer, payload)` into `out_dir`; returns the names in order."""
-    os.makedirs(out_dir, exist_ok=True)
-    for name, (write, payload) in outputs.items():
-        write(os.path.join(out_dir, name), payload)
-    return list(outputs)
+    write_manifest(path, {**record, **manifest})
 
 
 def _cmd_simulate(args) -> int:
@@ -104,18 +112,14 @@ def _cmd_simulate(args) -> int:
     bundle = parse_config(args.config, overrides={"world.master_seed": str(args.seed)})
     trace = run_world(bundle.world)
     summary = world_metrics(trace)
-    outputs = _write_outputs(
-        args.out,
-        {
-            "trace.csv": (write_trace_csv, trace.rows),
-            "interactions.csv": (write_interactions_csv, trace.interactions),
-            "dreams.csv": (write_dreams_csv, trace.dream_rows),
-            "percepts.csv": (write_percepts_csv, trace.percept_rows),
-            "metrics.csv": (write_metrics_csv, summary),
-        },
-    )
-    manifest = _manifest(args, bundle, started, outputs)
-    write_manifest(os.path.join(args.out, "manifest.json"), manifest)
+    files = {
+        "trace.csv": (write_trace_csv, trace.rows),
+        "interactions.csv": (write_interactions_csv, trace.interactions),
+        "dreams.csv": (write_dreams_csv, trace.dream_rows),
+        "percepts.csv": (write_percepts_csv, trace.percept_rows),
+        "metrics.csv": (write_metrics_csv, summary),
+    }
+    _write_outputs(args, bundle, started, files)
     print(
         f"simulated {bundle.world.total_ticks} ticks, {bundle.world.n_agents} agents: "
         f"{summary.interactions} interactions, {summary.photos} photos, "
@@ -142,9 +146,7 @@ def _cmd_dream(args) -> int:
     walk = DreamWalk(content_store, content_graph, style_store, style_graph, dream_cfg, rng)
     # bare frames have no agent and no field: agent 0, tick = frame index
     rows = [DreamFrameRow(0, k, k, "", walk.step(rng), 0) for k in range(1, dream_cfg.length + 1)]
-    outputs = _write_outputs(args.out, {"dreams.csv": (write_dreams_csv, rows)})
-    manifest = _manifest(args, bundle, started, outputs)
-    write_manifest(os.path.join(args.out, "manifest.json"), manifest)
+    _write_outputs(args, bundle, started, {"dreams.csv": (write_dreams_csv, rows)})
     print(f"dreamed {len(rows)} frames -> {args.out}")
     return 0
 
@@ -153,18 +155,16 @@ def _cmd_optimize(args) -> int:
     started = _now()
     bundle = parse_config(args.config)
     best, history = evolve(bundle.ga, bundle.world, seed=args.seed)
-    outputs = _write_outputs(args.out, {"ga_history.csv": (write_ga_history_csv, history)})
-    manifest = _manifest(args, bundle, started, outputs)
-    manifest["master_seed"] = args.seed
     # `evolve` replaces its best only on a strict improvement, so the first
     # generation to reach the best fitness is the winner's
     best_generation = next(h.generation for h in history if h.best_fitness == best.fitness)
-    manifest["results"] = {
+    results = {
         "best_fitness": best.fitness,
         "best_generation": best_generation,
         "best_genome": [float(g) for g in best.genome.genes],
     }
-    write_manifest(os.path.join(args.out, "manifest.json"), manifest)
+    files = {"ga_history.csv": (write_ga_history_csv, history)}
+    _write_outputs(args, bundle, started, files, master_seed=args.seed, results=results)
     print(
         f"optimized {bundle.ga.generations} generations of {bundle.ga.population_size}: "
         f"best fitness {best.fitness} -> {args.out}"
@@ -197,7 +197,7 @@ def run_command(argv: list[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (SimulatorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + str(exc).translate({10: "\\n", 13: "\\r"}), file=sys.stderr)  # one line
         return 1
     except MemoryError:  # the keys that size a run's arrays
         print(

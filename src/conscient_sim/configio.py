@@ -145,7 +145,7 @@ def _load_edges(label: str, base_dir: str, key: str) -> tuple[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read(), path
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"key {key}: cannot read graph file {path}: {exc}") from None
 
 

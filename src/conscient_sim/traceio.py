@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from typing import Iterable, Iterator, TextIO
@@ -188,14 +189,27 @@ def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, li
         raise TraceError(f"{what} {path}, line {reader.line_num}: {exc}") from None
 
 
-class _ParseMemo(dict):
-    """`float` of each distinct cell text, parsed once: `memo[text] == float(text)`.
-
-    Keyed on the text, so "0.0" and "-0.0" stay distinct.
-    """
+class _UnitMemo(dict):
+    """`float` of each distinct emotion or fatigue text, parsed once and checked to lie
+    in [0, 1]: `memo[text] == float(text)`. Keyed on the text, so "0.0" and "-0.0"
+    stay distinct."""
 
     def __missing__(self, text: str) -> float:
-        value = self[text] = float(text)
+        value = float(text)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"emotion or fatigue {value} is outside [0, 1]")
+        self[text] = value
+        return value
+
+
+class _FiniteMemo(dict):
+    """As `_UnitMemo`, for `field_value` texts, which must be finite."""
+
+    def __missing__(self, text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"field_value {value} is not finite")
+        self[text] = value
         return value
 
 
@@ -214,31 +228,35 @@ def _check_tick(path: str, pairs: dict[tuple[int, int], tuple[int, str]], n: int
 
 def read_trace_csv(path: str) -> list[TraceRow]:
     """Parse and validate a trace file: each tick holds agents 0..n-1, n being the first's
-    count; events are in the writer's vocabulary; `int:` tokens pair up within each tick."""
+    count; cells are not negative, emotions and fatigue lie in [0, 1], field values are
+    finite; events are in the writer's vocabulary; `int:` tokens pair up within each tick."""
     rows = []
     # emotions and field values repeat across agents and ticks
-    num = _ParseMemo()
+    emo, field = _UnitMemo(), _FiniteMemo()
     prev_tick, want, n = None, 0, 0  # want: the next agent id; n: 0 until the first tick ends
     pairs = {}  # (agent, partner): (line, token) of this tick's `int:` tokens
     for lineno, rec in _read_csv(path, TRACE_HEADER, "trace file"):
         tick, agent_id, i, j, mode, e_h, e_c, e_f, e_k, fatigue, field_value, ev = rec
         try:
-            events = tuple(filter(None, ev.split(";"))) if ev else ()
+            events = tuple(ev.split(";")) if ev else ()
             t, aid = int(tick), int(agent_id)
+            ci, cj = int(i), int(j)
             row = TraceRow(
                 t,
                 aid,
-                int(i),
-                int(j),
+                ci,
+                cj,
                 mode,
-                num[e_h],
-                num[e_c],
-                num[e_f],
-                num[e_k],
-                num[fatigue],
-                num[field_value],
+                emo[e_h],
+                emo[e_c],
+                emo[e_f],
+                emo[e_k],
+                emo[fatigue],
+                field[field_value],
                 events,
             )
+            if (ci | cj) < 0:  # one comparison: an int `or` is negative iff either side is
+                raise ValueError(f"cell ({ci}, {cj}) is negative")
             if mode not in ("awake", "asleep"):
                 raise ValueError(f"unknown mode {mode!r}")
             if t != prev_tick:
@@ -256,6 +274,8 @@ def read_trace_csv(path: str) -> list[TraceRow]:
                 raise ValueError(f"tick {t} holds more than the first tick's {n} agents")
             if aid != want:
                 raise ValueError(f"expected agent_id {want}, got {aid}")
+            if "\r" in ev:  # the writer leaves a `\r` unquoted, so it never writes one in a cell
+                raise ValueError(f"carriage return in event cell {ev!r}")
             for token in events:
                 if token.startswith("int:"):
                     try:
@@ -362,7 +382,8 @@ def read_percepts_csv(
     """(owner agent id, percept) pairs of a percept log, in file order.
 
     Here percepts, and so cells, enter from outside: each must fit `world` and
-    its graph (`style_graph` for style percepts, `content_graph` for the rest).
+    its graph (`style_graph` for style percepts, `content_graph` for the rest),
+    and its features must lie in [0, 1], as every percept's do.
     """
     r = world.resolution
     percepts = []
@@ -390,6 +411,9 @@ def read_percepts_csv(
                 raise ValueError(
                     f"{len(feats)} features, but world.feature_dim is {world.feature_dim}"
                 )
+            outside = ~((feats >= 0.0) & (feats <= 1.0))  # NaN among them
+            if outside.any():
+                raise ValueError(f"feature {feats[outside][0]} is outside [0, 1]")
             if not (0 <= i < r and 0 <= j < r):
                 raise ValueError(f"origin ({i}, {j}) is off the grid, but world.resolution is {r}")
             percepts.append((int(rec[0]), percept))

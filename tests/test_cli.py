@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -88,6 +89,15 @@ def test_exit_code_1_on_non_utf8_graph_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("world.total_ticks = 5\nworld.content_graph = graph.txt\n", encoding="utf-8")
     argv = ["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")]
+    _assert_error_line(argv, f"key world.content_graph: cannot read graph file {graph}: ", capsys)
+
+
+def test_exit_code_1_on_a_graph_path_with_a_nul_byte(tmp_path, capsys):
+    # `open` rejects the path with ValueError, not OSError
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("world.total_ticks = 5\nworld.content_graph = a\0b\n", encoding="utf-8")
+    argv = ["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")]
+    graph = tmp_path / "a\0b"
     _assert_error_line(argv, f"key world.content_graph: cannot read graph file {graph}: ", capsys)
 
 
@@ -269,6 +279,38 @@ def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):
         "percepts.csv",
         "metrics.csv",
     ]
+
+
+def test_a_failed_write_leaves_no_manifest_beside_another_runs_files(tmp_path, capsys):
+    # seed 2's percepts.csv is over the file-size limit, set in its child
+    # process only; the files before it in write order are under it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("world.total_ticks = 300\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out), "--seed"]
+    assert run_command([*argv, "1"]) == 0
+    capsys.readouterr()
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (70_000, 70_000))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "conscient_sim.cli", *argv, "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=limit_file_size,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 27] File too large\n"
+    # seed 2's trace.csv now lies beside seed 1's percepts.csv and metrics.csv
+    manifest = out / "manifest.json"
+    left = json.loads(manifest.read_text(encoding="utf-8")) if manifest.exists() else None
+    assert left is None, f"a manifest names seed {left['master_seed']}"
+    # without the limit the same run lands whole, under a manifest that names it
+    assert run_command([*argv, "2"]) == 0
+    capsys.readouterr()
+    assert json.loads(manifest.read_text(encoding="utf-8"))["master_seed"] == 2
 
 
 def test_simulate_seed_flag_overrides_config(tmp_path, capsys):
@@ -483,6 +525,21 @@ def test_dream_subcommand_rejects_percepts_of_another_width(tmp_path, cfg_path, 
         f"error: percept log {one}, line 2: percept p1: 1 features, but world.feature_dim is 16"
     )
     assert not out.exists()
+
+
+def test_an_error_quoting_a_line_break_stays_on_one_line(tmp_path, cfg_path, capsys):
+    # a quoted percept id may hold line breaks, and the message quotes the id
+    log = tmp_path / "percepts.csv"
+    log.write_text(
+        'agent_id,id,kind,category,i,j,tick,features\n0,"p\r\n1",bogus,dog,1,2,3,0.5\n',
+        encoding="utf-8",
+        newline="",
+    )
+    argv = ["dream", "--config", cfg_path, "--percept-log", str(log), "--out", str(tmp_path / "d")]
+    capsys.readouterr()
+    assert run_command(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: percept log {log}, line 2: percept p\\r\\n1: unknown percept kind 'bogus'\n"
 
 
 def test_dream_subcommand_reports_a_field_over_the_csv_limit(tmp_path, cfg_path, capsys):

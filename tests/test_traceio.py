@@ -178,6 +178,40 @@ def test_read_trace_csv_validation(tmp_path):
     with pytest.raises(TraceError):
         read_trace_csv(str(tmp_path / "missing.csv"))
 
+    # values the writer never writes: emotions and fatigue outside [0, 1], a
+    # field value that is not finite, a negative cell, an empty event token
+    ok = "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
+    lax = {
+        "nan emotion": (
+            "0,1,1,1,awake,nan,0.5,0.5,0.5,0.0,0.1,", "emotion or fatigue nan is outside [0, 1]"
+        ),
+        "high fatigue": (
+            "0,1,1,1,awake,0.5,0.5,0.5,0.5,7.5,0.1,", "emotion or fatigue 7.5 is outside [0, 1]"
+        ),
+        "low emotion": (
+            "0,1,1,1,awake,0.5,0.5,-0.25,0.5,0.0,0.1,",
+            "emotion or fatigue -0.25 is outside [0, 1]",
+        ),
+        "inf field": ("0,1,1,1,awake,0.5,0.5,0.5,0.5,0.0,inf,", "field_value inf is not finite"),
+        "nan field": ("0,1,1,1,awake,0.5,0.5,0.5,0.5,0.0,nan,", "field_value nan is not finite"),
+        "negative cell": ("0,1,99,-7,awake,0.5,0.5,0.5,0.5,0.0,0.1,", "cell (99, -7) is negative"),
+        "empty token": (
+            "0,1,1,1,asleep,0.5,0.5,0.5,0.5,0.0,0.1,dream:p1;;wake",
+            "unknown event token ''",
+        ),
+        # a `\r` the writer would leave unquoted, so the row would not read back
+        "carriage return": (
+            '0,1,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,"photo:a\rb"',
+            "carriage return in event cell 'photo:a\\rb'",
+        ),
+    }
+    for name, (bad_row, message) in lax.items():
+        lax_file = tmp_path / f"{name}.csv"
+        lax_file.write_text(head + ok + bad_row + "\n", encoding="utf-8")
+        with pytest.raises(TraceError) as exc:
+            read_trace_csv(str(lax_file))
+        assert str(exc.value) == f"trace file {lax_file}, line 3: {message}", name
+
     # undecodable bytes in an event cell; the decoder reads ahead, so no line
     not_utf8 = tmp_path / "u.csv"
     not_utf8.write_bytes(head.encode() + b"0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\xff\xfe\n")
@@ -289,10 +323,26 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
         ("0,p1,received,dark,1,2,3,0.5;0.5", "category 'dark' not in world.content_graph"),
         ("0,p1,observed,dog,1,2,3,0.5", "1 features, but world.feature_dim is 2"),
         ("0,p1,observed,dog,1,8,3,0.5;0.5", "origin (1, 8) is off the grid"),
+        ("0,p1,observed,dog,1,2,3,nan;0.5", "feature nan is outside [0, 1]"),
+        ("0,p1,style,dark,1,2,3,inf;0.5", "feature inf is outside [0, 1]"),
+        ("0,p1,received,dog,1,2,3,7.5;0.5", "feature 7.5 is outside [0, 1]"),
+        ("0,p1,dreamed,dog,1,2,3,-0.5;0.5", "feature -0.5 is outside [0, 1]"),
         # 200,000 characters, over csv's default field size limit
         ("0,p1,observed,dog,1,2,3," + ";".join(["0.5"] * 50_000), "field larger than field limit"),
     ],
-    ids=["kind", "tick", "style-category", "content-category", "width", "origin", "csv-limit"],
+    ids=[
+        "kind",
+        "tick",
+        "style-category",
+        "content-category",
+        "width",
+        "origin",
+        "nan-feature",
+        "inf-feature",
+        "high-feature",
+        "low-feature",
+        "csv-limit",
+    ],
 )
 def test_read_percepts_csv_rejects_what_a_percept_rejects(tmp_path, row, message):
     path = tmp_path / "percepts.csv"
@@ -417,15 +467,18 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
         np.float64(-0.0), float("inf"), 1e-300, 0.1 + 0.2, 0.0, -0.0,
     ]
     texts = ["a,b", 'q"x', "line\nbreak", "car\rriage", '""', '"', "café 日本", "", "plain"]
+    # the trace reader takes what a run writes: emotions and fatigue in [0, 1],
+    # and finite field values, which may be negative
+    unit = [v for v in floats if 0 <= v <= 1]
     trace_rows = [
         TraceRow(
             tick=0, agent_id=t, i=1, j=2, mode="awake" if t % 3 else "asleep",
-            e_h=v, e_c=-v, e_f=floats[-1 - t], e_k=1, fatigue=np.float64(0.5),
-            field_value=v,
+            e_h=v, e_c=v, e_f=unit[-1 - t], e_k=1, fatigue=np.float64(0.5),
+            field_value=-v,
             # a bare \r ends a record for csv.reader, so the rows read back below hold none
             events=("photo:a,b", 'stim:q"x', "dream:x\ny", 'photo:""', 'stim:"') if t % 2 else (),
         )
-        for t, v in enumerate(floats)
+        for t, v in enumerate(unit)
     ]
     records = [
         InteractionRecord(
