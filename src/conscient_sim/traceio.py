@@ -4,9 +4,9 @@ Owns the on-disk schemas. Numbers render via repr so floats round-trip
 exactly and identical runs produce byte-identical files. Each row is rendered
 as one line, with text cells quoted CSV-style only when they need it, and the
 lines stream into a temp file that is renamed into place. `read_trace_csv`
-validates a trace tick by tick, and `summarize_rows` recomputes a full metrics
-summary from its rows alone, independently of the in-memory record lists,
-which is what the `metrics` subcommand and the consistency checks use.
+validates a trace tick by tick, no laxer than the writer, and `summarize_rows`
+folds its rows with `world.row_metrics`, the one function that counts a run,
+so the `metrics` subcommand recounts exactly what `metrics.csv` holds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,15 @@ from .errors import TraceError
 from .fields import GridCell
 from .optimizer import GenerationStats
 from .semantics import PERCEPT_KINDS, Percept, SemanticGraph
-from .world import InteractionRecord, Metrics, TraceRow, WorldConfig, row_metrics
+from .world import (
+    EVENT_PREFIXES,
+    EVENT_WORDS,
+    InteractionRecord,
+    Metrics,
+    TraceRow,
+    WorldConfig,
+    row_metrics,
+)
 
 TRACE_HEADER = [
     "tick",
@@ -41,10 +49,6 @@ TRACE_HEADER = [
     "field_value",
     "event",
 ]
-
-# what `agent_tick` and `World.step` write in an event cell: whole words and payload prefixes
-EVENT_WORDS = frozenset({"sleep", "dreamless", "wake"})
-EVENT_PREFIXES = ("photo:", "stim:", "dream:", "int:")
 
 INTERACTIONS_HEADER = [
     "tick",
@@ -163,7 +167,7 @@ def write_trace_csv(path: str, rows: Iterable[TraceRow]) -> None:
 
 
 def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, cells) for each data row of a CSV file.
+    """Yield (first line number, cells) for each data record of a CSV file.
 
     A file that cannot be read or is not UTF-8, a line `csv` cannot parse
     (such as a field over its size limit), a header other than `header` and a
@@ -176,12 +180,14 @@ def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, li
             got = next(reader, None)
             if got != header:
                 raise TraceError(f"{what} {path}, line 1: unexpected header {got}")
-            for lineno, cells in enumerate(reader, start=2):
+            lineno = 2
+            for cells in reader:
                 if len(cells) != len(header):
                     raise TraceError(
                         f"{what} {path}, line {lineno}: expected {len(header)} columns"
                     )
                 yield lineno, cells
+                lineno = reader.line_num + 1  # a quoted cell may span lines
     except (OSError, UnicodeDecodeError) as exc:
         # no line number: the decoder reads ahead of `reader.line_num`
         raise TraceError(f"cannot read {what} {path}: {exc}") from None
@@ -227,13 +233,15 @@ def _check_tick(path: str, pairs: dict[tuple[int, int], tuple[int, str]], n: int
 
 
 def read_trace_csv(path: str) -> list[TraceRow]:
-    """Parse and validate a trace file: each tick holds agents 0..n-1, n being the first's
-    count; cells are not negative, emotions and fatigue lie in [0, 1], field values are
+    """Parse and validate a trace file: ticks run 0, 1, 2, ... and each holds agents
+    0..n-1, n being tick 0's count; an agent moves at most one Moore step per tick;
+    cells are not negative, emotions and fatigue lie in [0, 1], field values are
     finite; events are in the writer's vocabulary; `int:` tokens pair up within each tick."""
     rows = []
     # emotions and field values repeat across agents and ticks
     emo, field = _UnitMemo(), _FiniteMemo()
-    prev_tick, want, n = None, 0, 0  # want: the next agent id; n: 0 until the first tick ends
+    prev_tick, want = -1, 0  # want: the next agent id
+    cells: list[tuple[int, int]] = []  # each agent's last cell, by id; tick 0 fills it
     pairs = {}  # (agent, partner): (line, token) of this tick's `int:` tokens
     for lineno, rec in _read_csv(path, TRACE_HEADER, "trace file"):
         tick, agent_id, i, j, mode, e_h, e_c, e_f, e_k, fatigue, field_value, ev = rec
@@ -260,20 +268,25 @@ def read_trace_csv(path: str) -> list[TraceRow]:
             if mode not in ("awake", "asleep"):
                 raise ValueError(f"unknown mode {mode!r}")
             if t != prev_tick:
-                if prev_tick is not None and t < prev_tick:
-                    raise ValueError("rows not ordered by tick")
-                if not n and prev_tick is not None:  # the first tick has ended
-                    n = want
-                if want != n:
+                if t != prev_tick + 1:
+                    raise ValueError(f"expected tick {prev_tick + 1}, got tick {t}")
+                if want != len(cells):
                     raise ValueError(f"expected agent_id {want}, got tick {t}")
                 if pairs:
-                    _check_tick(path, pairs, n)
+                    _check_tick(path, pairs, len(cells))
                     pairs = {}
                 want = 0
-            elif want == n:
-                raise ValueError(f"tick {t} holds more than the first tick's {n} agents")
+            elif t and want == len(cells):
+                raise ValueError(f"tick {t} holds more than the first tick's {want} agents")
             if aid != want:
                 raise ValueError(f"expected agent_id {want}, got {aid}")
+            if t:
+                pi, pj = cells[aid]
+                if abs(ci - pi) > 1 or abs(cj - pj) > 1:
+                    raise ValueError(f"agent {aid} moves from ({pi}, {pj}) to ({ci}, {cj})")
+                cells[aid] = ci, cj
+            else:
+                cells.append((ci, cj))
             if "\r" in ev:  # the writer leaves a `\r` unquoted, so it never writes one in a cell
                 raise ValueError(f"carriage return in event cell {ev!r}")
             for token in events:
@@ -295,34 +308,19 @@ def read_trace_csv(path: str) -> list[TraceRow]:
             raise TraceError(f"trace file {path}, line {lineno}: {exc}") from None
         prev_tick, want = t, want + 1
         rows.append(row)
-    if n and want != n:
+    if not cells:
+        raise TraceError(f"trace file {path}, line 2: expected tick 0, got end of file")
+    if want != len(cells):
         raise TraceError(
             f"trace file {path}, line {lineno + 1}: expected agent_id {want}, got end of file"
         )
-    _check_tick(path, pairs, n or want)  # the last tick's
+    _check_tick(path, pairs, len(cells))  # the last tick's
     return rows
 
 
-def summarize_rows(rows: list[TraceRow]) -> Metrics:
-    """Recompute the metrics summary from trace rows alone.
-
-    Photos, dream frames, and interactions are counted from event tokens. An
-    interaction puts one `int:` token on each partner's row, and `read_trace_csv`
-    rejects a token without its mirror or repeated in a tick, so interactions are
-    half the `int:` tokens. Moves and means come from `row_metrics`.
-    """
-    photos = 0
-    dream_frames = 0
-    int_tokens = 0
-    for row in rows:
-        for token in row.events:
-            if token.startswith("photo:"):
-                photos += 1
-            elif token.startswith("dream:"):
-                dream_frames += 1
-            elif token.startswith("int:"):
-                int_tokens += 1
-    return row_metrics(rows, interactions=int_tokens // 2, photos=photos, dream_frames=dream_frames)
+def summarize_rows(rows: Iterable[TraceRow]) -> Metrics:
+    """The metrics summary of trace rows alone, as `world.metrics` counts it."""
+    return row_metrics(rows)
 
 
 def write_interactions_csv(path: str, records: Iterable[InteractionRecord]) -> None:

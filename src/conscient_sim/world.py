@@ -7,7 +7,10 @@ scattered over cells. Fields, spawns, stimuli, graphs and cell features
 depend on no agent setting, so worlds share them through a per-process
 `WorldLayout` cache. Per tick, agents act in ascending id order, then every
 unordered pair of awake co-located agents exchanges percepts exactly once.
-The full run is captured in a replayable trace.
+The full run is captured in a replayable trace, and its summary, `Metrics`,
+is one fold over the trace rows alone (`row_metrics`): `simulate` writes it,
+`fitness` maximises it, and `conscient-sim metrics` recounts it from a
+trace file with the same function.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field, fields
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -104,6 +107,11 @@ class InteractionRecord(NamedTuple):
     sent_by_b: str
     eval_by_a: float  # a's field value at the origin of b's percept
     eval_by_b: float
+
+
+# what `agent_tick` and `World.step` write in an event cell: whole words and payload prefixes
+EVENT_WORDS = frozenset({"sleep", "dreamless", "wake"})
+EVENT_PREFIXES = ("photo:", "stim:", "dream:", "int:")
 
 
 class TraceRow(NamedTuple):
@@ -399,19 +407,22 @@ def run(config: WorldConfig) -> SimulationTrace:
     return world.snapshot_trace()
 
 
-def row_metrics(
-    rows: list[TraceRow], *, interactions: int, photos: int, dream_frames: int
-) -> Metrics:
-    """Metrics from trace rows plus event counts taken by the caller.
+def row_metrics(rows: Iterable[TraceRow]) -> Metrics:
+    """The run summary of any stream of trace rows, counted in one pass.
 
     Moves are successive position changes per agent, recounted from the rows
-    (not from agent counters); the emotion means run over every row.
+    (not from agent counters); the emotion means run over every row. Photos
+    and dream frames are their `photo:` and `dream:` tokens. Interactions are
+    half the `int:` tokens: `World.step` writes one on each partner's row, and
+    `read_trace_csv` rejects a token without its mirror or repeated in a tick.
     """
     last_pos: dict[int, tuple[int, int]] = {}
     moves: dict[int, int] = {}
+    n = photos = dream_frames = int_tokens = 0
     s_h = s_c = s_f = s_k = s_fat = 0.0
     # unpacked, as a NamedTuple attribute read costs twice a tuple unpack
-    for _, aid, i, j, _, e_h, e_c, e_f, e_k, fatigue, _, _ in rows:
+    for _, aid, i, j, _, e_h, e_c, e_f, e_k, fatigue, _, events in rows:
+        n += 1
         moves.setdefault(aid, 0)
         prev = last_pos.get(aid)
         pos = (i, j)
@@ -423,33 +434,19 @@ def row_metrics(
         s_f += e_f
         s_k += e_k
         s_fat += fatigue
-    n = len(rows)
+        for token in events:
+            if token.startswith("photo:"):
+                photos += 1
+            elif token.startswith("dream:"):
+                dream_frames += 1
+            elif token.startswith("int:"):
+                int_tokens += 1
     means = [s / n if n else 0.0 for s in (s_h, s_c, s_f, s_k, s_fat)]
     per_agent = tuple(moves[aid] for aid in sorted(moves))
-    return Metrics(
-        interactions=interactions,
-        photos=photos,
-        dream_frames=dream_frames,
-        total_moves=sum(per_agent),
-        moves_per_agent=per_agent,
-        mean_happiness=means[0],
-        mean_curiosity=means[1],
-        mean_friendship=means[2],
-        mean_courage=means[3],
-        mean_fatigue=means[4],
-    )
+    # in field order: counts, moves, then the five means
+    return Metrics(int_tokens // 2, photos, dream_frames, sum(per_agent), per_agent, *means)
 
 
 def metrics(trace: SimulationTrace) -> Metrics:
-    """Summary statistics recomputed from the trace itself.
-
-    Moves and means come from the rows (see `row_metrics`); photo totals come
-    from stored observed percepts; interaction and dream totals come from
-    their records.
-    """
-    return row_metrics(
-        trace.rows,
-        interactions=len(trace.interactions),
-        photos=sum(1 for _, p in trace.percept_rows if p.kind == "observed"),
-        dream_frames=len(trace.dream_rows),
-    )
+    """Summary statistics recomputed from the trace's rows; see `row_metrics`."""
+    return row_metrics(trace.rows)

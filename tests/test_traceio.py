@@ -49,12 +49,17 @@ from conscient_sim.world import (
     WorldConfig,
     load_graphs,
     metrics,
+    row_metrics,
     run,
 )
 
 CFG = WorldConfig(resolution=8, n_agents=2, total_ticks=150, master_seed=2024)
 # the world a log of 2-wide percepts fits
 NARROW = WorldConfig(resolution=8, feature_dim=2)
+# the crowded pinned world of tests/test_acceptance.py: 8 agents meet often
+CROWDED = WorldConfig(
+    resolution=8, n_agents=8, total_ticks=200, stimulus_probability=0.2, master_seed=3
+)
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +105,14 @@ def test_read_trace_csv_validation(tmp_path):
     unordered = tmp_path / "o.csv"
     unordered.write_text(
         head
+        + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
         + "1,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
         + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n",
         encoding="utf-8",
     )
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError) as exc:
         read_trace_csv(str(unordered))
+    assert str(exc.value) == f"trace file {unordered}, line 4: expected tick 2, got tick 0"
 
     # each tick holds agent ids 0..n-1, n being the first tick's row count:
     # a skipped id would shift every later agent's moves onto the wrong id
@@ -122,6 +129,15 @@ def test_read_trace_csv_validation(tmp_path):
             [(0, 0, 1), (1, 0, 1), (1, 1, 1)], 4, "tick 1 holds more than the first tick's 1 agents"
         ),
         "short end": ([(0, 0, 1), (0, 1, 1), (1, 0, 1)], 5, "expected agent_id 1, got end of file"),
+        # ticks run 0, 1, 2, ... from tick 0, as `run` writes them
+        "tick gap": ([(0, 0, 1), (5, 0, 1)], 3, "expected tick 1, got tick 5"),
+        "late first tick": ([(3, 0, 1), (4, 0, 1)], 2, "expected tick 0, got tick 3"),
+        "header only": ([], 2, "expected tick 0, got end of file"),
+        # an agent moves at most one Moore step per tick
+        "jump": ([(0, 0, 1), (1, 0, 99)], 3, "agent 0 moves from (1, 1) to (99, 1)"),
+        "step": (
+            [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 1)], 5, "agent 0 moves from (3, 1) to (1, 1)"
+        ),
     }
     for name, (keys, line, message) in cases.items():
         gap = tmp_path / f"{name}.csv"
@@ -131,7 +147,7 @@ def test_read_trace_csv_validation(tmp_path):
         assert str(exc.value) == f"trace file {gap}, line {line}: {message}", name
 
     # a row's faults are reported in one order: a number that does not
-    # parse, then the mode, then the row order, then an event token
+    # parse, then the mode, then the tick order, then an event token
     bad_float_and_mode = tmp_path / "fm.csv"
     bad_float_and_mode.write_text(
         head + "0,0,1,1,groggy,0.5,oops,0.5,0.5,0.0,0.1,\n", encoding="utf-8"
@@ -144,23 +160,27 @@ def test_read_trace_csv_validation(tmp_path):
     bad_mode_and_order = tmp_path / "mo.csv"
     bad_mode_and_order.write_text(
         head
+        + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
         + "1,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
         + "0,0,1,1,groggy,0.5,0.5,0.5,0.5,0.0,0.1,\n",
         encoding="utf-8",
     )
     with pytest.raises(TraceError) as exc:
         read_trace_csv(str(bad_mode_and_order))
-    assert str(exc.value) == f"trace file {bad_mode_and_order}, line 3: unknown mode 'groggy'"
+    assert str(exc.value) == f"trace file {bad_mode_and_order}, line 4: unknown mode 'groggy'"
     bad_order_and_token = tmp_path / "ot.csv"
     bad_order_and_token.write_text(
         head
+        + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
         + "1,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
         + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,int:x:a1-p1\n",
         encoding="utf-8",
     )
     with pytest.raises(TraceError) as exc:
         read_trace_csv(str(bad_order_and_token))
-    assert str(exc.value) == f"trace file {bad_order_and_token}, line 3: rows not ordered by tick"
+    assert str(exc.value) == (
+        f"trace file {bad_order_and_token}, line 4: expected tick 2, got tick 0"
+    )
 
     bad_token = tmp_path / "t.csv"
     bad_token.write_text(
@@ -174,6 +194,19 @@ def test_read_trace_csv_validation(tmp_path):
     assert str(exc.value) == (
         f"trace file {bad_token}, line 3: malformed interaction token 'int:x:a1-p1'"
     )
+
+    # a quoted event cell may span lines: an error names its row's first line
+    spans = tmp_path / "span.csv"
+    spans.write_text(
+        head
+        + '0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,"photo:a\nb\nc"\n'
+        + "0,1,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
+        + "0,2,1,1,sleepy,0.5,0.5,0.5,0.5,0.0,0.1,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TraceError) as exc:
+        read_trace_csv(str(spans))
+    assert str(exc.value) == f"trace file {spans}, line 6: unknown mode 'sleepy'"
 
     with pytest.raises(TraceError):
         read_trace_csv(str(tmp_path / "missing.csv"))
@@ -222,14 +255,24 @@ def test_read_trace_csv_validation(tmp_path):
 
 
 def test_summarize_rows_agrees_with_metrics(tmp_path, trace):
-    # route one: counters over in-memory records and percept stores
     m1 = metrics(trace)
-    # route two: event tokens and positions in the written trace alone
+    # the same fold over the rows the written trace reads back as
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), trace.rows)
     m2 = summarize_rows(read_trace_csv(str(path)))
     assert m1 == m2  # exact, floats included: same order, repr round-trip
     assert m1.interactions > 0 or m1.photos > 0  # the run actually did things
+
+
+def test_row_metrics_counts_what_the_records_hold():
+    # the fold counts event tokens; the crowded pinned world's records and
+    # percept stores must agree with each count
+    trace = run(CROWDED)
+    m = row_metrics(trace.rows)
+    assert m.interactions == len(trace.interactions) > 0
+    assert m.photos == sum(1 for _, p in trace.percept_rows if p.kind == "observed") > 0
+    assert m.dream_frames == len(trace.dream_rows) > 0
+    assert row_metrics(iter(trace.rows)) == m  # one pass over any iterable
 
 
 def test_summarize_rows_counts_interactions_once(trace):
@@ -351,6 +394,20 @@ def test_read_percepts_csv_rejects_what_a_percept_rejects(tmp_path, row, message
         read_percepts_csv(str(path), NARROW, *load_graphs(NARROW))
     assert "line 2" in str(exc.value) and message in str(exc.value)
     assert str(path) in str(exc.value)
+
+
+def test_percept_log_error_names_its_rows_first_line(tmp_path):
+    # row 2's quoted id spans lines 2-4, so the bad row after it is line 5
+    path = tmp_path / "percepts.csv"
+    path.write_text(
+        ",".join(PERCEPTS_HEADER)
+        + '\n0,"a\nb\nc",observed,dog,1,2,3,0.5;0.5\n'
+        + "0,p2,bogus,dog,1,2,3,0.5;0.5\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(TraceError) as exc:
+        read_percepts_csv(str(path), NARROW, *load_graphs(NARROW))
+    assert str(exc.value) == f"percept log {path}, line 5: percept p2: unknown percept kind 'bogus'"
 
 
 def test_metrics_csv_roundtrip(tmp_path, trace):

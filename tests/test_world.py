@@ -160,6 +160,9 @@ def test_crowded_run_leaves_windows_and_layout_fields_read_only():
     bumps += [(agent.visit_width, p) for p in (agent.visit_reward, -agent.visit_reward)]
     misses = _bump_window.cache_info().misses
     assert misses == len(bumps)
+    # every bump of the run, the layout's reward bumps included, read a cached
+    # window: a count that moves is a change in the work a run does
+    assert _bump_window.cache_info().hits == 10_142
     for width, peak in bumps:
         window, _ = _bump_window(cfg.resolution, width, abs(peak), math.copysign(1.0, peak))
         assert not window.flags.writeable
