@@ -31,8 +31,8 @@ from .optimizer import evolve
 from .seeds import Stream, derive_seed
 from .semantics import PerceptStore
 from .traceio import (
+    iter_trace_csv,
     read_percepts_csv,
-    read_trace_csv,
     summarize_rows,
     write_dreams_csv,
     write_ga_history_csv,
@@ -173,8 +173,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    rows = read_trace_csv(args.trace)
-    summary = summarize_rows(rows)
+    summary = summarize_rows(iter_trace_csv(args.trace))  # holds no row
     for key, value in summary.items():
         print(f"{key} = {value}")
     return 0

@@ -3,10 +3,16 @@
 Owns the on-disk schemas. Numbers render via repr so floats round-trip
 exactly and identical runs produce byte-identical files. Each row is rendered
 as one line, with text cells quoted CSV-style only when they need it, and the
-lines stream into a temp file that is renamed into place. `read_trace_csv`
-validates a trace tick by tick, no laxer than the writer, and `summarize_rows`
-folds its rows with `world.row_metrics`, the one function that counts a run,
-so the `metrics` subcommand recounts exactly what `metrics.csv` holds.
+lines stream into a temp file that is renamed into place.
+
+A trace reads back as a stream: `iter_trace_csv` checks it no laxer than the
+writer and yields each row once the row passes, so rows yielded before a
+later fault are not vouched for; `read_trace_csv` is its list.
+`summarize_rows` folds rows with `world.row_metrics`, the one function that
+counts a run, so the `metrics` subcommand recounts exactly what `metrics.csv`
+holds, holding no row. Floats and their texts repeat within a few ticks, so
+the trace writer and reader memoise them; each memo clears and starts over
+at `MEMO_CAP` entries, which bounds their memory whatever a trace's length.
 """
 
 from __future__ import annotations
@@ -95,8 +101,13 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+# The most entries one text<->float memo holds. Each memo checks it inline,
+# as a method call per miss would slow the replay of a small trace.
+MEMO_CAP = 4096
+
+
 class _FloatMemo(dict):
-    """`_fmt` of each distinct value, rendered once: `memo[v] == _fmt(v)`.
+    """`_fmt` of each value met, rendered once while it stays: `memo[v] == _fmt(v)`.
 
     Zero is never stored, because 0.0 and -0.0 compare equal as keys but
     render differently.
@@ -105,6 +116,8 @@ class _FloatMemo(dict):
     def __missing__(self, v) -> str:
         text = _fmt(v)
         if v:
+            if len(self) >= MEMO_CAP:
+                self.clear()
             self[v] = text
         return text
 
@@ -166,8 +179,11 @@ def write_trace_csv(path: str, rows: Iterable[TraceRow]) -> None:
     )
 
 
-def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (first line number, cells) for each data record of a CSV file.
+def _read_csv(
+    path: str, header: list[str], what: str
+) -> Iterator[tuple[int, list[str] | None]]:
+    """Yield (first line number, cells) for each data record of a CSV file, then
+    (the line after the last record, None) once the file ends.
 
     A file that cannot be read or is not UTF-8, a line `csv` cannot parse
     (such as a field over its size limit), a header other than `header` and a
@@ -193,17 +209,20 @@ def _read_csv(path: str, header: list[str], what: str) -> Iterator[tuple[int, li
         raise TraceError(f"cannot read {what} {path}: {exc}") from None
     except csv.Error as exc:
         raise TraceError(f"{what} {path}, line {reader.line_num}: {exc}") from None
+    yield lineno, None
 
 
 class _UnitMemo(dict):
-    """`float` of each distinct emotion or fatigue text, parsed once and checked to lie
-    in [0, 1]: `memo[text] == float(text)`. Keyed on the text, so "0.0" and "-0.0"
-    stay distinct."""
+    """`float` of each emotion or fatigue text met, parsed once while it stays and
+    checked to lie in [0, 1]: `memo[text] == float(text)`. Keyed on the text, so
+    "0.0" and "-0.0" stay distinct."""
 
     def __missing__(self, text: str) -> float:
         value = float(text)
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"emotion or fatigue {value} is outside [0, 1]")
+        if len(self) >= MEMO_CAP:
+            self.clear()
         self[text] = value
         return value
 
@@ -215,8 +234,14 @@ class _FiniteMemo(dict):
         value = float(text)
         if not math.isfinite(value):
             raise ValueError(f"field_value {value} is not finite")
+        if len(self) >= MEMO_CAP:
+            self.clear()
         self[text] = value
         return value
+
+
+# one copy of each mode text, shared by every row read back
+_MODES = {mode: mode for mode in ("awake", "asleep")}
 
 
 def _check_tick(path: str, pairs: dict[tuple[int, int], tuple[int, str]], n: int) -> None:
@@ -232,29 +257,39 @@ def _check_tick(path: str, pairs: dict[tuple[int, int], tuple[int, str]], n: int
         raise TraceError(f"trace file {path}, line {lineno}: interaction token {token!r} {fault}")
 
 
-def read_trace_csv(path: str) -> list[TraceRow]:
-    """Parse and validate a trace file: ticks run 0, 1, 2, ... and each holds agents
-    0..n-1, n being tick 0's count; an agent moves at most one Moore step per tick;
-    cells are not negative, emotions and fatigue lie in [0, 1], field values are
-    finite; events are in the writer's vocabulary; `int:` tokens pair up within each tick."""
-    rows = []
+def iter_trace_csv(path: str) -> Iterator[TraceRow]:
+    """Parse and validate a trace file row by row, yielding each row once it passes.
+
+    Ticks run 0, 1, 2, ... and each holds agents 0..n-1, n being tick 0's
+    count; an agent moves at most one Moore step per tick; cells are not
+    negative, emotions and fatigue lie in [0, 1], field values are finite;
+    events are in the writer's vocabulary; `int:` tokens pair up within each
+    tick. The pairing and end-of-file checks run when their tick or the file
+    ends, so a fault there raises `TraceError` after rows already yielded.
+    Rows of one tick share one `tick` int and the mode texts.
+    """
     # emotions and field values repeat across agents and ticks
     emo, field = _UnitMemo(), _FiniteMemo()
+    tick_text, t = None, -1  # the last tick cell read, and its value
     prev_tick, want = -1, 0  # want: the next agent id
     cells: list[tuple[int, int]] = []  # each agent's last cell, by id; tick 0 fills it
     pairs = {}  # (agent, partner): (line, token) of this tick's `int:` tokens
     for lineno, rec in _read_csv(path, TRACE_HEADER, "trace file"):
+        if rec is None:
+            break
         tick, agent_id, i, j, mode, e_h, e_c, e_f, e_k, fatigue, field_value, ev = rec
         try:
             events = tuple(ev.split(";")) if ev else ()
-            t, aid = int(tick), int(agent_id)
-            ci, cj = int(i), int(j)
+            if tick != tick_text:
+                t, tick_text = int(tick), tick
+            aid, ci, cj = int(agent_id), int(i), int(j)
+            shared_mode = _MODES.get(mode)  # None: checked below, in the fault order
             row = TraceRow(
                 t,
                 aid,
                 ci,
                 cj,
-                mode,
+                shared_mode,
                 emo[e_h],
                 emo[e_c],
                 emo[e_f],
@@ -265,7 +300,7 @@ def read_trace_csv(path: str) -> list[TraceRow]:
             )
             if (ci | cj) < 0:  # one comparison: an int `or` is negative iff either side is
                 raise ValueError(f"cell ({ci}, {cj}) is negative")
-            if mode not in ("awake", "asleep"):
+            if shared_mode is None:
                 raise ValueError(f"unknown mode {mode!r}")
             if t != prev_tick:
                 if t != prev_tick + 1:
@@ -307,15 +342,20 @@ def read_trace_csv(path: str) -> list[TraceRow]:
         except ValueError as exc:
             raise TraceError(f"trace file {path}, line {lineno}: {exc}") from None
         prev_tick, want = t, want + 1
-        rows.append(row)
+        yield row
+    # lineno: the line after the last record
     if not cells:
-        raise TraceError(f"trace file {path}, line 2: expected tick 0, got end of file")
+        raise TraceError(f"trace file {path}, line {lineno}: expected tick 0, got end of file")
     if want != len(cells):
         raise TraceError(
-            f"trace file {path}, line {lineno + 1}: expected agent_id {want}, got end of file"
+            f"trace file {path}, line {lineno}: expected agent_id {want}, got end of file"
         )
     _check_tick(path, pairs, len(cells))  # the last tick's
-    return rows
+
+
+def read_trace_csv(path: str) -> list[TraceRow]:
+    """Every row of a trace file, checked as `iter_trace_csv` checks them."""
+    return list(iter_trace_csv(path))
 
 
 def summarize_rows(rows: Iterable[TraceRow]) -> Metrics:
@@ -386,8 +426,11 @@ def read_percepts_csv(
     r = world.resolution
     percepts = []
     for lineno, rec in _read_csv(path, PERCEPTS_HEADER, "percept log"):
+        if rec is None:
+            break
         try:
-            feats = np.array([float(x) for x in rec[7].split(";") if x], dtype=float)
+            # an empty entry, as in "0.5;;0.25" or "0.5;", does not parse: the writer writes none
+            feats = np.array([float(x) for x in rec[7].split(";")], dtype=float)
             i, j = int(rec[4]), int(rec[5])
             percept = Percept(
                 id=rec[1],

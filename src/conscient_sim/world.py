@@ -414,7 +414,8 @@ def row_metrics(rows: Iterable[TraceRow]) -> Metrics:
     (not from agent counters); the emotion means run over every row. Photos
     and dream frames are their `photo:` and `dream:` tokens. Interactions are
     half the `int:` tokens: `World.step` writes one on each partner's row, and
-    `read_trace_csv` rejects a token without its mirror or repeated in a tick.
+    `traceio.iter_trace_csv` rejects a token without its mirror or repeated in
+    a tick.
     """
     last_pos: dict[int, tuple[int, int]] = {}
     moves: dict[int, int] = {}

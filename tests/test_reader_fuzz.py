@@ -9,7 +9,10 @@ edits, cut spans, and swapped and duplicated lines. The property:
   text has no file, so a config error names its line or key instead);
 - through `run_command`, a rejected input exits 1 with one `error:` line;
 - an accepted trace is a fixed point: written and read back, it gives the
-  same rows.
+  same rows;
+- a trace streamed through `summarize_rows(iter_trace_csv(...))`, as the
+  `metrics` command reads it, raises the same message as `read_trace_csv` or
+  gives the summary of its rows.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import pytest
 
 from conscient_sim.cli import run_command
 from conscient_sim.configio import default_values, parse_config_text, render_config
-from conscient_sim.errors import SimulatorError
+from conscient_sim.errors import SimulatorError, TraceError
 from conscient_sim.traceio import (
+    iter_trace_csv,
     read_percepts_csv,
     read_trace_csv,
+    summarize_rows,
     write_percepts_csv,
     write_trace_csv,
 )
@@ -112,7 +117,16 @@ def test_trace_reader_rejects_cleanly_and_accepts_fixed_points(tmp_path, capsys,
     path, again = tmp_path / "trace.csv", tmp_path / "again.csv"
 
     def read(p):
+        # the streaming path, as `metrics` runs it, agrees with the whole read
+        try:
+            streamed = summarize_rows(iter_trace_csv(str(p)))
+        except TraceError as exc:
+            with pytest.raises(TraceError) as whole:
+                read_trace_csv(str(p))
+            assert str(whole.value) == str(exc), p.read_bytes()
+            raise
         rows = read_trace_csv(str(p))
+        assert streamed == summarize_rows(rows), p.read_bytes()
         write_trace_csv(str(again), rows)
         assert read_trace_csv(str(again)) == rows, p.read_bytes()
 

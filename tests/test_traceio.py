@@ -31,6 +31,7 @@ from conscient_sim.traceio import (
     _cell,
     _fmt,
     atomic_write_text,
+    iter_trace_csv,
     read_percepts_csv,
     read_trace_csv,
     summarize_rows,
@@ -208,6 +209,19 @@ def test_read_trace_csv_validation(tmp_path):
         read_trace_csv(str(spans))
     assert str(exc.value) == f"trace file {spans}, line 6: unknown mode 'sleepy'"
 
+    # the end of file is the line after the last record, however many lines it spans
+    cut = tmp_path / "cut.csv"
+    cut.write_text(
+        head
+        + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
+        + "0,1,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n"
+        + '1,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,"photo:a\nb\nc"\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(TraceError) as exc:
+        read_trace_csv(str(cut))
+    assert str(exc.value) == f"trace file {cut}, line 7: expected agent_id 1, got end of file"
+
     with pytest.raises(TraceError):
         read_trace_csv(str(tmp_path / "missing.csv"))
 
@@ -262,6 +276,35 @@ def test_summarize_rows_agrees_with_metrics(tmp_path, trace):
     m2 = summarize_rows(read_trace_csv(str(path)))
     assert m1 == m2  # exact, floats included: same order, repr round-trip
     assert m1.interactions > 0 or m1.photos > 0  # the run actually did things
+
+
+def test_trace_streams_row_by_row(tmp_path, trace):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), trace.rows)
+    rows = iter_trace_csv(str(path))
+    assert next(rows) == trace.rows[0]  # yielded before the rest of the file is read
+    rows.close()
+    assert read_trace_csv(str(path)) == list(iter_trace_csv(str(path))) == trace.rows
+    assert summarize_rows(iter_trace_csv(str(path))) == metrics(trace)
+
+    # a tick's pairing is checked when the tick ends: its rows come out first,
+    # then the fault is raised before the iterator ends
+    head = ",".join(TRACE_HEADER) + "\n"
+    unpaired = tmp_path / "unpaired.csv"
+    unpaired.write_text(
+        head
+        + "0,0,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,int:1:p1\n"
+        + "0,1,1,1,awake,0.5,0.5,0.5,0.5,0.0,0.1,\n",
+        encoding="utf-8",
+    )
+    rows = iter_trace_csv(str(unpaired))
+    assert [r.agent_id for r in (next(rows), next(rows))] == [0, 1]
+    with pytest.raises(TraceError) as exc:
+        next(rows)
+    assert str(exc.value) == (
+        f"trace file {unpaired}, line 2: interaction token 'int:1:p1' "
+        "has no partner token on agent 1's row"
+    )
 
 
 def test_row_metrics_counts_what_the_records_hold():
@@ -370,6 +413,9 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
         ("0,p1,style,dark,1,2,3,inf;0.5", "feature inf is outside [0, 1]"),
         ("0,p1,received,dog,1,2,3,7.5;0.5", "feature 7.5 is outside [0, 1]"),
         ("0,p1,dreamed,dog,1,2,3,-0.5;0.5", "feature -0.5 is outside [0, 1]"),
+        # the writer writes no empty entry, so none is dropped to make up the width
+        ("0,p1,observed,dog,1,2,3,0.5;;0.25", "could not convert string to float: ''"),
+        ("0,p1,observed,dog,1,2,3,0.5;0.25;", "could not convert string to float: ''"),
         # 200,000 characters, over csv's default field size limit
         ("0,p1,observed,dog,1,2,3," + ";".join(["0.5"] * 50_000), "field larger than field limit"),
     ],
@@ -384,6 +430,8 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
         "inf-feature",
         "high-feature",
         "low-feature",
+        "empty-inner-feature",
+        "empty-last-feature",
         "csv-limit",
     ],
 )

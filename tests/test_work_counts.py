@@ -6,14 +6,28 @@ small fixed workload, then reads `cache_info()` and the memo sizes. A count
 that moves is a change in the work a run does, and is declared like a moved
 digest. The bump-window count lives in
 `tests/test_world.py::test_crowded_run_leaves_windows_and_layout_fields_read_only`.
+The CSV layer's memory is pinned the same way: memo sizes, shared objects,
+and a streamed read whose traced peak does not grow with the trace.
 """
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
+from conscient_sim import traceio
 from conscient_sim.fields import KernelConfig, _covariance_factor, moore_neighbors, sample_field
 from conscient_sim.optimizer import GAConfig, evolve
 from conscient_sim.seeds import make_rng
-from conscient_sim.world import WorldConfig, _cached_layout, build_world, world_layout
+from conscient_sim.traceio import iter_trace_csv, read_trace_csv, summarize_rows, write_trace_csv
+from conscient_sim.world import (
+    TraceRow,
+    WorldConfig,
+    _cached_layout,
+    build_world,
+    run,
+    world_layout,
+)
 
 # eight agents on an 8 x 8 grid, busy enough to photograph, dream and meet
 CROWDED = WorldConfig(resolution=8, n_agents=8, total_ticks=200, master_seed=3)
@@ -70,3 +84,71 @@ def test_a_search_builds_each_eval_seeds_layout_once():
     evolve(ga, WorldConfig(total_ticks=20), seed=5, workers=1)
     info = _cached_layout.cache_info()
     assert (info.hits, info.misses) == (56, len(ga.eval_seeds))
+
+
+def test_csv_memos_stay_within_their_cap(tmp_path, monkeypatch):
+    rows = _run_crowded()[0].snapshot_trace().rows
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), rows)
+    written = path.read_bytes()
+    # the crowded trace holds 993 distinct field values and 2,175 distinct
+    # floats, so a cap of 256 makes every memo fill and start over
+    cap = 256
+    monkeypatch.setattr(traceio, "MEMO_CAP", cap)
+    seen: dict[str, list[int]] = {}  # memo class: [most entries held, clears]
+
+    def counted(missing):
+        def counted_missing(memo, key):
+            before = len(memo)
+            value = missing(memo, key)
+            most = seen.setdefault(type(memo).__name__, [0, 0])
+            most[0] = max(most[0], len(memo))
+            most[1] += len(memo) < before
+            return value
+
+        return counted_missing
+
+    for memo in (traceio._FloatMemo, traceio._UnitMemo, traceio._FiniteMemo):
+        monkeypatch.setattr(memo, "__missing__", counted(memo.__missing__))
+    write_trace_csv(str(path), rows)
+    assert path.read_bytes() == written  # a memo that starts over renders the same text
+    assert read_trace_csv(str(path)) == rows
+    assert sorted(seen) == ["_FiniteMemo", "_FloatMemo", "_UnitMemo"]
+    assert all(most <= cap and clears for most, clears in seen.values()), seen
+
+
+def test_rows_read_back_share_their_tick_and_mode(tmp_path):
+    # ticks past 256, where CPython stops handing out one cached object per int
+    rows = run(WorldConfig(resolution=8, n_agents=4, total_ticks=300, master_seed=3)).rows
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), rows)
+    back = read_trace_csv(str(path))
+    assert back == rows and back[-1].tick == 300
+    assert len({id(r.tick) for r in back}) == 301  # one int per tick
+    assert len({id(r.mode) for r in back}) == len({r.mode for r in back}) == 2
+
+
+def _streamed_peak(tmp_path, ticks: int) -> int:
+    """Traced peak bytes of summarizing a `ticks`-tick, 2-agent trace of distinct floats."""
+    rng = random.Random(ticks)
+    path = tmp_path / f"trace-{ticks}.csv"
+    rows = (
+        TraceRow(t, a, 1, 1, "awake", *(rng.random() for _ in range(6)), ())
+        for t in range(ticks + 1)
+        for a in range(2)
+    )
+    write_trace_csv(str(path), rows)
+    tracemalloc.start()
+    try:
+        summarize_rows(iter_trace_csv(str(path)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_streamed_summary_holds_no_row_and_caps_its_memos(tmp_path):
+    # 25,000 emotion texts and 5,000 field values fill each reader memo on
+    # the short trace already; rows or memos that grew with the trace would
+    # make the long one's peak about 4x the short one's (0.99 MB at both)
+    short, long = _streamed_peak(tmp_path, 2_500), _streamed_peak(tmp_path, 10_000)
+    assert long <= 1.25 * short, (short, long)
