@@ -104,7 +104,7 @@ def navigate_step(agent: Agent) -> GridCell:
     if agent.moves_used >= cfg.movement_budget:
         return agent.position
     if rng.random() < cfg.explore_rate:
-        nbrs = moore_neighbors(agent.position, agent.field.resolution)
+        nbrs = moore_neighbors(agent.position, len(agent.field.values))
         target = nbrs[rng.integers(len(nbrs))]
     else:
         target = steepest_neighbor(agent.field, agent.position)

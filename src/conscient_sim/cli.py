@@ -155,19 +155,16 @@ def _cmd_optimize(args) -> int:
     started = _now()
     bundle = parse_config(args.config)
     best, history = evolve(bundle.ga, bundle.world, seed=args.seed)
-    # `evolve` replaces its best only on a strict improvement, so the first
-    # generation to reach the best fitness is the winner's
-    best_generation = next(h.generation for h in history if h.best_fitness == best.fitness)
     results = {
-        "best_fitness": best.fitness,
-        "best_generation": best_generation,
-        "best_genome": [float(g) for g in best.genome.genes],
+        "best_fitness": best.best_fitness,
+        "best_generation": best.generation,
+        "best_genome": [float(g) for g in best.best_genome],
     }
     files = {"ga_history.csv": (write_ga_history_csv, history)}
     _write_outputs(args, bundle, started, files, master_seed=args.seed, results=results)
     print(
         f"optimized {bundle.ga.generations} generations of {bundle.ga.population_size}: "
-        f"best fitness {best.fitness} -> {args.out}"
+        f"best fitness {best.best_fitness} -> {args.out}"
     )
     return 0
 

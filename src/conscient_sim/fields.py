@@ -70,14 +70,13 @@ class GridCell(NamedTuple):
 
 @dataclass(eq=False)
 class ValueField:
-    """Importance values on an r x r grid, row-major, always finite.
+    """Importance values on an r x r grid, row-major, always finite; r is `len(values)`.
 
     `limit` is a finite upper bound on every |value|. Left out, it is measured
     from the values, and a value that is not finite raises ConfigError; a
     caller that passes it vouches for it, as `local_bump` does.
     """
 
-    resolution: int
     values: np.ndarray
     limit: Optional[float] = None
 
@@ -115,7 +114,7 @@ def sample_field(kernel: KernelConfig, resolution: int, rng: np.random.Generator
     same kernel, resolution, and seed always reproduce the same field.
     """
     draw = _covariance_factor(kernel, resolution) @ rng.standard_normal(resolution * resolution)
-    return ValueField(resolution, draw.reshape(resolution, resolution))
+    return ValueField(draw.reshape(resolution, resolution))
 
 
 # Keyed on the whole kernel, so every world sharing a kernel and resolution
@@ -151,7 +150,7 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
     distance to `center` in cell units; negative peaks penalize, positive
     peaks reward. Exactly inverted by a second bump with -peak.
     """
-    r = field.resolution
+    r = len(field.values)
     window, height = _bump_window(r, width, abs(peak), math.copysign(1.0, peak))
     # rows r-1-i .. 2r-2-i hold offsets -i .. r-1-i from the center row, so the
     # slice holds peak * exp(-d^2 / (2 width^2)) at every cell of the grid
@@ -161,11 +160,11 @@ def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -
     # overflowed and none is NaN
     limit = field.limit + height
     if limit < math.inf:
-        return ValueField(r, field.values + bump, limit)
+        return ValueField(field.values + bump, limit)
     # ValueField reports a non-finite peak or an overflowing sum, naming the keys
     with np.errstate(over="ignore", invalid="ignore"):
         values = field.values + bump
-    return ValueField(r, values)
+    return ValueField(values)
 
 
 def check_width(config, section: str, name: str) -> None:
@@ -205,7 +204,7 @@ def contaminate(field: ValueField, sigma: float, rng: Stream) -> ValueField:
     noise = rng.normal(0.0, sigma, size=field.values.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         values = field.values + noise
-    return ValueField(field.resolution, values)
+    return ValueField(values)
 
 
 @functools.lru_cache(maxsize=MAX_RESOLUTION * MAX_RESOLUTION)
@@ -231,7 +230,7 @@ def steepest_neighbor(field: ValueField, cell: GridCell) -> GridCell:
     best = cell
     best_val = field.values.item(cell)
     values = field.values
-    for nb in moore_neighbors(cell, field.resolution):
+    for nb in moore_neighbors(cell, len(values)):
         v = values.item(nb)
         if v > best_val:
             best, best_val = nb, v

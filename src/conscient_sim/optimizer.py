@@ -89,9 +89,6 @@ class Genome:
     def __post_init__(self) -> None:
         self.genes = np.asarray(self.genes, dtype=float)
 
-    def copy(self) -> "Genome":
-        return Genome(self.genes.copy())
-
 
 @dataclass(frozen=True)
 class GAConfig:
@@ -118,7 +115,6 @@ class GAConfig:
 
 @dataclass(eq=False)
 class FitnessReport:
-    genome: Genome
     fitness: float
     per_seed: list[Metrics]
 
@@ -185,7 +181,7 @@ def fitness(
             trace_hook(genome, seed, trace)
         per_seed.append(metrics(trace))
     value = sum(m.interactions for m in per_seed) / len(per_seed)
-    return FitnessReport(genome, value, per_seed)
+    return FitnessReport(value, per_seed)
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -207,11 +203,10 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _tournament(
-    reports: list[FitnessReport], size: int, rng: np.random.Generator
-) -> FitnessReport:
+def _tournament(reports: list[FitnessReport], size: int, rng: np.random.Generator) -> int:
+    """Index of the fittest of `size` uniform draws; ties go to the lowest index."""
     picks = rng.integers(0, len(reports), size=size).tolist()
-    return reports[min(picks, key=lambda k: (-reports[k].fitness, k))]
+    return min(picks, key=lambda k: (-reports[k].fitness, k))
 
 
 def evolve(
@@ -220,10 +215,14 @@ def evolve(
     seed: int,
     workers: Optional[int] = None,
     trace_hook: Optional[TraceHook] = None,
-) -> tuple[FitnessReport, list[GenerationStats]]:
-    """Run the generational loop; returns the best report and per-gen history.
+) -> tuple[GenerationStats, list[GenerationStats]]:
+    """Run the generational loop; returns `(best, history)`.
 
-    Elites are copied unchanged each generation (so the best fitness never
+    `history` holds one GenerationStats row per generation, and `best` is its
+    first row with the highest `best_fitness`: the generation that first found
+    the winning genome, `best.best_genome`.
+
+    Elites carry over unchanged each generation (so the best fitness never
     decreases under deterministic evaluation); the rest of the population is
     refilled by tournament selection, uniform crossover, and per-gene Gaussian
     mutation, with genes clipped back into [0, 1].
@@ -235,7 +234,6 @@ def evolve(
     d = len(DEFAULT_BOUNDS)
     population = [Genome(rng.random(d)) for _ in range(ga.population_size)]
     history: list[GenerationStats] = []
-    best_overall: Optional[FitnessReport] = None
     evaluate = functools.partial(fitness, ga=ga, base=base, trace_hook=trace_hook)
     # one `evaluate` and one pool for the whole search, so each worker factors
     # the covariance once and builds each eval seed's world layout once (at
@@ -247,28 +245,27 @@ def evolve(
         for gen in range(ga.generations):
             reports = list(mapper(evaluate, population))
             order = sorted(range(len(reports)), key=lambda k: (-reports[k].fitness, k))
-            gen_best = reports[order[0]]
             mean_fit = sum(r.fitness for r in reports) / len(reports)
+            top = order[0]
             history.append(
-                GenerationStats(gen, gen_best.fitness, mean_fit, gen_best.genome.genes.copy())
+                GenerationStats(gen, reports[top].fitness, mean_fit, population[top].genes)
             )
-            if best_overall is None or gen_best.fitness > best_overall.fitness:
-                best_overall = gen_best
             if gen == ga.generations - 1:
                 break
-            next_pop = [population[k].copy() for k in order[: ga.elite_count]]
+            # elites are new Genomes, so each evaluation's genome has its own id
+            next_pop = [Genome(population[k].genes) for k in order[: ga.elite_count]]
             while len(next_pop) < ga.population_size:
-                p1 = _tournament(reports, ga.tournament_size, rng).genome.genes
-                p2 = _tournament(reports, ga.tournament_size, rng).genome.genes
+                p1 = population[_tournament(reports, ga.tournament_size, rng)].genes
+                p2 = population[_tournament(reports, ga.tournament_size, rng)].genes
                 if float(rng.random()) < ga.crossover_rate:
                     mask = rng.random(d) < 0.5
                     child = np.where(mask, p1, p2)
                 else:
-                    child = p1.copy()
+                    child = p1
                 mutate = rng.random(d) < ga.mutation_rate
                 noise = rng.normal(0.0, ga.mutation_sigma, size=d)
                 child = np.clip(np.where(mutate, child + noise, child), 0.0, 1.0)
                 next_pop.append(Genome(child))
             population = next_pop
-    assert best_overall is not None
-    return best_overall, history
+    # max keeps the first maximal row: the first generation to reach the best
+    return max(history, key=lambda h: h.best_fitness), history

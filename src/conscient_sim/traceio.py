@@ -11,8 +11,9 @@ later fault are not vouched for; `read_trace_csv` is its list.
 `summarize_rows` folds rows with `world.row_metrics`, the one function that
 counts a run, so the `metrics` subcommand recounts exactly what `metrics.csv`
 holds, holding no row. Floats and their texts repeat within a few ticks, so
-the trace writer and reader memoise them; each memo clears and starts over
-at `MEMO_CAP` entries, which bounds their memory whatever a trace's length.
+the trace writer and reader memoise them, as the percept writer does its
+feature vectors; each memo clears and starts over at `MEMO_CAP` entries,
+which bounds their memory whatever a run's length.
 """
 
 from __future__ import annotations
@@ -119,6 +120,19 @@ class _FloatMemo(dict):
             if len(self) >= MEMO_CAP:
                 self.clear()
             self[v] = text
+        return text
+
+
+class _VectorMemo(dict):
+    """`;`-joined `_fmt` texts of each float64 vector met, keyed on its bytes
+    (which tell 0.0 from -0.0): `memo[v.tobytes()] == ";".join(map(_fmt, v))`."""
+
+    def __missing__(self, key: bytes) -> str:
+        # `tolist` gives Python floats already, whose repr is their `_fmt`
+        text = ";".join(map(repr, np.frombuffer(key).tolist()))
+        if len(self) >= MEMO_CAP:
+            self.clear()
+        self[key] = text
         return text
 
 
@@ -391,24 +405,14 @@ def write_dreams_csv(path: str, rows: Iterable[DreamFrameRow]) -> None:
 
 def write_percepts_csv(path: str, rows: Iterable[tuple[int, Percept]]) -> None:
     """One row per (owner agent id, percept) pair."""
-    # observed, style and received percepts share vectors: render each once,
-    # keyed on its float64 bytes (which tell 0.0 from -0.0)
-    rendered: dict[bytes, str] = {}
-
-    def features(vec) -> str:
-        vec = np.asarray(vec, dtype=np.float64)
-        key = vec.tobytes()
-        text = rendered.get(key)
-        if text is None:
-            text = rendered[key] = ";".join(map(_fmt, vec.tolist()))
-        return text
-
+    # observed, style and received percepts share vectors: render each once
+    features = _VectorMemo()
     _write_lines(
         path,
         PERCEPTS_HEADER,
         (
             f"{aid},{_cell(p.id)},{_cell(p.kind)},{_cell(p.category)},{p.origin.i},{p.origin.j},"
-            f"{p.tick},{features(p.features)}\n"
+            f"{p.tick},{features[np.asarray(p.features, dtype=np.float64).tobytes()]}\n"
             for aid, p in rows
         ),
     )

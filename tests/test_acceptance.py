@@ -316,10 +316,11 @@ def test_criterion_08_ga_improves_and_parallel_matches():
         bests = [g.best_fitness for g in hist_seq]
         for earlier, later in zip(bests, bests[1:]):
             assert later >= earlier
-        assert best_seq.fitness == max(bests)
+        assert best_seq.best_fitness == max(bests)
 
-        assert best_seq.fitness == best_par.fitness
-        assert np.array_equal(best_seq.genome.genes, best_par.genome.genes)
+        assert best_seq.generation == best_par.generation
+        assert best_seq.best_fitness == best_par.best_fitness
+        assert np.array_equal(best_seq.best_genome, best_par.best_genome)
         assert [g.best_fitness for g in hist_seq] == [g.best_fitness for g in hist_par]
         assert [g.mean_fitness for g in hist_seq] == [g.mean_fitness for g in hist_par]
         for a, b in zip(hist_seq, hist_par):

@@ -56,7 +56,7 @@ class StubStimulus:
 
 
 def _agent(values, seed=0, position=GridCell(0, 0), config=None, **emotions):
-    field = ValueField(values.shape[0], np.asarray(values, dtype=float))
+    field = ValueField(np.asarray(values, dtype=float))
     return Agent(
         id=1,
         config=config or AgentConfig(),

@@ -37,6 +37,14 @@ def cfg_path(tmp_path):
     return str(p)
 
 
+def _child_env() -> dict[str, str]:
+    """This environment with this checkout's sources first on a child's PYTHONPATH."""
+    src = str(Path(conscient_sim.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_exit_code_2_on_bad_usage(capsys):
     assert run_command(["confabulate"]) == 2
     assert run_command(["simulate", "--config", "x", "--seed", "1"]) == 2  # no --out
@@ -241,7 +249,11 @@ def test_exit_code_1_when_the_run_does_not_fit_in_memory(tmp_path):
     )
     argv = ["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)]
     proc = subprocess.run(
-        [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", child, *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_child_env(),
     )
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
@@ -300,6 +312,7 @@ def test_a_failed_write_leaves_no_manifest_beside_another_runs_files(tmp_path, c
         text=True,
         timeout=300,
         preexec_fn=limit_file_size,
+        env=_child_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr == "error: [Errno 27] File too large\n"
@@ -692,10 +705,7 @@ def test_console_script_is_installed(tmp_path):
     # declaration and run against this checkout's sources
     launcher = tmp_path / "conscient-sim"
     _write_launcher(launcher, _declared_console_script())
-    src = str(Path(conscient_sim.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    _check_console_script(str(launcher), env)
+    _check_console_script(str(launcher), _child_env())
     # an installed script, where one is on PATH, must behave the same
     exe = shutil.which("conscient-sim")
     if exe is not None:
@@ -707,6 +717,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "conscient_sim.cli", "metrics", "--trace", "/nonexistent.csv"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")

@@ -297,7 +297,7 @@ def test_dream_pair_distances_respect_step_bound():
 
 def test_dream_valence_thresholds():
     vals = np.array([[0.9, 0.0], [-0.5, 0.2]])
-    field = ValueField(2, vals)
+    field = ValueField(vals)
     frame_hi = DreamFrame(np.zeros(3), "dog", "dark", GridCell(0, 0), None)
     assert dream_valence(frame_hi, field, theta_high=0.5, theta_low=-0.2) == 1
     frame_lo = DreamFrame(np.zeros(3), "dog", "dark", GridCell(1, 0), None)

@@ -134,7 +134,7 @@ def test_bump_profile_closed_form():
 
 def test_local_bump_matches_profile_everywhere():
     # oracle: per-cell loop over the radial profile
-    base = ValueField(5, np.zeros((5, 5)))
+    base = ValueField(np.zeros((5, 5)))
     center = GridCell(2, 1)
     bumped = local_bump(base, center, -1.0, 1.0)
     for i in range(5):
@@ -148,7 +148,7 @@ def test_local_bump_matches_profile_everywhere():
 def test_local_bump_matches_closed_form_bit_for_bit():
     for r in (2, 5, 16, 33):
         idx = np.arange(r, dtype=float)
-        base = ValueField(r, make_rng(r).normal(size=(r, r)))
+        base = ValueField(make_rng(r).normal(size=(r, r)))
         for width in (0.5, 1.5, 2.0, 7.3):
             for i in range(r):
                 for j in range(r):
@@ -160,7 +160,7 @@ def test_local_bump_matches_closed_form_bit_for_bit():
     # largest grid
     r = MAX_RESOLUTION
     idx = np.arange(r, dtype=float)
-    base = ValueField(r, make_rng(r).normal(size=(r, r)))
+    base = ValueField(make_rng(r).normal(size=(r, r)))
     for width in (0.5, 7.3):
         for i, j in ((0, 0), (0, r - 1), (r - 1, 0), (r - 1, r - 1), (r // 2, r // 2)):
             d2 = (idx[:, None] - i) ** 2 + (idx[None, :] - j) ** 2
@@ -171,7 +171,7 @@ def test_local_bump_matches_closed_form_bit_for_bit():
 
 def test_local_bump_roundtrip_restores_field():
     rng = make_rng(31)
-    base = ValueField(9, rng.normal(size=(9, 9)))
+    base = ValueField(rng.normal(size=(9, 9)))
     center = GridCell(4, 7)
     there = local_bump(base, center, 0.7, 1.3)
     back = local_bump(there, center, -0.7, 1.3)
@@ -179,13 +179,13 @@ def test_local_bump_roundtrip_restores_field():
 
 
 def test_local_bump_validation():
-    base = ValueField(4, np.zeros((4, 4)))
+    base = ValueField(np.zeros((4, 4)))
     with pytest.raises(ConfigError):
         local_bump(base, GridCell(0, 0), float("nan"), 1.0)
 
 
 def _bump_oracle(base: ValueField, center: GridCell, peak: float, width: float) -> np.ndarray:
-    idx = np.arange(base.resolution, dtype=float)
+    idx = np.arange(len(base.values), dtype=float)
     d2 = (idx[:, None] - center.i) ** 2 + (idx[None, :] - center.j) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         return base.values + peak * np.exp(-d2 / (2.0 * width * width))
@@ -197,7 +197,7 @@ def test_local_bump_keeps_signed_zero_peaks_apart(peaks):
     # for one zero must not serve the other
     values = np.full((4, 4), -0.0)
     values[1, 2] = 0.25
-    base = ValueField(4, values)
+    base = ValueField(values)
     center = GridCell(1, 1)
     _bump_window.cache_clear()
     for peak in peaks:
@@ -209,7 +209,7 @@ def test_local_bump_near_the_largest_double():
     top = np.finfo(float).max
     values = np.zeros((5, 5))
     values[0, 0] = 0.75 * top
-    base = ValueField(5, values)
+    base = ValueField(values)
     assert base.limit == 0.75 * top
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -225,16 +225,16 @@ def test_local_bump_near_the_largest_double():
             with pytest.raises(ConfigError, match=message):
                 local_bump(base, GridCell(2, 2), peak, 1.0)
             with pytest.raises(ConfigError, match=message):
-                local_bump(ValueField(5, np.zeros((5, 5))), GridCell(2, 2), peak, 1.0)
+                local_bump(ValueField(np.zeros((5, 5))), GridCell(2, 2), peak, 1.0)
 
 
 def test_field_limit_bounds_values_through_random_bumps_and_noise():
     rng = make_rng(2718)
-    fields = [ValueField(r, rng.normal(size=(r, r))) for r in (2, 5, 9)]
+    fields = [ValueField(rng.normal(size=(r, r))) for r in (2, 5, 9)]
     for _ in range(2000):
         k = int(rng.integers(len(fields)))
         field = fields[k]
-        r = field.resolution
+        r = len(field.values)
         if rng.random() < 0.2:
             field = contaminate(field, float(rng.uniform(0.0, 2.0)), rng)
         else:
@@ -250,7 +250,7 @@ def test_field_limit_bounds_values_through_random_bumps_and_noise():
 
 def test_contaminate_identity_and_determinism():
     rng = make_rng(8)
-    base = ValueField(6, rng.normal(size=(6, 6)))
+    base = ValueField(rng.normal(size=(6, 6)))
     same = contaminate(base, 0.0, make_rng(1))
     assert np.array_equal(same.values, base.values)
     a = contaminate(base, 0.3, make_rng(55))
@@ -260,7 +260,7 @@ def test_contaminate_identity_and_determinism():
 
 
 def test_contaminate_noise_scale():
-    base = ValueField(32, np.zeros((32, 32)))
+    base = ValueField(np.zeros((32, 32)))
     noisy = contaminate(base, 0.5, make_rng(404))
     sd = float(np.std(noisy.values - base.values))
     assert abs(sd - 0.5) < 0.05
@@ -310,13 +310,13 @@ def _climb_oracle(values: np.ndarray, i: int, j: int) -> tuple[int, int]:
 
 
 def test_steepest_neighbor_matches_enumeration_oracle():
-    fields = [ValueField(6, make_rng(seed).normal(size=(6, 6))) for seed in (3, 17, 90)]
+    fields = [ValueField(make_rng(seed).normal(size=(6, 6))) for seed in (3, 17, 90)]
     # integer values in {0, 1, 2}: ties between neighbours everywhere
     for r in (2, 3, 6, 11):
         for seed in (1, 2):
-            fields.append(ValueField(r, make_rng(seed).integers(0, 3, size=(r, r))))
+            fields.append(ValueField(make_rng(seed).integers(0, 3, size=(r, r))))
     for field in fields:
-        r = field.resolution
+        r = len(field.values)
         for i in range(r):
             for j in range(r):
                 want = _climb_oracle(field.values, i, j)
@@ -328,9 +328,9 @@ def test_steepest_neighbor_tie_break_and_peak():
     vals = np.zeros((4, 4))
     vals[0, 1] = 1.0
     vals[1, 0] = 1.0  # tied with (0, 1); lower (i, j) wins
-    field = ValueField(4, vals)
+    field = ValueField(vals)
     assert steepest_neighbor(field, GridCell(1, 1)) == GridCell(0, 1)
-    peak = ValueField(4, np.zeros((4, 4)))
+    peak = ValueField(np.zeros((4, 4)))
     assert steepest_neighbor(peak, GridCell(2, 2)) == GridCell(2, 2)
 
 
@@ -338,9 +338,9 @@ def test_value_field_validation():
     bad = np.zeros((3, 3))
     bad[0, 0] = float("nan")
     with pytest.raises(ConfigError):
-        ValueField(3, bad)
+        ValueField(bad)
     bad[0, 0] = -math.inf
     with pytest.raises(ConfigError):
-        ValueField(3, bad)
-    field = ValueField(3, [[1, -4, 2], [0, 3, 0], [0, 0, 0]])
+        ValueField(bad)
+    field = ValueField([[1, -4, 2], [0, 3, 0], [0, 0, 0]])
     assert field.values.dtype == float and field.limit == 4.0

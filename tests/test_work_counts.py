@@ -15,11 +15,19 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy as np
+
 from conscient_sim import traceio
 from conscient_sim.fields import KernelConfig, _covariance_factor, moore_neighbors, sample_field
-from conscient_sim.optimizer import GAConfig, evolve
-from conscient_sim.seeds import make_rng
-from conscient_sim.traceio import iter_trace_csv, read_trace_csv, summarize_rows, write_trace_csv
+from conscient_sim.optimizer import DEFAULT_BOUNDS, GAConfig, Genome, evolve, fitness
+from conscient_sim.seeds import Stream, make_rng
+from conscient_sim.traceio import (
+    iter_trace_csv,
+    read_trace_csv,
+    summarize_rows,
+    write_percepts_csv,
+    write_trace_csv,
+)
 from conscient_sim.world import (
     TraceRow,
     WorldConfig,
@@ -86,11 +94,48 @@ def test_a_search_builds_each_eval_seeds_layout_once():
     assert (info.hits, info.misses) == (56, len(ga.eval_seeds))
 
 
+def test_a_run_rewinds_its_streams_once_per_wake(monkeypatch):
+    # each wake's `contaminate` delegates one `normal` to numpy, which first
+    # takes back the raw outputs the stream holds; no other draw of a run does
+    rewinds = 0
+    rewind = Stream._rewind
+
+    def counted(stream):
+        nonlocal rewinds
+        rewinds += 1
+        rewind(stream)
+
+    monkeypatch.setattr(Stream, "_rewind", counted)
+    rows = run(CROWDED).rows
+    wakes = sum(row.events.count("wake") for row in rows)
+    assert wakes and rewinds == wakes, (rewinds, wakes)
+
+
+def test_a_fitness_call_builds_one_trace_row_per_agent_tick_and_seed(monkeypatch):
+    built = 0
+    new = TraceRow.__new__
+
+    def counted(cls, *fields):
+        nonlocal built
+        built += 1
+        return new(cls, *fields)
+
+    monkeypatch.setattr(TraceRow, "__new__", counted)
+    ga = GAConfig(eval_seeds=(11, 12))
+    base = WorldConfig(resolution=8, n_agents=3, total_ticks=50)
+    fitness(Genome(np.full(len(DEFAULT_BOUNDS), 0.5)), ga, base)
+    assert built == (base.total_ticks + 1) * base.n_agents * len(ga.eval_seeds)
+
+
 def test_csv_memos_stay_within_their_cap(tmp_path, monkeypatch):
-    rows = _run_crowded()[0].snapshot_trace().rows
+    trace = _run_crowded()[0].snapshot_trace()
+    rows = trace.rows
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), rows)
     written = path.read_bytes()
+    percepts = tmp_path / "percepts.csv"
+    write_percepts_csv(str(percepts), trace.percept_rows)
+    percepts_written = percepts.read_bytes()
     # the crowded trace holds 993 distinct field values and 2,175 distinct
     # floats, so a cap of 256 makes every memo fill and start over
     cap = 256
@@ -108,13 +153,20 @@ def test_csv_memos_stay_within_their_cap(tmp_path, monkeypatch):
 
         return counted_missing
 
-    for memo in (traceio._FloatMemo, traceio._UnitMemo, traceio._FiniteMemo):
+    for memo in (traceio._FloatMemo, traceio._UnitMemo, traceio._FiniteMemo, traceio._VectorMemo):
         monkeypatch.setattr(memo, "__missing__", counted(memo.__missing__))
     write_trace_csv(str(path), rows)
     assert path.read_bytes() == written  # a memo that starts over renders the same text
     assert read_trace_csv(str(path)) == rows
     assert sorted(seen) == ["_FiniteMemo", "_FloatMemo", "_UnitMemo"]
     assert all(most <= cap and clears for most, clears in seen.values()), seen
+    # its 1,708 percept rows hold 244 distinct feature vectors
+    cap = 64
+    monkeypatch.setattr(traceio, "MEMO_CAP", cap)
+    write_percepts_csv(str(percepts), trace.percept_rows)
+    assert percepts.read_bytes() == percepts_written
+    most, clears = seen["_VectorMemo"]
+    assert most <= cap and clears, seen
 
 
 def test_rows_read_back_share_their_tick_and_mode(tmp_path):
