@@ -144,10 +144,11 @@ def _cmd_dream(args) -> int:
     rng = Stream(derive_seed(world_cfg.master_seed, "dream-cli"))
     dream_cfg = world_cfg.agent.dream
     walk = DreamWalk(content_store, content_graph, style_store, style_graph, dream_cfg, rng)
-    # bare frames have no agent and no field: agent 0, tick = frame index
-    rows = [DreamFrameRow(0, k, k, "", walk.step(rng), 0) for k in range(1, dream_cfg.length + 1)]
+    # bare frames have no agent and no field: agent 0, tick = frame index;
+    # the writer draws each frame as it writes it, so no frame is held
+    rows = (DreamFrameRow(0, k, k, "", walk.step(rng), 0) for k in range(1, dream_cfg.length + 1))
     _write_outputs(args, bundle, started, {"dreams.csv": (write_dreams_csv, rows)})
-    print(f"dreamed {len(rows)} frames -> {args.out}")
+    print(f"dreamed {dream_cfg.length} frames -> {args.out}")
     return 0
 
 

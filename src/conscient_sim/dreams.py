@@ -22,10 +22,14 @@ from .seeds import Stream
 from .semantics import Percept, PerceptStore, SemanticGraph, semantic_distance
 
 
+# Every step span fits one 32-bit draw, and a frame walks at most 2,048 hops.
+MAX_DREAM_STEP = 1024
+
+
 @dataclass(frozen=True)
 class DreamConfig:
     step_lower: int = bound(1, 0, at_most="step_upper")
-    step_upper: int = 3
+    step_upper: int = bound(3, hi=MAX_DREAM_STEP)
     length: int = bound(8, 0)
     style_weight: float = bound(0.5, 0, 1)
 
@@ -113,9 +117,9 @@ class DreamWalk:
     def step(self, rng: Stream) -> DreamFrame:
         """Advance both walks one frame, each by a step drawn from the config."""
         lo, hi = self.config.step_lower, self.config.step_upper
-        omega_c = rng.integers(lo, hi + 1)
+        omega_c = lo + rng.integers(hi + 1 - lo)
         self._content_cat = walk_step(self.content_graph, self._content_cat, omega_c, rng)
-        omega_s = rng.integers(lo, hi + 1)
+        omega_s = lo + rng.integers(hi + 1 - lo)
         self._style_cat = walk_step(self.style_graph, self._style_cat, omega_s, rng)
         content_p = _pick(self.content_store, self.content_graph, self._content_cat, rng)
         style_p = _pick(self.style_store, self.style_graph, self._style_cat, rng)

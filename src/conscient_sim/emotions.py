@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from .errors import bound, check_bounds
 from .seeds import Stream
 
-EVENT_KINDS = ("photo_taken", "dream_frame", "interaction", "content_stimulus")
-
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
@@ -80,7 +78,7 @@ def apply_event(
     content_stimulus: payload is the stimulus score in [-1, 1]; curiosity
       drops (boredom relieved) and happiness moves with the score's sign.
     Each payload is a finite field value, valence or score, and `kind` is one
-    of EVENT_KINDS.
+    of the four above.
     """
     eps = params.photo_fatigue_delta
     if kind == "photo_taken":

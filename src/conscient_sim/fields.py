@@ -138,11 +138,6 @@ def _covariance_factor(kernel: KernelConfig, resolution: int) -> np.ndarray:
     return chol
 
 
-def bump_amount(peak: float, width: float, distance: float) -> float:
-    """Gaussian radial profile local_bump applies at a given cell distance."""
-    return peak * math.exp(-(distance * distance) / (2.0 * width * width))
-
-
 def local_bump(field: ValueField, center: GridCell, peak: float, width: float) -> ValueField:
     """Add an unnormalized Gaussian bump centered on a cell.
 

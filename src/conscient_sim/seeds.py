@@ -6,12 +6,12 @@ bytes, big-endian), so any component can be re-seeded in isolation and the
 scheme is stable across platforms and Python versions. Every stream is a numpy
 PCG64 bit generator. Layout, field, cell and graph streams draw through a numpy
 `Generator`; the per-tick agent and dream streams draw through a `Stream`,
-which computes numpy's scalar draws itself, bit for bit.
+which computes numpy's scalar `random` and `integers` itself, bit for bit.
 
 A `Stream` reads the bit generator's raw 64-bit outputs from a buffer that
 `random_raw(256)` fills when it runs dry. The bit generator's state is thus
-ahead of the stream by the outputs still unread; before any draw it hands to
-numpy, the stream rewinds the bit generator by that many steps
+ahead of the stream by the outputs still unread; before `normal`, the one draw
+it hands to numpy, the stream rewinds the bit generator by that many steps
 (`PCG64.advance(-left)`) and empties the buffer, so numpy reads the next
 output of the stream, as it would without the buffer.
 """
@@ -64,13 +64,13 @@ class StoredSeed(ISeedSequence):
 class Stream:
     """A PCG64 stream whose scalar draws equal numpy `Generator`'s, bit for bit.
 
-    `random()` is numpy's `next_double`. `integers` over a span of at most 2**32
-    is numpy's Lemire multiply-shift on 32-bit halves of the raw output: the
-    low half is used first and the high half is kept for the next such draw,
-    as the bit generator's own `has_uint32` buffer would keep it. Every other
-    draw goes to a `Generator` on the same bit generator, after `_rewind`;
-    none of them reads a kept half, so the stream is the one `make_rng(seed)`
-    gives. The kept half belongs to the stream and outlives a rewind.
+    `random()` is numpy's `next_double`. `integers(span)` is numpy's Lemire
+    multiply-shift on 32-bit halves of the raw output: the low half is used
+    first and the high half is kept for the next such draw, as the bit
+    generator's own `has_uint32` buffer would keep it. `normal` goes to a
+    `Generator` on the same bit generator, after `_rewind`; it reads no kept
+    half, so the stream is the one `make_rng(seed)` gives. The kept half
+    belongs to the stream and outlives a rewind.
     """
 
     __slots__ = ("_bitgen", "_buf", "_pos", "_half", "_gen")
@@ -114,23 +114,20 @@ class Stream:
         self._half = raw >> 32
         return raw & _LOW32
 
-    def integers(self, low: int, high: int | None = None) -> int:
-        """A uniform int in [low, high), or in [0, low) when `high` is None."""
-        if high is None:
-            low, high = 0, low
-        span = high - low
+    def integers(self, span: int) -> int:
+        """A uniform int in [0, span), as numpy's `integers(span)` draws it;
+        `low + integers(span)` is numpy's `integers(low, low + span)`."""
         if not 0 < span <= _SPAN32:
-            # numpy's ValueError for an empty range, or its 64-bit algorithm
-            self._rewind()
-            return int(self._gen.integers(low, high))
+            # Lemire's rejection loop never ends past 2**32
+            raise ValueError(f"span must be in [1, 2**32], got {span}")
         if span == 1:
-            return low
+            return 0
         m = self._next32() * span
         if (m & _LOW32) < span:
             threshold = (_SPAN32 - span) % span
             while (m & _LOW32) < threshold:
                 m = self._next32() * span
-        return low + (m >> 32)
+        return m >> 32
 
     def normal(self, loc: float, scale: float, size) -> np.ndarray:
         """numpy's own `Generator.normal`, drawn from this stream."""

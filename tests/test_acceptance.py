@@ -22,14 +22,13 @@ from conscient_sim.cli import run_command
 from conscient_sim.configio import render_config
 from conscient_sim.dreams import walk_step
 from conscient_sim.emotions import (
-    EVENT_KINDS,
     EmotionParams,
     EmotionState,
     apply_event,
     should_sleep,
     tick_emotions,
 )
-from conscient_sim.fields import GridCell, KernelConfig, bump_amount, local_bump, sample_field
+from conscient_sim.fields import GridCell, KernelConfig, local_bump, sample_field
 from conscient_sim.optimizer import GAConfig, evolve
 from conscient_sim.seeds import make_rng
 from conscient_sim.semantics import load_graph, semantic_distance
@@ -43,6 +42,7 @@ from conscient_sim.traceio import (
     write_trace_csv,
 )
 from conscient_sim.world import WorldConfig, _cached_layout, metrics, run, world_layout
+from oracle import EVENT_KINDS, bump_amount
 
 # Reference scenario for the determinism and replay gates.  The pinned
 # numbers below were produced by this exact configuration; a change in

@@ -146,6 +146,8 @@ BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
     "command,line,threads,key",
     [
         ("simulate", "dream.step_lower = -1", "1", "dream.step_lower"),
+        # a walk step whose span no 32-bit draw holds
+        ("simulate", "dream.step_upper = 100000000000", "1", "dream.step_upper"),
         ("simulate", "emotion.delta_lower = 0.5", "1", "emotion.delta_lower"),
         ("simulate", "emotion.valence_low = 0.9", "1", "emotion.valence_low"),
         ("optimize", "ga.population_size = 2", "-1", "CONSCIENT_SIM_THREADS"),
@@ -175,6 +177,7 @@ BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
     ],
     ids=[
         "step-lower",
+        "step-upper-huge",
         "delta-lower",
         "valence-low",
         "threads",

@@ -205,6 +205,45 @@ def test_every_bound_rejects_past_each_end_and_accepts_a_closed_end(key, past, e
         parse_config_text(f"{key} = {end!r}\n")
 
 
+# Integer keys with no upper end, each with its reason. Any other integer key
+# needs a `hi` or an `at_most` partner, so that no value of it can ask for a
+# draw or a loop that never ends.
+UNBOUNDED_ALLOWED = {
+    "world.total_ticks": "a run length",
+    "dream.length": "a run length",
+    "ga.generations": "a run length",
+    "agent.t_awake": "a period",
+    "agent.t_asleep": "a period",
+    "agent.photo_period": "a period",
+    "agent.style_every": "a period",
+    "agent.movement_budget": "a budget",
+    "ga.movement_budget": "a budget",
+    "ga.population_size": "a population",
+    "ga.tournament_size": "a population",
+    "world.n_agents": "a size WorldConfig checks by hand against resolution**2",
+    "world.reward_count": "a size WorldConfig checks by hand against resolution**2",
+}
+
+
+def _unbounded_int_keys() -> set[str]:
+    """Integer keys whose `bound` has neither a `hi` nor an `at_most` partner."""
+    return {
+        f"{section}.{f.name}"
+        for section, cls in _SECTION_CLASS.items()
+        for f in fields(cls)
+        if get_type_hints(cls)[f.name] is int
+        and f.metadata.get("bound", (None, None, False))[1] is None
+        and f.metadata.get("at_most") is None
+    }
+
+
+def test_every_unbounded_integer_key_is_named_with_its_reason():
+    unbounded = _unbounded_int_keys()
+    assert sorted(unbounded - UNBOUNDED_ALLOWED.keys()) == []
+    # a listed key that gained an upper end, or names no key, is stale
+    assert sorted(UNBOUNDED_ALLOWED.keys() - unbounded) == []
+
+
 def _at_most_rules():
     """(key, partner key, partner's default) per declared `at_most` rule."""
     out = []

@@ -17,7 +17,6 @@ from conscient_sim.fields import (
     ValueField,
     _bump_window,
     _covariance_factor,
-    bump_amount,
     contaminate,
     kernel_matrix,
     local_bump,
@@ -26,6 +25,7 @@ from conscient_sim.fields import (
     steepest_neighbor,
 )
 from conscient_sim.seeds import make_rng
+from oracle import bump_amount
 
 
 def test_kernel_config_validation():

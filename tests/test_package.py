@@ -216,12 +216,8 @@ def test_unread_field_checker_covers_named_tuples():
 
 
 # Definitions kept although nothing in src/ or bench/ references them, each
-# with its reason.
-UNREACHED_ALLOWED = {
-    "fields.bump_amount": "closed-form oracle that criterion 02 and "
-    "tests/test_fields.py compare local_bump against",
-    "emotions.EVENT_KINDS": "the closed list of event kinds that criterion 04 draws from",
-}
+# with its reason. A definition only tests use belongs in tests/oracle.py.
+UNREACHED_ALLOWED: dict[str, str] = {}
 
 CONSTANT_NAME = re.compile(r"[A-Z][A-Z0-9_]*")
 

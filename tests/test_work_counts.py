@@ -7,7 +7,9 @@ that moves is a change in the work a run does, and is declared like a moved
 digest. The bump-window count lives in
 `tests/test_world.py::test_crowded_run_leaves_windows_and_layout_fields_read_only`.
 The CSV layer's memory is pinned the same way: memo sizes, shared objects,
-and a streamed read whose traced peak does not grow with the trace.
+and a streamed read whose traced peak does not grow with the trace. So are
+the `dream` command's peak, which does not grow with its length, and the
+bytes a long run holds per agent-tick.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import tracemalloc
 import numpy as np
 
 from conscient_sim import traceio
+from conscient_sim.cli import run_command
 from conscient_sim.fields import KernelConfig, _covariance_factor, moore_neighbors, sample_field
 from conscient_sim.optimizer import DEFAULT_BOUNDS, GAConfig, Genome, evolve, fitness
 from conscient_sim.seeds import Stream, make_rng
@@ -204,3 +207,68 @@ def test_a_streamed_summary_holds_no_row_and_caps_its_memos(tmp_path):
     # make the long one's peak about 4x the short one's (0.99 MB at both)
     short, long = _streamed_peak(tmp_path, 2_500), _streamed_peak(tmp_path, 10_000)
     assert long <= 1.25 * short, (short, long)
+
+
+# a small world whose percept log holds both kinds, for the `dream` command
+DREAM_WORLD = "world.resolution = 8\nagent.photo_period = 1\nagent.style_every = 2\n"
+
+
+def _dream_peak(tmp_path, log: str, length: int) -> int:
+    """Traced peak bytes of a `dream` command of `length` frames replayed from `log`."""
+    cfg = tmp_path / f"dream-{length}.cfg"
+    cfg.write_text(f"{DREAM_WORLD}dream.length = {length}\n", encoding="utf-8")
+    argv = ["dream", "--config", str(cfg), "--percept-log", log, "--out", str(tmp_path / cfg.stem)]
+    tracemalloc.start()
+    try:
+        assert run_command(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_dream_command_holds_no_frame(tmp_path):
+    cfg = tmp_path / "world.cfg"
+    cfg.write_text(f"{DREAM_WORLD}world.total_ticks = 100\n", encoding="utf-8")
+    sim = tmp_path / "sim"
+    assert run_command(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(sim)]) == 0
+    # frames held until the write take about 430 B each, so the long dream's
+    # peak would be about 3x the short one's; it is 0.21 MB at both
+    log = str(sim / "percepts.csv")
+    short, long = _dream_peak(tmp_path, log, 1_000), _dream_peak(tmp_path, log, 4_000)
+    assert long <= 1.25 * short, (short, long)
+
+
+# criterion 06's reference world
+REFERENCE = WorldConfig(
+    resolution=16, n_agents=2, total_ticks=10_000, stimulus_probability=0.2, master_seed=7
+)
+
+
+def _grown_per_agent_tick(keep_trace: bool) -> float:
+    """Bytes the reference world holds after ticks 2,000-4,000 beyond what it held
+    before them, per agent-tick; without `keep_trace` its three trace lists are
+    emptied every tick, so what grows is the agents' stored percepts."""
+    world = build_world(REFERENCE)
+
+    def steps():
+        for _ in range(2_000):
+            world.step()
+            if not keep_trace:
+                for trace in (world.rows, world.interactions, world.dream_rows):
+                    trace.clear()
+
+    steps()
+    tracemalloc.start()
+    try:
+        steps()
+        return tracemalloc.get_traced_memory()[0] / (2_000 * REFERENCE.n_agents)
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_run_grows_by_its_known_slope():
+    # measured: 430 B per agent-tick, 128 B of it stored percepts (README,
+    # "Configuration"); a run of 10**6 reference ticks holds about 0.86 GB
+    whole, percepts = _grown_per_agent_tick(True), _grown_per_agent_tick(False)
+    assert whole <= 1.25 * 430, whole
+    assert percepts <= 1.25 * 128, percepts
