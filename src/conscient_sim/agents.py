@@ -28,10 +28,7 @@ from .fields import (
     steepest_neighbor,
 )
 from .seeds import Stream
-from .semantics import Percept, PerceptStore, SemanticGraph, classify
-
-# Percept kinds an agent is willing to send to a peer.
-SENDABLE_KINDS = ("observed", "dreamed")
+from .semantics import Percept, PerceptStore, classify
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,6 @@ class AgentConfig:
 class WorldContext(Protocol):
     """What an agent needs from its environment during a tick."""
 
-    content_graph: SemanticGraph
-    style_graph: SemanticGraph
-
     def cell_features(self, cell: GridCell) -> np.ndarray: ...
 
     def take_stimulus(self, cell: GridCell):  # returns ContentStimulus | None
@@ -74,12 +68,12 @@ class Agent:
     position: GridCell
     field: ValueField
     rng: Stream
+    percepts: PerceptStore  # over the content graph
+    styles: PerceptStore  # over the style graph
     emotions: EmotionState = dc_field(default_factory=EmotionState)
     mode: str = "awake"
     ticks_in_mode: int = 0
     moves_used: int = 0
-    percepts: PerceptStore = dc_field(default_factory=PerceptStore)
-    styles: PerceptStore = dc_field(default_factory=PerceptStore)
     photo_count: int = 0
     dream_frame_count: int = 0
     _walk: Optional[DreamWalk] = dc_field(default=None, repr=False)
@@ -137,7 +131,7 @@ def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Per
     percept = Percept(
         id=f"a{agent.id}-p{agent.photo_count}",
         features=features,
-        category=classify(features, ctx.content_graph),
+        category=classify(features, agent.percepts.graph),
         origin=agent.position,
         tick=tick,
         kind="observed",
@@ -148,7 +142,7 @@ def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Per
             Percept(
                 id=f"a{agent.id}-s{agent.photo_count}",
                 features=features,
-                category=classify(features, ctx.style_graph),
+                category=classify(features, agent.styles.graph),
                 origin=agent.position,
                 tick=tick,
                 kind="style",
@@ -211,14 +205,7 @@ def agent_tick(
             agent.mode = "asleep"
             agent.ticks_in_mode = 0
             if len(agent.percepts) > 0 and len(agent.styles) > 0:
-                agent._walk = DreamWalk(
-                    agent.percepts,
-                    ctx.content_graph,
-                    agent.styles,
-                    ctx.style_graph,
-                    cfg.dream,
-                    agent.rng,
-                )
+                agent._walk = DreamWalk(agent.percepts, agent.styles, cfg.dream, agent.rng)
             else:
                 agent._walk = None  # dreamless sleep
             events.append("sleep")

@@ -11,9 +11,9 @@ directory without a manifest is incomplete, and only the files its manifest
 lists under `outputs` belong to its run.
 
 Exit codes: 0 on success, 1 on config or runtime validation failures (the
-message names the offending key) and on running out of memory (the message
-names the keys that size a run), 2 on unknown flags or subcommands (argparse
-prints usage).
+message names the offending key), on a failed write (it names the file), on
+running out of memory (it names the keys that size a run) and on a dead search
+worker, 2 on unknown flags or subcommands (argparse prints usage).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 
 from . import __version__
@@ -133,8 +134,8 @@ def _cmd_dream(args) -> int:
     bundle = parse_config(args.config)
     world_cfg = bundle.world
     content_graph, style_graph = load_graphs(world_cfg)
-    content_store = PerceptStore()
-    style_store = PerceptStore()
+    content_store = PerceptStore(content_graph)
+    style_store = PerceptStore(style_graph)
     log = args.percept_log
     for _, p in read_percepts_csv(log, world_cfg, content_graph, style_graph):
         (style_store if p.kind == "style" else content_store).attach(p)
@@ -143,7 +144,7 @@ def _cmd_dream(args) -> int:
             raise TraceError(f"percept log {log}: no {kind} percepts to dream with")
     rng = Stream(derive_seed(world_cfg.master_seed, "dream-cli"))
     dream_cfg = world_cfg.agent.dream
-    walk = DreamWalk(content_store, content_graph, style_store, style_graph, dream_cfg, rng)
+    walk = DreamWalk(content_store, style_store, dream_cfg, rng)
     # bare frames have no agent and no field: agent 0, tick = frame index;
     # the writer draws each frame as it writes it, so no frame is held
     rows = (DreamFrameRow(0, k, k, "", walk.step(rng), 0) for k in range(1, dream_cfg.length + 1))
@@ -194,15 +195,16 @@ def run_command(argv: list[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (SimulatorError, OSError) as exc:
-        print("error: " + str(exc).translate({10: "\\n", 13: "\\r"}), file=sys.stderr)  # one line
-        return 1
+        message = str(exc).translate({10: "\\n", 13: "\\r"})  # one line
     except MemoryError:  # the keys that size a run's arrays
-        print(
-            "error: out of memory: lower world.resolution, world.n_agents, "
-            "world.total_ticks or world.feature_dim",
-            file=sys.stderr,
+        message = (
+            "out of memory: lower world.resolution, world.n_agents, "
+            "world.total_ticks or world.feature_dim"
         )
-        return 1
+    except BrokenProcessPool:  # the pool lost a worker: a SIGKILL, as from the OOM killer
+        message = "a search worker process died, for example killed or out of memory"
+    print("error: " + message, file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -37,14 +37,14 @@ def _cast_float(raw: str) -> float:
 
 
 def _cast_int_list(raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected comma-separated integers")
-    return tuple(int(p) for p in parts)
+    return tuple(int(p) for p in raw.split(","))
 
 
 def _cast_str_list(raw: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in raw.split(",") if p.strip())
+    parts = tuple(p.strip() for p in raw.split(",")) if raw.strip() else ()
+    if "" in parts:  # as in "a,,b" or "a,": `_render_list` writes no empty entry
+        raise ValueError("empty list entry")
+    return parts
 
 
 def _render_float(v) -> str:

@@ -79,14 +79,14 @@ def blend(content: Percept, style: Percept, style_weight: float) -> np.ndarray:
     return (1.0 - style_weight) * content.features + style_weight * style.features
 
 
-def _pick(store: PerceptStore, graph: SemanticGraph, category: str, rng: Stream) -> Percept:
+def _pick(store: PerceptStore, category: str, rng: Stream) -> Percept:
     """A uniform draw from the category's bucket, or the nearest populated one's."""
-    cands = store.dream_bucket(graph, category)
+    cands = store.dream_bucket(category)
     return cands[rng.integers(len(cands))]
 
 
 class DreamWalk:
-    """Incremental dream state: current categories on both graphs.
+    """Incremental dream state: current categories on both stores' graphs.
 
     Both stores must be non-empty: `agent_tick` and the `dream` command check.
     Initial categories are drawn uniformly from the categories that hold at
@@ -97,16 +97,12 @@ class DreamWalk:
     def __init__(
         self,
         content_store: PerceptStore,
-        content_graph: SemanticGraph,
         style_store: PerceptStore,
-        style_graph: SemanticGraph,
         config: DreamConfig,
         rng: Stream,
     ) -> None:
         self.content_store = content_store
-        self.content_graph = content_graph
         self.style_store = style_store
-        self.style_graph = style_graph
         self.config = config
         cats = content_store.categories()
         self._content_cat = cats[rng.integers(len(cats))]
@@ -117,14 +113,15 @@ class DreamWalk:
     def step(self, rng: Stream) -> DreamFrame:
         """Advance both walks one frame, each by a step drawn from the config."""
         lo, hi = self.config.step_lower, self.config.step_upper
+        content, style = self.content_store, self.style_store
         omega_c = lo + rng.integers(hi + 1 - lo)
-        self._content_cat = walk_step(self.content_graph, self._content_cat, omega_c, rng)
+        self._content_cat = walk_step(content.graph, self._content_cat, omega_c, rng)
         omega_s = lo + rng.integers(hi + 1 - lo)
-        self._style_cat = walk_step(self.style_graph, self._style_cat, omega_s, rng)
-        content_p = _pick(self.content_store, self.content_graph, self._content_cat, rng)
-        style_p = _pick(self.style_store, self.style_graph, self._style_cat, rng)
+        self._style_cat = walk_step(style.graph, self._style_cat, omega_s, rng)
+        content_p = _pick(content, self._content_cat, rng)
+        style_p = _pick(style, self._style_cat, rng)
         prev, self._prev_frame_cat = self._prev_frame_cat, content_p.category
-        distance = semantic_distance(self.content_graph, prev, content_p.category)
+        distance = semantic_distance(content.graph, prev, content_p.category)
         mixed = blend(content_p, style_p, self.config.style_weight)
         return DreamFrame(mixed, content_p.category, style_p.category, content_p.origin, distance)
 

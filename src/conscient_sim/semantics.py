@@ -3,8 +3,9 @@
 Categories live on undirected graphs loaded from plain edge lists; semantic
 distance between two categories counts edges on a shortest path. Each category
 carries a prototype feature vector derived deterministically from the load
-seed, and new feature vectors are classified to the nearest prototype. Percept
-stores are insertion-ordered memories grouped by category.
+seed, and new feature vectors are classified to the nearest prototype. A
+percept store is an insertion-ordered memory over one graph's categories that
+also keeps its last percept of a kind an agent sends to a peer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Container, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .fields import GridCell
 from .seeds import derive_seed, make_rng
 
 PERCEPT_KINDS = ("observed", "style", "dreamed", "received")
+# Percept kinds an agent is willing to send to a peer.
+SENDABLE_KINDS = ("observed", "dreamed")
 
 # Two-level taxonomy shipped as the default content graph: five domain hubs in
 # a ring, five members each, 30 nodes total.
@@ -194,20 +197,22 @@ class Percept:
 
 
 class PerceptStore:
-    """Insertion-ordered percept memory with category buckets.
+    """Insertion-ordered percept memory with category buckets, each a node of `graph`.
 
     Attaching a percept whose id is already present is a no-op, which makes
     repeated exchanges of the same percept idempotent. The store keeps its
-    sorted category names, and memoises per (graph, category) the bucket a
-    dream pick draws from, at most one entry per node of each graph asked
-    about; a new category clears that memo.
+    sorted category names, its last percept of a sendable kind, and a memo of
+    the bucket a dream pick at each category draws from, at most one entry
+    per node of the graph; a new category clears that memo.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, graph: SemanticGraph) -> None:
+        self.graph = graph
         self._by_id: dict[str, Percept] = {}  # insertion order is attach order
         self._by_category: dict[str, list[Percept]] = {}
         self._categories: tuple[str, ...] = ()
-        self._dream_buckets: dict[tuple[SemanticGraph, str], list[Percept]] = {}
+        self._dream_buckets: dict[str, list[Percept]] = {}
+        self._latest: Optional[Percept] = None
 
     def __contains__(self, percept_id: str) -> bool:
         return percept_id in self._by_id
@@ -222,6 +227,8 @@ class PerceptStore:
             self._categories = tuple(sorted(self._by_category))
             self._dream_buckets.clear()
         bucket.append(percept)
+        if percept.kind in SENDABLE_KINDS:
+            self._latest = percept
         return True
 
     def __len__(self) -> int:
@@ -234,7 +241,7 @@ class PerceptStore:
         """Sorted category names that currently hold at least one percept."""
         return self._categories
 
-    def dream_bucket(self, graph: SemanticGraph, category: str) -> Sequence[Percept]:
+    def dream_bucket(self, category: str) -> Sequence[Percept]:
         """The live bucket, in attach order, that a dream pick at `category` draws from.
 
         That is the category's own bucket when it holds a percept, else the
@@ -243,21 +250,17 @@ class PerceptStore:
         populated is reachable the smallest populated category is used. The
         store must hold a percept; callers must not mutate the bucket.
         """
-        key = (graph, category)
-        bucket = self._dream_buckets.get(key)
+        bucket = self._dream_buckets.get(category)
         if bucket is None:
             bucket = self._by_category.get(category)
             if bucket is None:
-                hops = hop_counts(graph, category)
+                hops = hop_counts(self.graph, category)
                 reachable = [(hops[c], c) for c in self._categories if c in hops]
                 nearest = min(reachable)[1] if reachable else self._categories[0]
                 bucket = self._by_category[nearest]
-            self._dream_buckets[key] = bucket
+            self._dream_buckets[category] = bucket
         return bucket
 
-    def latest(self, kinds: Container[str]) -> Optional[Percept]:
-        """Most recently attached percept of one of the kinds."""
-        for p in reversed(self._by_id.values()):
-            if p.kind in kinds:
-                return p
-        return None
+    def latest(self) -> Optional[Percept]:
+        """Most recently attached percept of one of the SENDABLE_KINDS."""
+        return self._latest

@@ -151,9 +151,11 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = path  # a failed write names no file: the error names `path`
         raise
 
 

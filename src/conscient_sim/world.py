@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .agents import SENDABLE_KINDS, Agent, AgentConfig, agent_tick, receive_percept
+from .agents import Agent, AgentConfig, agent_tick, receive_percept
 from .dreams import DreamFrameRow
 from .errors import ConfigError, GraphParseError, bound, check_bounds
 from .fields import (
@@ -39,6 +39,7 @@ from .semantics import (
     BUILTIN_CONTENT_EDGES,
     BUILTIN_STYLE_EDGES,
     Percept,
+    PerceptStore,
     SemanticGraph,
     load_graph,
 )
@@ -295,11 +296,18 @@ class World:
         self.config = config
         self.tick = 0
         layout = world_layout(config)
-        self.content_graph, self.style_graph = layout.content_graph, layout.style_graph
         self._features = layout.features
         self.stimuli: dict[GridCell, ContentStimulus] = dict(layout.stimuli)
         self.agents: list[Agent] = [
-            Agent(id=aid, config=config.agent, position=spawn, field=field, rng=Stream(seed))
+            Agent(
+                id=aid,
+                config=config.agent,
+                position=spawn,
+                field=field,
+                rng=Stream(seed),
+                percepts=PerceptStore(layout.content_graph),
+                styles=PerceptStore(layout.style_graph),
+            )
             for aid, (spawn, field, seed) in enumerate(
                 zip(layout.spawns, layout.agent_fields, layout.agent_seeds)
             )
@@ -377,8 +385,8 @@ def interact(a: Agent, b: Agent, tick: int) -> Optional[InteractionRecord]:
     ids on the receiving side are evaluated but change no state, and the
     encounter is still recorded.
     """
-    pa = a.percepts.latest(SENDABLE_KINDS)
-    pb = b.percepts.latest(SENDABLE_KINDS)
+    pa = a.percepts.latest()
+    pb = b.percepts.latest()
     if pa is None or pb is None:
         return None
     eval_b = receive_percept(b, pa)

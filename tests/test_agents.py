@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conscient_sim.agents import (
-    SENDABLE_KINDS,
     Agent,
     AgentConfig,
     agent_tick,
@@ -26,19 +25,21 @@ from conscient_sim.semantics import (
     BUILTIN_CONTENT_EDGES,
     BUILTIN_STYLE_EDGES,
     Percept,
+    PerceptStore,
+    classify,
     load_graph,
 )
 from conscient_sim.seeds import derive_seed, make_rng
 
 FEATURE_DIM = 4
+CONTENT_GRAPH = load_graph(BUILTIN_CONTENT_EDGES, seed=10, feature_dim=FEATURE_DIM)
+STYLE_GRAPH = load_graph(BUILTIN_STYLE_EDGES, seed=11, feature_dim=FEATURE_DIM)
 
 
 class FakeWorld:
-    """Minimal context: builtin graphs, hashed cell features, manual stimuli."""
+    """Minimal context: hashed cell features, manual stimuli."""
 
     def __init__(self):
-        self.content_graph = load_graph(BUILTIN_CONTENT_EDGES, seed=10, feature_dim=FEATURE_DIM)
-        self.style_graph = load_graph(BUILTIN_STYLE_EDGES, seed=11, feature_dim=FEATURE_DIM)
         self.stimuli = {}
 
     def cell_features(self, cell):
@@ -63,6 +64,8 @@ def _agent(values, seed=0, position=GridCell(0, 0), config=None, **emotions):
         position=position,
         field=field,
         rng=make_rng(seed),
+        percepts=PerceptStore(CONTENT_GRAPH),
+        styles=PerceptStore(STYLE_GRAPH),
         emotions=EmotionState(**emotions) if emotions else EmotionState(),
     )
 
@@ -196,9 +199,7 @@ def test_photo_postconditions():
     assert p is not None
     assert p.id == "a1-p1" and p.kind == "observed" and p.tick == 7
     assert p.origin == GridCell(2, 3)
-    assert p.category == ctx.content_graph.nodes[
-        ctx.content_graph.nodes.index(p.category)
-    ]
+    assert p.category == classify(p.features, CONTENT_GRAPH)
     assert np.array_equal(p.features, ctx.cell_features(GridCell(2, 3)))
     # the visited cell is penalized by exactly the bump peak
     after = agent.field.values.item(GridCell(2, 3))
@@ -210,7 +211,7 @@ def test_photo_postconditions():
     assert p2 is not None and len(agent.styles) == 1
     style = {q.id: q for q in agent.styles}["a1-s2"]
     assert style.kind == "style"
-    assert style.category in ctx.style_graph.nodes
+    assert style.category == classify(style.features, STYLE_GRAPH)
 
 
 def test_photo_emotion_direction_tracks_value():
@@ -280,12 +281,15 @@ def test_receive_percept_duplicate_is_inert():
 
 
 def test_latest_sendable_percept_skips_received_and_style():
-    agent = _agent(np.zeros((4, 4)))
-    assert agent.percepts.latest(SENDABLE_KINDS) is None
-    agent.percepts.attach(_foreign_percept("own-p1", GridCell(0, 0)))
+    ctx = FakeWorld()
+    cfg = AgentConfig(photo_period=1, style_every=1)
+    agent = _agent(np.full((4, 4), 50.0), config=cfg)
+    assert agent.percepts.latest() is None
+    own = maybe_take_photo(agent, ctx, tick=1)  # and its style copy, in the style store
+    assert own is not None and len(agent.styles) == 1
     receive_percept(agent, _foreign_percept("other-p5", GridCell(1, 1)))
-    pick = agent.percepts.latest(SENDABLE_KINDS)
-    assert pick is not None and pick.id == "own-p1"
+    assert agent.percepts.latest() is own
+    assert agent.styles.latest() is None
 
 
 def _sleepy_config(**kw):

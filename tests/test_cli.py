@@ -266,6 +266,37 @@ def test_exit_code_1_when_the_run_does_not_fit_in_memory(tmp_path):
     assert not out.exists()
 
 
+def test_a_dead_search_worker_ends_optimize_with_one_line(tmp_path):
+    # the child patches `fitness` before its pool forks, so each worker kills
+    # itself inside its own evaluation, as the OOM killer would
+    cfg = tmp_path / "ga.cfg"
+    cfg.write_text("world.total_ticks = 10\nga.population_size = 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    child = (
+        "import os, signal, sys\n"
+        "from conscient_sim import optimizer\n"
+        "from conscient_sim.cli import run_command\n"
+        "def fitness(*args, **kwargs):\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "optimizer.fitness = fitness\n"
+        "sys.exit(run_command(sys.argv[1:]))\n"
+    )
+    argv = ["optimize", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**_child_env(), "CONSCIENT_SIM_THREADS": "2"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: a search worker process died, for example killed or out of memory"
+    ], proc.stderr
+    assert not (out / "ga_history.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     rc = run_command(["simulate", "--config", cfg_path, "--seed", "7", "--out", str(out)])
@@ -318,7 +349,8 @@ def test_a_failed_write_leaves_no_manifest_beside_another_runs_files(tmp_path, c
         env=_child_env(),
     )
     assert proc.returncode == 1
-    assert proc.stderr == "error: [Errno 27] File too large\n"
+    # the write's error names the file it was writing
+    assert proc.stderr == f"error: [Errno 27] File too large: '{out / 'percepts.csv'}'\n"
     # seed 2's trace.csv now lies beside seed 1's percepts.csv and metrics.csv
     manifest = out / "manifest.json"
     left = json.loads(manifest.read_text(encoding="utf-8")) if manifest.exists() else None

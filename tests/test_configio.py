@@ -82,6 +82,20 @@ def test_type_mismatch_names_key_line_and_type():
     with pytest.raises(ConfigError) as exc:
         parse_config_text("emotion.threshold = maybe\n")
     assert "number" in str(exc.value)
+    # a list holds no empty entry, as `render_config` writes none
+    for key, val, typename in (
+        ("ga.eval_seeds", "11,,12", "integer list"),
+        ("ga.eval_seeds", "11,", "integer list"),
+        ("ga.eval_seeds", "", "integer list"),
+        ("world.stimulus_modalities", "music,,recipe", "string list"),
+        ("world.stimulus_modalities", "music,", "string list"),
+        ("world.stimulus_modalities", ",", "string list"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"\n{key} = {val}\n")
+        assert str(exc.value) == f"line 2: key {key}: expected {typename}, got {val!r}"
+    # an empty modality list is a list of none
+    assert parse_config_text("world.stimulus_modalities =\n").world.stimulus_modalities == ()
 
 
 def test_missing_equals_sign_rejected():

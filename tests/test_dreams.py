@@ -36,16 +36,16 @@ def _percept(pid, category, features=None, kind="observed", origin=GridCell(0, 0
     return Percept(pid, feats, category, origin, tick=1, kind=kind)
 
 
-def _store(*percepts):
-    s = PerceptStore()
+def _store(graph, *percepts):
+    s = PerceptStore(graph)
     for p in percepts:
         s.attach(p)
     return s
 
 
-def _dream(content, graph, style, style_graph, config, rng):
+def _dream(content, style, config, rng):
     """config.length frames of one walk, as the `dream` command takes them."""
-    walk = DreamWalk(content, graph, style, style_graph, config, rng)
+    walk = DreamWalk(content, style, config, rng)
     return [walk.step(rng) for _ in range(config.length)]
 
 
@@ -114,44 +114,40 @@ def test_blend_stays_in_unit_interval():
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
-def _nearest(store, graph, start):
+def _nearest(store, start):
     """The category of the bucket a dream pick at `start` draws from."""
-    return store.dream_bucket(graph, start)[0].category
+    return store.dream_bucket(start)[0].category
 
 
 def test_nearest_populated_walks_out_and_breaks_ties():
     g = _graph(["a b", "b c", "c d"])
-    only_d = _store(_percept("p", "d"))
-    assert _nearest(only_d, g, "a") == "d"
-    assert _nearest(only_d, g, "d") == "d"
+    only_d = _store(g, _percept("p", "d"))
+    assert _nearest(only_d, "a") == "d"
+    assert _nearest(only_d, "d") == "d"
     star = _graph(["x b", "x c"])
-    tied = _store(_percept("p1", "b"), _percept("p2", "c"))
-    assert _nearest(tied, star, "x") == "b"
+    tied = _store(star, _percept("p1", "b"), _percept("p2", "c"))
+    assert _nearest(tied, "x") == "b"
     split = _graph(["a b", "c d"])
-    far = _store(_percept("p1", "d"), _percept("p2", "c"))
+    far = _store(split, _percept("p1", "d"), _percept("p2", "c"))
     # nothing populated reachable from a: smallest populated category wins
-    assert _nearest(far, split, "a") == "c"
+    assert _nearest(far, "a") == "c"
 
 
 def test_dream_bucket_memo_clears_when_a_category_appears():
     g = _graph(["a b", "b c", "c d"])
-    store = _store(_percept("p1", "d"))
-    assert _nearest(store, g, "a") == "d"
+    store = _store(g, _percept("p1", "d"))
+    assert _nearest(store, "a") == "d"
     # a percept of a known category joins the memoised bucket
     store.attach(_percept("p2", "d"))
-    assert [p.id for p in store.dream_bucket(g, "a")] == ["p1", "p2"]
+    assert [p.id for p in store.dream_bucket("a")] == ["p1", "p2"]
     store.attach(_percept("p3", "b"))
-    assert _nearest(store, g, "a") == "b"
-    assert store.dream_bucket(g, "b") is store.dream_bucket(g, "a")
-    # the memo is per graph: on another graph a is as far from b as from d
-    ring = _graph(["a b", "b c", "c d", "d a"])
-    assert _nearest(store, ring, "a") == "b"
-    assert _nearest(store, ring, "c") == "b"
-    assert _nearest(store, g, "c") == "b"
+    assert _nearest(store, "a") == "b"
+    assert store.dream_bucket("b") is store.dream_bucket("a")
+    assert _nearest(store, "c") == "b"
     store.attach(_percept("p4", "c"))
-    assert _nearest(store, g, "d") == "d"
-    assert _nearest(store, ring, "a") == "b"
-    assert _nearest(store, g, "a") == "b"
+    assert _nearest(store, "c") == "c"
+    assert _nearest(store, "d") == "d"
+    assert _nearest(store, "a") == "b"
 
 
 def _level_bfs_nearest(graph, start, populated):
@@ -184,29 +180,29 @@ def test_nearest_populated_matches_level_bfs_oracle():
         for _ in range(60):
             size = int(rng.integers(1, len(g.nodes) + 1))
             populated = sorted(rng.choice(g.nodes, size=size, replace=False).tolist())
-            store = _store(*(_percept(f"p-{c}", c) for c in populated))
+            store = _store(g, *(_percept(f"p-{c}", c) for c in populated))
             for start in g.nodes:
                 want = _level_bfs_nearest(g, start, set(populated))
-                assert _nearest(store, g, start) == want, (start, populated)
+                assert _nearest(store, start) == want, (start, populated)
                 cases += 1
     assert cases == 60 * (30 + 8 + 9)
 
 
-def _copying_pick(store, graph, category, rng):
+def _copying_pick(store, category, rng):
     """`_pick` as it was when every pick searched the store and drew from a
     tuple copy of the bucket."""
-    nearest = _level_bfs_nearest(graph, category, set(store.categories()))
+    nearest = _level_bfs_nearest(store.graph, category, set(store.categories()))
     cands = tuple(p for p in store if p.category == nearest)
     return cands[int(rng.integers(len(cands)))]
 
 
 def test_pick_matches_copying_oracle_while_buckets_grow():
     g = load_graph(BUILTIN_CONTENT_EDGES, seed=0, feature_dim=3)
-    store = _store(_percept("p0", g.nodes[0]))
+    store = _store(g, _percept("p0", g.nodes[0]))
     driver, live_rng, oracle_rng = make_rng(57), make_rng(58), make_rng(58)
     for step in range(2_000):
         category = g.nodes[int(driver.integers(len(g.nodes)))]
-        assert _pick(store, g, category, live_rng) is _copying_pick(store, g, category, oracle_rng)
+        assert _pick(store, category, live_rng) is _copying_pick(store, category, oracle_rng)
         if driver.random() < 0.3:
             store.attach(_percept(f"p{step + 1}", g.nodes[int(driver.integers(len(g.nodes)))]))
     assert len(store) > 500
@@ -219,7 +215,7 @@ def test_dream_walk_zero_bounds_freeze_categories():
     c = _percept("p1", "b", [1.0, 0.0, 0.5], origin=GridCell(2, 3))
     s = _percept("s1", "dark", [0.0, 1.0, 0.5], kind="style")
     frozen = DreamConfig(step_lower=0, step_upper=0, style_weight=0.25)
-    walk = DreamWalk(_store(c), g, _store(s), sg, frozen, make_rng(3))
+    walk = DreamWalk(_store(g, c), _store(sg, s), frozen, make_rng(3))
     for _ in range(10):
         frame = walk.step(make_rng(0))
         # the frame carries its sources' categories and content origin
@@ -233,11 +229,11 @@ def test_dream_walk_zero_bounds_freeze_categories():
 def test_dream_initial_categories_cover_populated_set():
     g = _graph(["a b", "b c"])
     sg = _graph(["dark bright"])
-    content = _store(_percept("p1", "a"), _percept("p2", "c"))
-    style = _store(_percept("s1", "dark", kind="style"))
+    content = _store(g, _percept("p1", "a"), _percept("p2", "c"))
+    style = _store(sg, _percept("s1", "dark", kind="style"))
     seen = set()
     for k in range(200):
-        walk = DreamWalk(content, g, style, sg, DreamConfig(), make_rng(k))
+        walk = DreamWalk(content, style, DreamConfig(), make_rng(k))
         seen.add(walk._content_cat)
     assert seen == {"a", "c"}
 
@@ -246,14 +242,15 @@ def test_dream_length_and_determinism():
     g = _graph(["a b", "b c", "c d"], dim=3)
     sg = _graph(["dark bright", "bright vivid"], dim=3)
     content = _store(
+        g,
         _percept("p1", "a", [0.1, 0.2, 0.3]),
         _percept("p2", "c", [0.9, 0.8, 0.7]),
     )
-    style = _store(_percept("s1", "dark", [0.5, 0.5, 0.5], kind="style"))
+    style = _store(sg, _percept("s1", "dark", [0.5, 0.5, 0.5], kind="style"))
     cfg = DreamConfig(step_lower=0, step_upper=2, length=6, style_weight=0.3)
-    d1 = _dream(content, g, style, sg, cfg, make_rng(42))
-    d2 = _dream(content, g, style, sg, cfg, make_rng(42))
-    d3 = _dream(content, g, style, sg, cfg, make_rng(43))
+    d1 = _dream(content, style, cfg, make_rng(42))
+    d2 = _dream(content, style, cfg, make_rng(42))
+    d3 = _dream(content, style, cfg, make_rng(43))
     assert len(d1) == 6
     assert [f.content_category for f in d1] == [f.content_category for f in d2]
     for f1, f2 in zip(d1, d2):
@@ -268,9 +265,9 @@ def test_dream_length_and_determinism():
 def test_dream_zero_length():
     g = _graph(["a b"])
     sg = _graph(["dark bright"])
-    content = _store(_percept("p1", "a"))
-    style = _store(_percept("s1", "dark", kind="style"))
-    d = _dream(content, g, style, sg, DreamConfig(length=0), make_rng(0))
+    content = _store(g, _percept("p1", "a"))
+    style = _store(sg, _percept("s1", "dark", kind="style"))
+    d = _dream(content, style, DreamConfig(length=0), make_rng(0))
     assert len(d) == 0
 
 
@@ -283,11 +280,11 @@ def test_dream_pair_distances_respect_step_bound():
     lines += ["n0 n5", "n3 n9", "n2 n7"]
     g = _graph(lines, seed=11, dim=3)
     sg = _graph(["dark bright", "bright vivid"], dim=3)
-    content = _store(*[_percept(f"p{k}", n, rng.random(3)) for k, n in enumerate(names)])
-    style = _store(_percept("s1", "dark", kind="style"))
+    content = _store(g, *[_percept(f"p{k}", n, rng.random(3)) for k, n in enumerate(names)])
+    style = _store(sg, _percept("s1", "dark", kind="style"))
     cfg = DreamConfig(step_lower=0, step_upper=3, length=20)
     for seed in range(30):
-        d = _dream(content, g, style, sg, cfg, make_rng(seed))
+        d = _dream(content, style, cfg, make_rng(seed))
         cats = [f.content_category for f in d]
         for a, b, frame in zip(cats, cats[1:], d[1:]):
             oracle = semantic_distance(g, a, b)

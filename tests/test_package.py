@@ -7,9 +7,10 @@ parameter it never reads, no dataclass or `NamedTuple` keeps a field nobody
 reads (outside a reasoned allowlist), no function, class or method is kept
 for the tests alone, no file is opened for writing outside the atomic-rename
 helper, no `functools` cache grows without bound, no `except` handler
-swallows an error outside the CLI's three, and no error message names a config
+swallows an error outside the CLI's four, and no error message names a config
 key that does not exist. Every package error also survives pickling, which
-is how a pool worker's error reaches the parent.
+is how a pool worker's error reaches the parent, and every source file parses
+at the Python floor that `requires-python` declares.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from conscient_sim.configio import default_values
 
 PACKAGE_DIR = Path(conscient_sim.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+REPO_DIR = Path(__file__).resolve().parents[1]
+BENCH_DIR = REPO_DIR / "bench"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -489,6 +491,8 @@ SWALLOW_ALLOWED = {
     ("cli", "run_command", "SystemExit"): "argparse printed usage; its code is the exit code",
     ("cli", "run_command", "(SimulatorError, OSError)"): "prints the `error:` line; exit 1",
     ("cli", "run_command", "MemoryError"): "prints the `error:` line naming the size keys; exit 1",
+    ("cli", "run_command", "BrokenProcessPool"): "a search worker died, as by the OOM killer: "
+    "prints the `error:` line; exit 1",
 }
 
 
@@ -613,3 +617,24 @@ def test_error_survives_pickling(cls):
     err = pickle.loads(pickle.dumps(cls("msg")))
     assert type(err) is cls
     assert str(err) == str(cls("msg"))
+
+
+def _python_floor() -> tuple[int, int]:
+    """The (major, minor) that `requires-python` in pyproject.toml declares."""
+    text = (REPO_DIR / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    assert found, "pyproject.toml declares no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("top", ["src", "tests", "bench"])
+def test_every_source_file_parses_at_the_python_floor(top):
+    # the suite may run under a newer interpreter alone: this holds every file to the floor
+    floor = _python_floor()
+    paths = sorted((REPO_DIR / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+    # the check bites: an exception group needs 3.11
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

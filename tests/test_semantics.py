@@ -12,6 +12,8 @@ from conscient_sim.fields import GridCell
 from conscient_sim.semantics import (
     BUILTIN_CONTENT_EDGES,
     BUILTIN_STYLE_EDGES,
+    PERCEPT_KINDS,
+    SENDABLE_KINDS,
     Percept,
     PerceptStore,
     classify,
@@ -220,6 +222,9 @@ def _percept(pid, category, tick, kind="observed"):
     return Percept(pid, np.zeros(2), category, GridCell(0, 0), tick=tick, kind=kind)
 
 
+PETS = load_graph("cat dog\ndog fish", seed=0, feature_dim=2)
+
+
 def test_percept_is_a_frozen_slotted_identity_record():
     p = _percept("p1", "dog", 1)
     assert not hasattr(p, "__dict__")  # slots: no per-percept dict
@@ -230,7 +235,7 @@ def test_percept_is_a_frozen_slotted_identity_record():
 
 
 def test_percept_store_attach_and_idempotence():
-    store = PerceptStore()
+    store = PerceptStore(PETS)
     p = _percept("x1", "dog", 1)
     assert store.attach(p) is True
     assert store.attach(p) is False
@@ -243,30 +248,54 @@ def test_percept_store_attach_and_idempotence():
 
 
 def test_percept_store_categories_and_latest():
-    store = PerceptStore()
-    store.attach(_percept("a", "dog", 1))
+    store = PerceptStore(PETS)
+    assert store.graph is PETS and store.latest() is None
+    a = _percept("a", "dog", 1)
+    store.attach(a)
+    assert store.latest() is a
+    # received and style percepts are not sent on, nor is a duplicate id attached
     store.attach(_percept("b", "cat", 2, kind="received"))
-    store.attach(_percept("c", "dog", 3))
+    store.attach(_percept("s", "cat", 3, kind="style"))
+    store.attach(_percept("a", "dog", 4, kind="dreamed"))
+    assert store.latest() is a
+    c = _percept("c", "dog", 5, kind="dreamed")
+    store.attach(c)
+    assert store.latest() is c
     assert store.categories() == ("cat", "dog")
-    graph = load_graph("cat dog\ndog fish", seed=0, feature_dim=2)
-    assert tuple(p.id for p in store.dream_bucket(graph, "dog")) == ("a", "c")
+    assert tuple(p.id for p in store.dream_bucket("dog")) == ("a", "c")
     # fish is empty: its picks draw from dog, one hop away
-    assert store.dream_bucket(graph, "fish") is store.dream_bucket(graph, "dog")
-    latest = store.latest(("observed",))
-    assert latest is not None and latest.id == "c"
-    assert store.latest(("dreamed",)) is None
-    assert store.latest(("received",)).id == "b"
-    mixed = store.latest(("observed", "received"))
-    assert mixed is not None and mixed.id == "c"
+    assert store.dream_bucket("fish") is store.dream_bucket("dog")
+
+
+def test_latest_matches_a_walk_back_over_the_store():
+    rng = make_rng(5)
+    store = PerceptStore(PETS)
+    for k in range(500):
+        kind = PERCEPT_KINDS[int(rng.integers(len(PERCEPT_KINDS)))]
+        pid = f"p{int(rng.integers(300))}"  # some ids repeat
+        store.attach(_percept(pid, PETS.nodes[int(rng.integers(3))], k, kind))
+        walk_back = next((p for p in reversed(list(store)) if p.kind in SENDABLE_KINDS), None)
+        assert store.latest() is walk_back
+    assert store.latest() is not None and len(store) < 500
+
+
+def test_dream_bucket_falls_back_by_hops_on_the_stores_own_graph():
+    line = _graph(["a b", "b c", "c d", "d e"], dim=2)
+    ring = _graph(["a b", "b c", "c d", "d e", "e a"], dim=2)
+    # from a, c is two hops away on both graphs, and e is four on the line but one on the ring
+    for graph, nearest in ((line, "c"), (ring, "e")):
+        store = PerceptStore(graph)
+        store.attach(_percept("p1", "c", 1))
+        store.attach(_percept("p2", "e", 2))
+        assert store.dream_bucket("a")[0].category == nearest
 
 
 def test_dream_bucket_is_the_live_bucket():
-    graph = load_graph("cat dog", seed=0, feature_dim=2)
-    store = PerceptStore()
+    store = PerceptStore(PETS)
     store.attach(_percept("a", "dog", 1))
-    dogs = store.dream_bucket(graph, "dog")
+    dogs = store.dream_bucket("dog")
     store.attach(_percept("b", "cat", 2))
     store.attach(_percept("c", "dog", 3))
     store.attach(_percept("a", "dog", 4))  # a duplicate id is not attached
     assert [p.id for p in dogs] == ["a", "c"]
-    assert store.dream_bucket(graph, "dog") is dogs
+    assert store.dream_bucket("dog") is dogs

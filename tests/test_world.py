@@ -147,6 +147,18 @@ def test_worlds_share_a_read_only_layout():
         second.cell_features(GridCell(0, 0))[0] = 0.5
 
 
+def test_agent_stores_are_bound_to_the_layout_graphs():
+    cfg = WorldConfig(resolution=5, n_agents=3, master_seed=8)
+    layout = world_layout(cfg)
+    world = build_world(cfg)
+    for agent in world.agents:
+        assert agent.percepts.graph is layout.content_graph
+        assert agent.styles.graph is layout.style_graph
+    # the graphs are shared, the stores are each agent's own
+    stores = {id(store) for a in world.agents for store in (a.percepts, a.styles)}
+    assert len(stores) == 2 * cfg.n_agents
+
+
 def test_crowded_run_leaves_windows_and_layout_fields_read_only():
     cfg = WorldConfig(resolution=8, n_agents=32, master_seed=21, total_ticks=200)
     _cached_layout.cache_clear()
