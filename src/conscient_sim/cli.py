@@ -13,13 +13,16 @@ lists under `outputs` belong to its run.
 Exit codes: 0 on success, 1 on config or runtime validation failures (the
 message names the offending key), on a failed write (it names the file), on
 running out of memory (it names the keys that size a run) and on a dead search
-worker, 2 on unknown flags or subcommands (argparse prints usage).
+worker, 2 on unknown flags or subcommands (argparse prints usage), 130 on
+SIGINT (Ctrl-C) and 143 on SIGTERM, which `main` turns into an exception so
+that a writer removes its temp file. Each failure prints one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
@@ -111,13 +114,13 @@ def _write_outputs(args, bundle: ConfigBundle, started: str, files: dict, **mani
 def _cmd_simulate(args) -> int:
     started = _now()
     bundle = parse_config(args.config, overrides={"world.master_seed": str(args.seed)})
-    trace = run_world(bundle.world)
-    summary = world_metrics(trace)
+    world = run_world(bundle.world)
+    summary = world_metrics(world)
     files = {
-        "trace.csv": (write_trace_csv, trace.rows),
-        "interactions.csv": (write_interactions_csv, trace.interactions),
-        "dreams.csv": (write_dreams_csv, trace.dream_rows),
-        "percepts.csv": (write_percepts_csv, trace.percept_rows),
+        "trace.csv": (write_trace_csv, world.rows),
+        "interactions.csv": (write_interactions_csv, world.interactions),
+        "dreams.csv": (write_dreams_csv, world.dream_rows),
+        "percepts.csv": (write_percepts_csv, world.percept_rows),
         "metrics.csv": (write_metrics_csv, summary),
     }
     _write_outputs(args, bundle, started, files)
@@ -186,12 +189,22 @@ _COMMANDS = {
 }
 
 
+class Terminated(BaseException):
+    """SIGTERM, raised where the process was, so cleanup runs as for Ctrl-C."""
+
+
+def _raise_terminated(*handler_args) -> None:
+    """The SIGTERM handler `main` installs; it gets (signal number, frame)."""
+    raise Terminated(*handler_args)
+
+
 def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
+    code = 1
     try:
         return _COMMANDS[args.command](args)
     except (SimulatorError, OSError) as exc:
@@ -203,11 +216,17 @@ def run_command(argv: list[str]) -> int:
         )
     except BrokenProcessPool:  # the pool lost a worker: a SIGKILL, as from the OOM killer
         message = "a search worker process died, for example killed or out of memory"
+    except KeyboardInterrupt:  # exit status 128 + SIGINT
+        message, code = "interrupted", 130
+    except Terminated:  # exit status 128 + SIGTERM
+        message, code = "terminated", 143
     print("error: " + message, file=sys.stderr)
-    return 1
+    return code
 
 
 def main() -> None:
+    # here, not in `run_command`, so in-process callers keep Python's default
+    signal.signal(signal.SIGTERM, _raise_terminated)
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -8,7 +8,8 @@ so `key = 6 # six` gives `key` the value `6 # six`. Unknown keys, duplicate
 keys, and type mismatches are rejected with the offending key and line
 number; each value's range is declared beside its field and checked when its
 section is built. Parsed values are echoed back in a canonical rendering so a
-manifest can reproduce the run exactly.
+manifest can reproduce the run exactly. Config and graph files are read as
+UTF-8; a leading byte-order mark is dropped, so it is part of no key or node.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _load_edges(label: str, base_dir: str, key: str) -> tuple[str, str]:
     path = label if os.path.isabs(label) else os.path.join(base_dir, label)
     path = os.path.abspath(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read(), path
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"key {key}: cannot read graph file {path}: {exc}") from None
@@ -188,7 +189,7 @@ def parse_config_text(
 
 def parse_config(path: str, overrides: Optional[dict[str, str]] = None) -> ConfigBundle:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
@@ -29,7 +30,7 @@ from .dreams import DreamConfig
 from .emotions import EmotionParams
 from .errors import ConfigError, bound, check_bounds
 from .seeds import derive_seed, make_rng
-from .world import Metrics, SimulationTrace, WorldConfig, metrics, run
+from .world import Metrics, World, WorldConfig, metrics, run
 
 ENV_THREADS = "CONSCIENT_SIM_THREADS"
 
@@ -158,7 +159,7 @@ def configure_world(
     return replace(base, agent=replace(agent, dream=dream, emotion=emotion, **by_section["agent"]))
 
 
-TraceHook = Callable[[Genome, int, SimulationTrace], None]
+TraceHook = Callable[[Genome, int, World], None]
 
 
 def fitness(
@@ -169,17 +170,18 @@ def fitness(
 ) -> FitnessReport:
     """Mean interaction count over the evaluation seeds.
 
-    Every decoded genome is a valid config (`test_genes_keep_to_declared_bounds`),
-    so a simulation error means the base world cannot run: it propagates and
-    stops the search.
+    `trace_hook`, if given, gets each seed's world after its last tick. Every
+    decoded genome is a valid config (`test_genes_keep_to_declared_bounds`), so
+    a simulation error means the base world cannot run: it propagates and stops
+    the search.
     """
     cfg = configure_world(base, decode_genome(genome), ga.movement_budget)
     per_seed: list[Metrics] = []
     for seed in ga.eval_seeds:
-        trace = run(replace(cfg, master_seed=seed))
+        world = run(replace(cfg, master_seed=seed))
         if trace_hook is not None:
-            trace_hook(genome, seed, trace)
-        per_seed.append(metrics(trace))
+            trace_hook(genome, seed, world)
+        per_seed.append(metrics(world))
     value = sum(m.interactions for m in per_seed) / len(per_seed)
     return FitnessReport(value, per_seed)
 
@@ -201,6 +203,13 @@ def _resolve_workers(workers: Optional[int]) -> int:
         else:
             workers = os.cpu_count() or 1
     return workers
+
+
+def _init_worker() -> None:
+    """Leave Ctrl-C to the parent, which reports it, and let SIGTERM end a worker
+    at once, as when the pool stops the survivors of a dead worker."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _tournament(reports: list[FitnessReport], size: int, rng: np.random.Generator) -> int:
@@ -240,7 +249,9 @@ def evolve(
     # most 8 stay cached); hooks cannot cross process boundaries, so they run
     # in-process
     parallel = n_workers > 1 and trace_hook is None
-    with ProcessPoolExecutor(max_workers=n_workers) if parallel else nullcontext() as pool:
+    with (
+        ProcessPoolExecutor(n_workers, initializer=_init_worker) if parallel else nullcontext()
+    ) as pool:
         mapper = pool.map if parallel else map
         for gen in range(ga.generations):
             reports = list(mapper(evaluate, population))

@@ -7,10 +7,10 @@ scattered over cells. Fields, spawns, stimuli, graphs and cell features
 depend on no agent setting, so worlds share them through a per-process
 `WorldLayout` cache. Per tick, agents act in ascending id order, then every
 unordered pair of awake co-located agents exchanges percepts exactly once.
-The full run is captured in a replayable trace, and its summary, `Metrics`,
-is one fold over the trace rows alone (`row_metrics`): `simulate` writes it,
-`fitness` maximises it, and `conscient-sim metrics` recounts it from a
-trace file with the same function.
+A world is the record of its own run, and `run` returns it after its last
+tick. The run's summary, `Metrics`, is one fold over the trace rows alone
+(`row_metrics`): `simulate` writes it, `fitness` maximises it, and
+`conscient-sim metrics` recounts it from a trace file with the same function.
 """
 
 from __future__ import annotations
@@ -153,20 +153,6 @@ class TraceRow(NamedTuple):
         )
 
 
-@dataclass(eq=False)
-class SimulationTrace:
-    """Everything a run produced, in the order it was produced.
-
-    `percept_rows` pairs each stored percept with its owner's agent id, agent
-    by agent, content store before style store.
-    """
-
-    rows: list[TraceRow]
-    interactions: list[InteractionRecord]
-    dream_rows: list[DreamFrameRow]
-    percept_rows: list[tuple[int, Percept]]
-
-
 @dataclass(frozen=True)
 class Metrics:
     """Run summary; field order is the `metrics.csv` row order."""
@@ -290,7 +276,7 @@ def _cached_layout(world_items: tuple[tuple[str, object], ...]) -> WorldLayout:
 
 
 class World:
-    """Mutable simulation state over a shared `WorldLayout`; see `build_world` and `run`."""
+    """Mutable simulation state over a shared `WorldLayout`, and its run's only record."""
 
     def __init__(self, config: WorldConfig):
         self.config = config
@@ -364,18 +350,19 @@ class World:
             self.rows.append(TraceRow.of(agent, t, tuple(events[agent.id])))
         self.tick = t
 
-    def snapshot_trace(self) -> SimulationTrace:
-        return SimulationTrace(
-            rows=list(self.rows),
-            interactions=list(self.interactions),
-            dream_rows=list(self.dream_rows),
-            percept_rows=[
-                (agent.id, p)
-                for agent in self.agents
-                for store in (agent.percepts, agent.styles)
-                for p in store
-            ],
-        )
+    @property
+    def percept_rows(self) -> list[tuple[int, Percept]]:
+        """(owner id, percept) per stored percept: agent by agent, content before style."""
+        return [
+            (agent.id, p)
+            for agent in self.agents
+            for store in (agent.percepts, agent.styles)
+            for p in store
+        ]
+
+    def snapshot_trace(self) -> World:
+        """This world, uncopied; the name stays as `bench/tracer.py` traces it (ROADMAP item 23)."""
+        return self
 
 
 def interact(a: Agent, b: Agent, tick: int) -> Optional[InteractionRecord]:
@@ -407,12 +394,12 @@ def build_world(config: WorldConfig) -> World:
     return World(config)
 
 
-def run(config: WorldConfig) -> SimulationTrace:
-    """Build a world from the config, run every tick, return the full trace."""
+def run(config: WorldConfig) -> World:
+    """Build a world from the config, run every tick, return the world as its record."""
     world = build_world(config)
     for _ in range(config.total_ticks):
         world.step()
-    return world.snapshot_trace()
+    return world
 
 
 def row_metrics(rows: Iterable[TraceRow]) -> Metrics:
@@ -456,6 +443,6 @@ def row_metrics(rows: Iterable[TraceRow]) -> Metrics:
     return Metrics(int_tokens // 2, photos, dream_frames, sum(per_agent), per_agent, *means)
 
 
-def metrics(trace: SimulationTrace) -> Metrics:
-    """Summary statistics recomputed from the trace's rows; see `row_metrics`."""
-    return row_metrics(trace.rows)
+def metrics(world: World) -> Metrics:
+    """Summary statistics recomputed from the world's trace rows; see `row_metrics`."""
+    return row_metrics(world.rows)

@@ -266,35 +266,104 @@ def test_exit_code_1_when_the_run_does_not_fit_in_memory(tmp_path):
     assert not out.exists()
 
 
-def test_a_dead_search_worker_ends_optimize_with_one_line(tmp_path):
-    # the child patches `fitness` before its pool forks, so each worker kills
-    # itself inside its own evaluation, as the OOM killer would
+def _optimize_child(*first_evaluation: str) -> str:
+    """A `-c` script that runs `cli.main()` with `fitness` patched before the
+    pool forks. The search's first evaluation, in whichever worker runs it,
+    runs the statements `first_evaluation` before it scores; every other
+    evaluation scores, then creates `<--out>.scored`."""
+    return "".join(
+        [
+            "import os, signal, sys, time\n",
+            "from conscient_sim import cli, optimizer\n",
+            "evaluate = optimizer.fitness\n",
+            "def fitness(*args, **kwargs):\n",
+            "    try:\n",
+            "        os.close(os.open(sys.argv[-1] + '.first', os.O_CREAT | os.O_EXCL))\n",
+            "    except FileExistsError:\n",
+            "        report = evaluate(*args, **kwargs)\n",
+            "        os.close(os.open(sys.argv[-1] + '.scored', os.O_CREAT))\n",
+            "        return report\n",
+            *(f"    {statement}\n" for statement in first_evaluation),
+            "    return evaluate(*args, **kwargs)\n",
+            "optimizer.fitness = fitness\n",
+            "cli.main()\n",
+        ]
+    )
+
+
+def _run_optimize_child(tmp_path, *first_evaluation: str, **popen) -> subprocess.CompletedProcess:
+    """`optimize` on 2 workers through `_optimize_child`, writing to `tmp_path / "out"`."""
     cfg = tmp_path / "ga.cfg"
     cfg.write_text("world.total_ticks = 10\nga.population_size = 2\n", encoding="utf-8")
-    out = tmp_path / "out"
-    child = (
-        "import os, signal, sys\n"
-        "from conscient_sim import optimizer\n"
-        "from conscient_sim.cli import run_command\n"
-        "def fitness(*args, **kwargs):\n"
-        "    os.kill(os.getpid(), signal.SIGKILL)\n"
-        "optimizer.fitness = fitness\n"
-        "sys.exit(run_command(sys.argv[1:]))\n"
-    )
-    argv = ["optimize", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    argv = ["optimize", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-c", child, *argv],
+        [sys.executable, "-c", _optimize_child(*first_evaluation), *argv],
         capture_output=True,
         text=True,
         timeout=300,
         env={**_child_env(), "CONSCIENT_SIM_THREADS": "2"},
+        **popen,
+    )
+    assert (tmp_path / "out.first").exists()
+    assert not (tmp_path / "out" / "ga_history.csv").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
+    return proc
+
+
+def test_a_dead_search_worker_ends_optimize_with_one_line(tmp_path):
+    # one worker kills itself, as the OOM killer would, once the other has
+    # scored and waits for work; the pool then sends that survivor SIGTERM,
+    # which must end it without a word
+    proc = _run_optimize_child(
+        tmp_path,
+        "deadline = time.monotonic() + 60",
+        "while not os.path.exists(sys.argv[-1] + '.scored') and time.monotonic() < deadline:",
+        "    time.sleep(0.01)",
+        "os.kill(os.getpid(), signal.SIGKILL)",
     )
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: a search worker process died, for example killed or out of memory"
     ], proc.stderr
-    assert not (out / "ga_history.csv").exists()
-    assert not (out / "manifest.json").exists()
+
+
+def test_ctrl_c_ends_optimize_with_one_line(tmp_path):
+    # the child leads its own process group, as a shell's foreground job does,
+    # and a worker sends SIGINT to that whole group, as Ctrl-C would
+    proc = _run_optimize_child(tmp_path, "os.killpg(0, signal.SIGINT)", start_new_session=True)
+    assert proc.returncode == 130, proc.stderr
+    assert proc.stderr.splitlines() == ["error: interrupted"], proc.stderr
+
+
+def test_sigterm_ends_simulate_with_one_line_and_no_temp_file(tmp_path):
+    # the child's trace writer sends the child SIGTERM after 50 rows, while
+    # its temp file is open
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("world.total_ticks = 100\n", encoding="utf-8")
+    out = tmp_path / "out"
+    child = (
+        "import os, signal\n"
+        "from conscient_sim import cli\n"
+        "write = cli.write_trace_csv\n"
+        "def rows_until_sigterm(rows):\n"
+        "    for k, row in enumerate(rows):\n"
+        "        if k == 50:\n"
+        "            os.kill(os.getpid(), signal.SIGTERM)\n"
+        "        yield row\n"
+        "cli.write_trace_csv = lambda path, rows: write(path, rows_until_sigterm(rows))\n"
+        "cli.main()\n"
+    )
+    argv = ["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=_child_env(),
+    )
+    assert proc.returncode == 143, proc.stderr
+    assert proc.stderr.splitlines() == ["error: terminated"], proc.stderr
+    assert os.listdir(out) == []
 
 
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):

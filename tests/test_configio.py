@@ -412,6 +412,22 @@ def test_non_utf8_graph_file_names_key(tmp_path):
         parse_config(str(cfg))
 
 
+@pytest.mark.parametrize("marked", ["run.cfg", "graph.txt"])
+def test_a_byte_order_mark_is_part_of_no_key_or_node(tmp_path, marked):
+    texts = {
+        "run.cfg": "world.content_graph = graph.txt\nworld.total_ticks = 9\n",
+        "graph.txt": "animal plant\nplant stone\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    cfg = str(tmp_path / "run.cfg")
+    plain = parse_config(cfg)
+    (tmp_path / marked).write_text(texts[marked], encoding="utf-8-sig")
+    assert (tmp_path / marked).read_bytes().startswith(b"\xef\xbb\xbf")
+    bundle = parse_config(cfg)
+    assert (bundle.world, bundle.ga, bundle.effective) == (plain.world, plain.ga, plain.effective)
+
+
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/run.cfg")

@@ -493,6 +493,10 @@ SWALLOW_ALLOWED = {
     ("cli", "run_command", "MemoryError"): "prints the `error:` line naming the size keys; exit 1",
     ("cli", "run_command", "BrokenProcessPool"): "a search worker died, as by the OOM killer: "
     "prints the `error:` line; exit 1",
+    ("cli", "run_command", "KeyboardInterrupt"): "Ctrl-C: prints `error: interrupted`; exit 130, "
+    "as 128 + SIGINT (ROADMAP item 22)",
+    ("cli", "run_command", "Terminated"): "SIGTERM, raised by the handler `main` installs: "
+    "prints `error: terminated`; exit 143, as 128 + SIGTERM (ROADMAP item 22)",
 }
 
 

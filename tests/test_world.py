@@ -424,6 +424,25 @@ def test_percept_rows_provenance():
         assert len(ids) == len(set(ids))
 
 
+def test_a_world_is_its_own_record():
+    cfg = WorldConfig(
+        resolution=6,
+        n_agents=3,
+        total_ticks=80,
+        master_seed=40,
+        agent=AgentConfig(photo_period=1, style_every=2),
+    )
+    w = run(cfg)
+    assert w.snapshot_trace() is w and w.snapshot_trace().rows is w.rows
+    # every stored percept once, agent by agent, content store before style store
+    expected = [(a.id, id(p)) for a in w.agents for p in (*a.percepts, *a.styles)]
+    assert [(aid, id(p)) for aid, p in w.percept_rows] == expected
+    for a in w.agents:
+        styles = [p.kind == "style" for aid, p in w.percept_rows if aid == a.id]
+        assert False in styles and True in styles
+        assert styles == sorted(styles)
+
+
 def test_dream_rows_reference_attached_percepts():
     cfg = WorldConfig(resolution=8, n_agents=2, total_ticks=200, master_seed=7)
     trace = run(cfg)
