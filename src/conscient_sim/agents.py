@@ -28,7 +28,7 @@ from .fields import (
     steepest_neighbor,
 )
 from .seeds import Stream
-from .semantics import Percept, PerceptStore, classify
+from .semantics import Percept, PerceptStore
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class AgentConfig:
 class WorldContext(Protocol):
     """What an agent needs from its environment during a tick."""
 
-    def cell_features(self, cell: GridCell) -> np.ndarray: ...
+    def cell_view(self, cell: GridCell) -> tuple[np.ndarray, str, str]: ...
 
     def take_stimulus(self, cell: GridCell):  # returns ContentStimulus | None
         ...
@@ -116,9 +116,9 @@ def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Per
 
     Decisions only happen every photo_period-th awake tick. The take chance is
     logistic in the field value, so valuable cells are photographed often and
-    worthless ones rarely. A taken photo is classified, stored, penalizes its
-    cell on the field, and moves emotions by how good the cell looked; every
-    style_every-th photo is duplicated into the style store.
+    worthless ones rarely. A taken photo is stored under its cell's content
+    category, penalizes its cell on the field, and moves emotions by how good
+    the cell looked; every style_every-th one is also stored by its style.
     """
     cfg = agent.config
     if (agent.ticks_in_mode + 1) % cfg.photo_period != 0:
@@ -126,12 +126,12 @@ def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Per
     value = agent.field.values.item(agent.position)
     if agent.rng.random() >= logistic(value):
         return None
-    features = ctx.cell_features(agent.position)
+    features, content, style = ctx.cell_view(agent.position)
     agent.photo_count += 1
     percept = Percept(
         id=f"a{agent.id}-p{agent.photo_count}",
         features=features,
-        category=classify(features, agent.percepts.graph),
+        category=content,
         origin=agent.position,
         tick=tick,
         kind="observed",
@@ -142,7 +142,7 @@ def maybe_take_photo(agent: Agent, ctx: WorldContext, tick: int) -> Optional[Per
             Percept(
                 id=f"a{agent.id}-s{agent.photo_count}",
                 features=features,
-                category=classify(features, agent.styles.graph),
+                category=style,
                 origin=agent.position,
                 tick=tick,
                 kind="style",

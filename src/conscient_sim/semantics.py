@@ -3,9 +3,10 @@
 Categories live on undirected graphs loaded from plain edge lists; semantic
 distance between two categories counts edges on a shortest path. Each category
 carries a prototype feature vector derived deterministically from the load
-seed, and new feature vectors are classified to the nearest prototype. A
-percept store is an insertion-ordered memory over one graph's categories that
-also keeps its last percept of a kind an agent sends to a peer.
+seed, and `classify`, a pure function, names the nearest prototype to a
+feature vector. A percept store is an insertion-ordered memory over one
+graph's categories that also keeps its last percept of a kind an agent sends
+to a peer.
 """
 
 from __future__ import annotations
@@ -79,17 +80,14 @@ class SemanticGraph:
 
     Row k of the read-only `prototype_matrix` is the prototype of `nodes[k]`;
     `_hop_rows` memoises BFS hop counts per start node as `hop_counts` is
-    asked for them, and `_classified` memoises `classify` by the bytes of the
-    feature vector: at most one entry per distinct vector classified against
-    this graph. A world's graphs belong to its cached layout and outlive the
-    world; each layout's graphs classify only that layout's r^2 cell vectors.
+    asked for them, at most one row per node. A world's graphs belong to its
+    cached layout and outlive the world.
     """
 
     nodes: tuple[str, ...]
     adjacency: dict[str, tuple[str, ...]]
     prototype_matrix: np.ndarray = field(repr=False)
     _hop_rows: dict[str, dict[str, int]] = field(init=False, repr=False, default_factory=dict)
-    _classified: dict[bytes, str] = field(init=False, repr=False, default_factory=dict)
 
 
 def load_graph(source: str, seed: int, feature_dim: int) -> SemanticGraph:
@@ -163,24 +161,18 @@ def semantic_distance(graph: SemanticGraph, start: str, end: str) -> Optional[in
 def classify(features: np.ndarray, graph: SemanticGraph) -> str:
     """Name of the category whose prototype is nearest in Euclidean distance.
 
-    Exact ties resolve to the lexicographically smallest name. Memoised per
-    graph on the vector's bytes; `features` has the prototypes' length.
+    Exact ties resolve to the lexicographically smallest name; `features` has
+    the prototypes' length. No memo: a world classifies each cell once, in its
+    layout's cell table (`world.World.cell_view`).
     """
-    feats = np.asarray(features, dtype=float)
-    key = feats.tobytes()
-    best = graph._classified.get(key)
-    if best is not None:
-        return best
-    best_d = float("inf")
+    best, best_d = graph.nodes[0], float("inf")
     # sqrt(x.dot(x)) per row is exactly what np.linalg.norm computes for a
     # vector; a batched reduction sums in another order and can flip near-ties.
-    diffs = feats - graph.prototype_matrix
+    diffs = features - graph.prototype_matrix
     for name, row in zip(graph.nodes, diffs):  # sorted, so first strict win is the tie-break
         d = math.sqrt(row.dot(row))
         if d < best_d:
             best, best_d = name, d
-    assert best is not None
-    graph._classified[key] = best
     return best
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dreams import DreamFrameRow
 from .errors import TraceError
-from .fields import GridCell
+from .fields import MAX_RESOLUTION, GridCell
 from .optimizer import GenerationStats
 from .semantics import PERCEPT_KINDS, Percept, SemanticGraph
 from .world import (
@@ -96,6 +96,9 @@ PERCEPTS_HEADER = [
 METRICS_HEADER = ["metric", "value"]
 
 GA_HISTORY_HEADER = ["generation", "best_fitness", "mean_fitness", "best_genome"]
+
+# agent ids any world can hold: each agent spawns on its own cell
+MAX_AGENTS = MAX_RESOLUTION * MAX_RESOLUTION
 
 
 def _fmt(v: float) -> str:
@@ -427,7 +430,9 @@ def read_percepts_csv(
 
     Here percepts, and so cells, enter from outside: each must fit `world` and
     its graph (`style_graph` for style percepts, `content_graph` for the rest),
-    and its features must lie in [0, 1], as every percept's do.
+    and its features must lie in [0, 1], as every percept's do. Its id must not
+    be empty, and its owner's id is one some world could hold: a `dream`
+    config need not be the run's, so `world.n_agents` does not bound it.
     """
     r = world.resolution
     percepts = []
@@ -437,7 +442,11 @@ def read_percepts_csv(
         try:
             # an empty entry, as in "0.5;;0.25" or "0.5;", does not parse: the writer writes none
             feats = np.array([float(x) for x in rec[7].split(";")], dtype=float)
-            i, j = int(rec[4]), int(rec[5])
+            aid, i, j = int(rec[0]), int(rec[4]), int(rec[5])
+            if not 0 <= aid < MAX_AGENTS:
+                raise ValueError(f"agent_id must be in [0, {MAX_AGENTS}), got {aid}")
+            if not rec[1]:
+                raise ValueError("percept id is empty")
             percept = Percept(
                 id=rec[1],
                 features=feats,
@@ -463,7 +472,7 @@ def read_percepts_csv(
                 raise ValueError(f"feature {feats[outside][0]} is outside [0, 1]")
             if not (0 <= i < r and 0 <= j < r):
                 raise ValueError(f"origin ({i}, {j}) is off the grid, but world.resolution is {r}")
-            percepts.append((int(rec[0]), percept))
+            percepts.append((aid, percept))
         except ValueError as exc:
             where = f"percept log {path}, line {lineno}: percept {rec[1]}"
             raise TraceError(f"{where}: {exc}") from None

@@ -3,14 +3,15 @@
 A world holds n agents on a shared r x r grid. Each agent perceives the grid
 through its own sampled importance field; the environment itself contributes
 reward hotspots (positive bumps on every field) and one-shot content stimuli
-scattered over cells. Fields, spawns, stimuli, graphs and cell features
-depend on no agent setting, so worlds share them through a per-process
-`WorldLayout` cache. Per tick, agents act in ascending id order, then every
-unordered pair of awake co-located agents exchanges percepts exactly once.
-A world is the record of its own run, and `run` returns it after its last
-tick. The run's summary, `Metrics`, is one fold over the trace rows alone
-(`row_metrics`): `simulate` writes it, `fitness` maximises it, and
-`conscient-sim metrics` recounts it from a trace file with the same function.
+scattered over cells. Fields, spawns, stimuli, graphs and each cell's
+features and categories depend on no agent setting, so worlds share them
+through a per-process `WorldLayout` cache. Per tick, agents act in ascending
+id order, then every unordered pair of awake co-located agents exchanges
+percepts exactly once. A world is the record of its own run, and `run`
+returns it after its last tick. The run's summary, `Metrics`, is one fold
+over the trace rows alone (`row_metrics`): `simulate` writes it, `fitness`
+maximises it, and `conscient-sim metrics` recounts it from a trace file with
+the same function.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from .semantics import (
     Percept,
     PerceptStore,
     SemanticGraph,
+    classify,
     load_graph,
 )
 
 STIMULUS_MODALITIES = ("music", "recipe")
-# Every graph node and every visited cell holds a feature_dim-long vector: at
-# resolution 128 the cell features alone take about 134 MB at this bound.
+# Every graph node and every photographed cell holds a feature_dim-long vector:
+# at resolution 128 the cell table takes about 134 MB at this bound.
 MAX_FEATURE_DIM = 1024
 
 
@@ -199,8 +201,9 @@ class WorldLayout:
     Worlds whose configs differ only in `world.total_ticks` and in the agent
     settings (`agent.*`, `dream.*` and `emotion.*`, where the genes live)
     share one layout, as no agent setting shapes it: the graphs and their
-    warm memos, each agent's reward-bumped field, spawn cell and stream seed,
-    the stimulus table, and the cell features those worlds have asked for.
+    warm hop memos, each agent's reward-bumped field, spawn cell and stream
+    seed, the stimulus table, and the cell table: each photographed cell's
+    features and their categories, the only place a cell is classified.
     Worlds only read it; the field arrays and feature vectors are read-only,
     and each world copies the stimulus table it consumes.
     """
@@ -211,7 +214,7 @@ class WorldLayout:
     spawns: tuple[GridCell, ...]  # indexed by agent id
     agent_seeds: tuple[StoredSeed, ...]  # indexed by agent id
     stimuli: Mapping[GridCell, ContentStimulus]
-    features: dict[GridCell, np.ndarray]  # filled lazily by `World.cell_features`
+    cells: dict[GridCell, tuple[np.ndarray, str, str]]  # filled lazily by `World.cell_view`
 
 
 # WorldConfig fields no layout reads
@@ -271,7 +274,7 @@ def _cached_layout(world_items: tuple[tuple[str, object], ...]) -> WorldLayout:
         spawns=spawns,
         agent_seeds=tuple(agent_seeds),
         stimuli=MappingProxyType(stimuli),
-        features={},
+        cells={},
     )
 
 
@@ -281,8 +284,7 @@ class World:
     def __init__(self, config: WorldConfig):
         self.config = config
         self.tick = 0
-        layout = world_layout(config)
-        self._features = layout.features
+        self._layout = layout = world_layout(config)
         self.stimuli: dict[GridCell, ContentStimulus] = dict(layout.stimuli)
         self.agents: list[Agent] = [
             Agent(
@@ -307,15 +309,18 @@ class World:
 
     # -- agent environment hooks ------------------------------------------
 
-    def cell_features(self, cell: GridCell) -> np.ndarray:
-        """Deterministic, read-only per-cell feature vector in [0, 1]^feature_dim."""
-        cached = self._features.get(cell)
-        if cached is None:
+    def cell_view(self, cell: GridCell) -> tuple[np.ndarray, str, str]:
+        """(features, content category, style category) of a cell: its deterministic,
+        read-only vector in [0, 1]^feature_dim, classified once per layout."""
+        layout = self._layout
+        view = layout.cells.get(cell)
+        if view is None:
             rng = make_rng(derive_seed(self.config.master_seed, "cell", cell.i, cell.j))
-            cached = rng.random(self.config.feature_dim)
-            cached.flags.writeable = False
-            self._features[cell] = cached
-        return cached
+            feats = rng.random(self.config.feature_dim)
+            feats.flags.writeable = False
+            view = feats, classify(feats, layout.content_graph), classify(feats, layout.style_graph)
+            layout.cells[cell] = view
+        return view
 
     def take_stimulus(self, cell: GridCell) -> Optional[ContentStimulus]:
         """Consume (and remove) the stimulus at a cell, if any."""

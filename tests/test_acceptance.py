@@ -281,7 +281,7 @@ def test_output_bytes_same_from_cold_and_warm_layout(name, tmp_path):
     _cached_layout.cache_clear()
     cold = _output_digests(config, tmp_path)
     layout = world_layout(config)
-    assert layout.features  # the cold run filled the shared cell features
+    assert layout.cells  # the cold run filled the shared cell table
     # a world with other agent settings shares the layout and warms it further
     run(replace(config, total_ticks=300, agent=AgentConfig(explore_rate=0.9)))
     warm = _output_digests(config, tmp_path)

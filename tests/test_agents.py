@@ -30,6 +30,7 @@ from conscient_sim.semantics import (
     load_graph,
 )
 from conscient_sim.seeds import derive_seed, make_rng
+from oracle import classify as classify_oracle
 
 FEATURE_DIM = 4
 CONTENT_GRAPH = load_graph(BUILTIN_CONTENT_EDGES, seed=10, feature_dim=FEATURE_DIM)
@@ -37,14 +38,14 @@ STYLE_GRAPH = load_graph(BUILTIN_STYLE_EDGES, seed=11, feature_dim=FEATURE_DIM)
 
 
 class FakeWorld:
-    """Minimal context: hashed cell features, manual stimuli."""
+    """Minimal context: hashed cell features with their oracle categories, manual stimuli."""
 
     def __init__(self):
         self.stimuli = {}
 
-    def cell_features(self, cell):
-        rng = make_rng(derive_seed(999, "cell", cell.i, cell.j))
-        return rng.random(FEATURE_DIM)
+    def cell_view(self, cell):
+        feats = make_rng(derive_seed(999, "cell", cell.i, cell.j)).random(FEATURE_DIM)
+        return feats, classify_oracle(feats, CONTENT_GRAPH), classify_oracle(feats, STYLE_GRAPH)
 
     def take_stimulus(self, cell):
         return self.stimuli.pop((cell.i, cell.j), None)
@@ -200,7 +201,7 @@ def test_photo_postconditions():
     assert p.id == "a1-p1" and p.kind == "observed" and p.tick == 7
     assert p.origin == GridCell(2, 3)
     assert p.category == classify(p.features, CONTENT_GRAPH)
-    assert np.array_equal(p.features, ctx.cell_features(GridCell(2, 3)))
+    assert np.array_equal(p.features, ctx.cell_view(GridCell(2, 3))[0])
     # the visited cell is penalized by exactly the bump peak
     after = agent.field.values.item(GridCell(2, 3))
     assert after == pytest.approx(before - 0.5, abs=1e-12)
@@ -309,7 +310,7 @@ def _sleepy_config(**kw):
 
 
 def _seed_stores(agent, ctx):
-    feats = ctx.cell_features(GridCell(0, 0))
+    feats = ctx.cell_view(GridCell(0, 0))[0]
     agent.percepts.attach(
         Percept("seed-p", feats, "dog", GridCell(0, 0), tick=1, kind="observed")
     )

@@ -1,18 +1,27 @@
-"""Properties of a run's record over generated small worlds (ROADMAP item 4).
+"""Properties of a run's record and of its config over generated values (ROADMAP item 4).
 
-Each world's five files, written from `run(cfg)`, read back to what the world
-holds, and a rerun writes the same bytes. Examples are derandomized, so every
-run of this file checks the same worlds.
+Each small world's five files, written from `run(cfg)`, read back to what the
+world holds, and a rerun writes the same bytes. A config rendered from
+in-bound values parses back to those values. Examples are derandomized, so
+every run of this file checks the same cases.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 
 import pytest
 
 from conscient_sim.agents import AgentConfig
+from conscient_sim.configio import (
+    _SECTIONS,
+    ENTRIES,
+    default_values,
+    parse_config_text,
+    render_config,
+)
 from conscient_sim.traceio import (
     iter_trace_csv,
     read_percepts_csv,
@@ -23,7 +32,14 @@ from conscient_sim.traceio import (
     write_percepts_csv,
     write_trace_csv,
 )
-from conscient_sim.world import World, WorldConfig, load_graphs, metrics, run
+from conscient_sim.world import (
+    STIMULUS_MODALITIES,
+    World,
+    WorldConfig,
+    load_graphs,
+    metrics,
+    run,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -93,3 +109,76 @@ def test_the_written_record_reads_back_as_the_world_holds_it(cfg):
 def test_a_rerun_writes_the_same_bytes(cfg):
     with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
         assert _write_record(run(cfg), first) == _write_record(run(cfg), second)
+
+
+# widths whose 2 * width**2 must neither underflow to 0 nor, for the kernel, overflow
+_WIDTHS = ("world.reward_width", "agent.visit_width", "kernel.lengthscale")
+
+
+def _rule(entry) -> tuple[object, object, bool, str | None]:
+    """(lo, hi, strict, at_most partner) that `errors.check_bounds` applies to `entry`."""
+    f = next(f for f in dataclasses.fields(_SECTIONS[entry.section]) if f.name == entry.field)
+    return (*f.metadata.get("bound", (None, None, False)), f.metadata.get("at_most"))
+
+
+def _in_bounds(draw, entry, lo, hi, strict):
+    """A value for `entry`'s field in [lo, hi], or (lo, hi) when `strict`; None is open."""
+    if entry.typename == "integer":
+        return draw(st.integers(lo, hi))
+    if entry.key in _WIDTHS:
+        lo, hi, strict = 1e-150, 1e150, False
+    return draw(
+        st.floats(
+            lo,
+            hi,
+            allow_nan=False,
+            allow_infinity=False,
+            exclude_min=strict and lo is not None,
+            exclude_max=strict and hi is not None,
+        )
+    )
+
+
+@st.composite
+def effective_values(draw) -> dict[str, str]:
+    """Rendered values for every int, float and list key, each inside its bound, its
+    `at_most` partner and the grid; the graph labels keep their default."""
+    rules = {entry.key: _rule(entry) for entry in ENTRIES}
+    # an `at_most` partner is at least the lower bound of the field it caps
+    floors = {f"{e.section}.{rules[e.key][3]}": rules[e.key][0] for e in ENTRIES if rules[e.key][3]}
+    values: dict[str, object] = {}
+    capped = []
+    for entry in ENTRIES:
+        lo, hi, strict, at_most = rules[entry.key]
+        if floors.get(entry.key) is not None:
+            lo = floors[entry.key] if lo is None else max(lo, floors[entry.key])
+        if entry.key in ("world.n_agents", "world.reward_count"):  # one agent per cell
+            r = values["world.resolution"]
+            lo, hi = int(entry.key == "world.n_agents"), r * r
+        if entry.typename == "string":
+            continue
+        elif at_most:
+            capped.append(entry)  # drawn once its partner is
+        elif entry.key == "world.stimulus_modalities":
+            values[entry.key] = draw(st.lists(st.sampled_from(STIMULUS_MODALITIES), unique=True))
+        elif entry.key == "ga.eval_seeds":
+            values[entry.key] = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+        else:
+            values[entry.key] = _in_bounds(draw, entry, lo, hi, strict)
+    for entry in capped:
+        lo, hi, strict, at_most = rules[entry.key]
+        top = values[f"{entry.section}.{at_most}"]
+        values[entry.key] = _in_bounds(draw, entry, lo, top if hi is None else min(hi, top), strict)
+    rendered = default_values()
+    rendered.update({e.key: e.render(values[e.key]) for e in ENTRIES if e.key in values})
+    return rendered
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, deadline=None)
+@hypothesis.given(effective_values())
+@hypothesis.example(default_values())
+@hypothesis.example({**default_values(), "world.reward_peak": "-0.0"})
+@hypothesis.example({**default_values(), "emotion.high_value_cutoff": "5e-324"})
+@hypothesis.example({**default_values(), "ga.eval_seeds": str(2**64 - 1)})
+def test_a_rendered_config_parses_back_to_its_values(values):
+    assert parse_config_text(render_config(values)).effective == values

@@ -418,6 +418,10 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
         ("0,p1,observed,dog,1,2,3,0.5;0.25;", "could not convert string to float: ''"),
         # 200,000 characters, over csv's default field size limit
         ("0,p1,observed,dog,1,2,3," + ";".join(["0.5"] * 50_000), "field larger than field limit"),
+        # the writer writes neither; `dream` takes any owner some world could hold
+        ("-3,p1,observed,dog,1,2,3,0.5;0.5", "agent_id must be in [0, 16384), got -3"),
+        ("16384,p1,observed,dog,1,2,3,0.5;0.5", "agent_id must be in [0, 16384), got 16384"),
+        ("0,,observed,dog,1,2,3,0.5;0.5", "percept id is empty"),
     ],
     ids=[
         "kind",
@@ -433,6 +437,9 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
         "empty-inner-feature",
         "empty-last-feature",
         "csv-limit",
+        "negative-agent",
+        "huge-agent",
+        "empty-id",
     ],
 )
 def test_read_percepts_csv_rejects_what_a_percept_rejects(tmp_path, row, message):

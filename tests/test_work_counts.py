@@ -2,9 +2,9 @@
 
 For a fixed config, how often each cache misses is exact, while a wall time
 on a shared machine is noise. Each test clears the caches it reads, runs a
-small fixed workload, then reads `cache_info()` and the memo sizes. A count
-that moves is a change in the work a run does, and is declared like a moved
-digest. The bump-window count lives in
+small fixed workload, then reads `cache_info()`, the memo sizes and the
+calls a patched function saw. A count that moves is a change in the work a
+run does, and is declared like a moved digest. The bump-window count lives in
 `tests/test_world.py::test_crowded_run_leaves_windows_and_layout_fields_read_only`.
 The CSV layer's memory is pinned the same way: memo sizes, shared objects,
 and a streamed read whose traced peak does not grow with the trace. So are
@@ -24,6 +24,7 @@ from conscient_sim.cli import run_command
 from conscient_sim.fields import KernelConfig, _covariance_factor, moore_neighbors, sample_field
 from conscient_sim.optimizer import DEFAULT_BOUNDS, GAConfig, Genome, evolve, fitness
 from conscient_sim.seeds import Stream, make_rng
+from conscient_sim.semantics import classify
 from conscient_sim.traceio import (
     iter_trace_csv,
     read_trace_csv,
@@ -69,15 +70,23 @@ def test_a_run_factors_once_and_builds_one_layout():
     assert (infos["layout"].hits, infos["layout"].misses) == (0, 1)
 
 
-def test_neighbourhoods_and_classes_are_computed_once_per_cell():
+def test_neighbourhoods_and_classes_are_computed_once_per_cell(monkeypatch):
+    calls = 0
+
+    def counted(features, graph):
+        nonlocal calls
+        calls += 1
+        return classify(features, graph)
+
+    monkeypatch.setattr("conscient_sim.world.classify", counted)
     _, infos = _run_crowded()
     cells = CROWDED.resolution * CROWDED.resolution
     assert infos["moore"].misses == 58 <= cells
-    layout = world_layout(CROWDED)
-    content, style = layout.content_graph._classified, layout.style_graph._classified
-    # the run saw 38 cell vectors, and classified each against each graph at most once
-    assert (len(content), len(style), len(layout.features)) == (38, 17, 38)
-    assert max(len(content), len(style)) <= len(layout.features)
+    # the run photographed 38 cells, and classified each against each graph once
+    assert (len(world_layout(CROWDED).cells), calls) == (38, 2 * 38)
+    calls = 0
+    run(CROWDED)  # a second world on the same layout classifies nothing
+    assert calls == 0
 
 
 def test_covariance_factors_stay_cached_for_two_kernels():

@@ -27,6 +27,7 @@ from conscient_sim.world import (
     run,
     world_layout,
 )
+from oracle import classify as classify_oracle
 
 
 def _quiet_agent_config(**kw):
@@ -49,7 +50,7 @@ def _attach_photo(agent, world, n=1):
         agent.percepts.attach(
             Percept(
                 id=f"a{agent.id}-p{agent.photo_count}",
-                features=world.cell_features(cell),
+                features=world.cell_view(cell)[0],
                 category="dog",
                 origin=cell,
                 tick=1,
@@ -144,7 +145,7 @@ def test_worlds_share_a_read_only_layout():
     with pytest.raises(ValueError):
         second.agents[0].field.values[0, 0] = 1.0
     with pytest.raises(ValueError):
-        second.cell_features(GridCell(0, 0))[0] = 0.5
+        second.cell_view(GridCell(0, 0))[0][0] = 0.5
 
 
 def test_agent_stores_are_bound_to_the_layout_graphs():
@@ -226,13 +227,34 @@ def test_layout_key_holds_every_world_and_kernel_key(entry, tmp_path):
 def test_cell_features_deterministic_and_cached():
     w = build_world(WorldConfig(resolution=4, master_seed=5, feature_dim=7))
     cell = GridCell(2, 3)
-    f1 = w.cell_features(cell)
+    view = w.cell_view(cell)
+    f1 = view[0]
     assert f1.shape == (7,)
     assert np.all(f1 >= 0.0) and np.all(f1 < 1.0)
-    assert w.cell_features(cell) is f1
+    assert w.cell_view(cell) is view
     # oracle: the per-cell stream is keyed by the master seed and coordinates
     expect = make_rng(derive_seed(5, "cell", 2, 3)).random(7)
     assert np.array_equal(f1, expect)
+
+
+def test_the_cell_table_holds_each_photographed_cell_with_its_oracle_categories():
+    # the crowded world of tests/test_work_counts.py, on a cold layout
+    cfg = WorldConfig(resolution=8, n_agents=8, total_ticks=200, master_seed=3)
+    _cached_layout.cache_clear()
+    world = run(cfg)
+    layout = world_layout(cfg)
+    photographed = {p.origin for _, p in world.percept_rows if p.kind == "observed"}
+    assert set(layout.cells) == photographed
+    for cell, (feats, content, style) in layout.cells.items():
+        seed = derive_seed(cfg.master_seed, "cell", cell.i, cell.j)
+        assert np.array_equal(feats, make_rng(seed).random(cfg.feature_dim))
+        assert content == classify_oracle(feats, layout.content_graph)
+        assert style == classify_oracle(feats, layout.style_graph)
+    # a photo and its style copy carry the categories of their cell's entry
+    for _, p in world.percept_rows:
+        if p.kind in ("observed", "style"):
+            _, content, style = layout.cells[p.origin]
+            assert p.category == (style if p.kind == "style" else content)
 
 
 def test_take_stimulus_is_one_shot():
@@ -415,7 +437,7 @@ def test_percept_rows_provenance():
     assert "observed" in kinds
     for _, p in trace.percept_rows:
         if p.kind == "observed":
-            assert np.array_equal(p.features, w.cell_features(p.origin))
+            assert np.array_equal(p.features, w.cell_view(p.origin)[0])
         assert np.all(p.features >= 0.0) and np.all(p.features <= 1.0)
         assert 0 <= p.origin.i < 8 and 0 <= p.origin.j < 8
     # ids are globally unique within an agent's combined stores
