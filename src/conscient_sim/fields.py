@@ -59,6 +59,11 @@ class KernelConfig:
                 f"kernel.lengthscale {self.lengthscale} is out of range: "
                 f"2 * lengthscale**2 underflows to 0 or overflows"
             ) from None
+        # kernel_matrix adds the jitter to the amplitude on the diagonal
+        if not math.isfinite(self.amplitude + self.jitter):
+            raise ConfigError(
+                f"kernel.amplitude {self.amplitude} + kernel.jitter {self.jitter} overflows"
+            )
 
 
 class GridCell(NamedTuple):

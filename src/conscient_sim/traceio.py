@@ -12,8 +12,9 @@ later fault are not vouched for; `read_trace_csv` is its list.
 counts a run, so the `metrics` subcommand recounts exactly what `metrics.csv`
 holds, holding no row. Floats and their texts repeat within a few ticks, so
 the trace writer and reader memoise them, as the percept writer does its
-feature vectors; each memo clears and starts over at `MEMO_CAP` entries,
-which bounds their memory whatever a run's length.
+feature vectors, each in a `_Memo` of the function it saves calls to; a memo
+clears and starts over at `MEMO_CAP` entries, which bounds its memory
+whatever a run's length.
 """
 
 from __future__ import annotations
@@ -105,38 +106,36 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-# The most entries one text<->float memo holds. Each memo checks it inline,
-# as a method call per miss would slow the replay of a small trace.
+# The most entries one memo holds: at this size it clears and starts over.
 MEMO_CAP = 4096
 
 
-class _FloatMemo(dict):
-    """`_fmt` of each value met, rendered once while it stays: `memo[v] == _fmt(v)`.
+class _Memo(dict):
+    """`make(key)` of each key met, computed once while it stays: `memo[k] == make(k)`.
 
-    Zero is never stored, because 0.0 and -0.0 compare equal as keys but
-    render differently.
+    A false key is never stored: the only one that reaches a memo is 0.0 (or
+    -0.0), and the two compare equal as keys but render differently.
     """
 
-    def __missing__(self, v) -> str:
-        text = _fmt(v)
-        if v:
+    __slots__ = ("_make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        value = self._make(key)
+        if key:
             if len(self) >= MEMO_CAP:
                 self.clear()
-            self[v] = text
-        return text
+            self[key] = value
+        return value
 
 
-class _VectorMemo(dict):
-    """`;`-joined `_fmt` texts of each float64 vector met, keyed on its bytes
-    (which tell 0.0 from -0.0): `memo[v.tobytes()] == ";".join(map(_fmt, v))`."""
-
-    def __missing__(self, key: bytes) -> str:
-        # `tolist` gives Python floats already, whose repr is their `_fmt`
-        text = ";".join(map(repr, np.frombuffer(key).tolist()))
-        if len(self) >= MEMO_CAP:
-            self.clear()
-        self[key] = text
-        return text
+def _render_vector(key: bytes) -> str:
+    """`;`-joined `_fmt` texts of a float64 vector, from its bytes (which tell 0.0
+    from -0.0); `tolist` gives Python floats already, whose repr is their `_fmt`."""
+    return ";".join(map(repr, np.frombuffer(key).tolist()))
 
 
 @contextmanager
@@ -149,16 +148,17 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename is None:
-            exc.filename = path  # a failed write names no file: the error names `path`
+        if isinstance(exc, OSError) and exc.filename in (None, tmp) and exc.filename2 is None:
+            # a failed write names no file, a failed create the temp file: name `path`
+            exc.filename = path
         raise
 
 
@@ -185,7 +185,7 @@ def _write_lines(path: str, header: list[str], lines: Iterable[str]) -> None:
 
 def write_trace_csv(path: str, rows: Iterable[TraceRow]) -> None:
     # emotions and field values repeat across agents and ticks
-    fmt = _FloatMemo()
+    fmt = _Memo(_fmt)
     _write_lines(
         path,
         TRACE_HEADER,
@@ -231,32 +231,20 @@ def _read_csv(
     yield lineno, None
 
 
-class _UnitMemo(dict):
-    """`float` of each emotion or fatigue text met, parsed once while it stays and
-    checked to lie in [0, 1]: `memo[text] == float(text)`. Keyed on the text, so
-    "0.0" and "-0.0" stay distinct."""
-
-    def __missing__(self, text: str) -> float:
-        value = float(text)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"emotion or fatigue {value} is outside [0, 1]")
-        if len(self) >= MEMO_CAP:
-            self.clear()
-        self[text] = value
-        return value
+def _unit_float(text: str) -> float:
+    """An emotion or fatigue text's value, which must lie in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"emotion or fatigue {value} is outside [0, 1]")
+    return value
 
 
-class _FiniteMemo(dict):
-    """As `_UnitMemo`, for `field_value` texts, which must be finite."""
-
-    def __missing__(self, text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"field_value {value} is not finite")
-        if len(self) >= MEMO_CAP:
-            self.clear()
-        self[text] = value
-        return value
+def _finite_float(text: str) -> float:
+    """A `field_value` text's value, which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"field_value {value} is not finite")
+    return value
 
 
 # one copy of each mode text, shared by every row read back
@@ -288,7 +276,7 @@ def iter_trace_csv(path: str) -> Iterator[TraceRow]:
     Rows of one tick share one `tick` int and the mode texts.
     """
     # emotions and field values repeat across agents and ticks
-    emo, field = _UnitMemo(), _FiniteMemo()
+    emo, field = _Memo(_unit_float), _Memo(_finite_float)
     tick_text, t = None, -1  # the last tick cell read, and its value
     prev_tick, want = -1, 0  # want: the next agent id
     cells: list[tuple[int, int]] = []  # each agent's last cell, by id; tick 0 fills it
@@ -411,7 +399,7 @@ def write_dreams_csv(path: str, rows: Iterable[DreamFrameRow]) -> None:
 def write_percepts_csv(path: str, rows: Iterable[tuple[int, Percept]]) -> None:
     """One row per (owner agent id, percept) pair."""
     # observed, style and received percepts share vectors: render each once
-    features = _VectorMemo()
+    features = _Memo(_render_vector)
     _write_lines(
         path,
         PERCEPTS_HEADER,

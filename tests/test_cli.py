@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -162,6 +163,8 @@ BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
         ("simulate", "kernel.lengthscale = 1e200", "1", "kernel.lengthscale"),
         # l * l is subnormal, but l**2, which the kernel divides by, is 0
         ("simulate", "kernel.lengthscale = 1.3e-162", "1", "kernel.lengthscale"),
+        # each in bounds, but the covariance's diagonal, their sum, overflows
+        ("simulate", "kernel.amplitude = 1e308\nkernel.jitter = 1e308", "1", "kernel.jitter"),
         ("simulate", "agent.visit_width = 1e-200", "1", "agent.visit_width"),
         ("simulate", "world.reward_width = 1e-200", "1", "world.reward_width"),
         (
@@ -185,6 +188,7 @@ BROKEN_KERNEL = "kernel.amplitude = 1e16\nkernel.lengthscale = 1e6"
         "lengthscale-tiny",
         "lengthscale-huge",
         "lengthscale-subnormal",
+        "kernel-diagonal-overflow",
         "visit-width-tiny",
         "reward-width-tiny",
         "noise-sigma",
@@ -364,6 +368,27 @@ def test_sigterm_ends_simulate_with_one_line_and_no_temp_file(tmp_path):
     assert proc.returncode == 143, proc.stderr
     assert proc.stderr.splitlines() == ["error: terminated"], proc.stderr
     assert os.listdir(out) == []
+
+
+def test_a_temp_file_that_cannot_be_created_names_the_output_file(tmp_path, capsys, monkeypatch):
+    # permission bits do not bind root, so the denial is patched in: creating
+    # each temp file fails, as in a directory the user cannot write
+    real_open = os.open
+
+    def denied(path, *args, **kwargs):
+        if str(path).endswith(".part"):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", denied)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("world.total_ticks = 5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = run_command(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    trace = out / "trace.csv"
+    assert capsys.readouterr().err.splitlines() == [f"error: [Errno 13] Permission denied: '{trace}'"]
+    assert os.listdir(out) == []  # no temp file is left
 
 
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):

@@ -6,9 +6,10 @@ no module keeps importing a name it no longer uses, no function keeps a
 parameter it never reads, no dataclass or `NamedTuple` keeps a field nobody
 reads (outside a reasoned allowlist), no function, class or method is kept
 for the tests alone, no file is opened for writing outside the atomic-rename
-helper, no `functools` cache grows without bound, no `except` handler
-swallows an error outside the CLI's four, and no error message names a config
-key that does not exist. Every package error also survives pickling, which
+helper, no `functools` cache grows without bound, no class but the one
+capped memo defines `__missing__`, no `except` handler swallows an error
+outside `SWALLOW_ALLOWED`, and no error message names a config key that does
+not exist. Every package error also survives pickling, which
 is how a pool worker's error reaches the parent, and every source file parses
 at the Python floor that `requires-python` declares.
 """
@@ -482,6 +483,52 @@ def test_unbounded_cache_checker_flags_and_clears():
         "def cache(x):\n    return x\n\ncache(a(1))\n"
     )
     assert _unbounded_caches({"lib": bounded}) == []
+
+
+def _missing_hooks(modules: dict[str, str]) -> dict[str, bool]:
+    """`module.Class` of each class that defines `__missing__` (stem -> source),
+    mapped to whether that `__missing__` reads `MEMO_CAP`."""
+    out = {}
+    for stem, src in modules.items():
+        for cls in ast.walk(ast.parse(src)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__missing__":
+                    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                    out[f"{stem}.{cls.name}"] = "MEMO_CAP" in names
+    return out
+
+
+def test_the_only_memo_class_is_the_capped_one():
+    # a dict's `__missing__` is how a memo fills itself: one class, which
+    # clears at `MEMO_CAP`, keeps every memo bounded whatever a run's length
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert _missing_hooks(modules) == {"traceio._Memo": True}
+
+
+def test_missing_hook_checker_flags_and_clears():
+    lib = (
+        "MEMO_CAP = 4\n\n"
+        "class Capped(dict):\n"
+        "    def __missing__(self, key):\n"
+        "        if len(self) >= MEMO_CAP:\n"
+        "            self.clear()\n"
+        "        self[key] = key\n"
+        "        return key\n\n"
+        "class Unbounded(dict):\n"
+        "    def __missing__(self, key):\n"
+        "        self[key] = key\n"
+        "        return key\n\n"
+        "class Plain(dict):\n"
+        "    def get(self, key):\n"
+        "        return MEMO_CAP\n\n"
+        "def __missing__(key):\n"
+        "    return key\n"
+    )
+    assert _missing_hooks({"lib": lib}) == {"lib.Capped": True, "lib.Unbounded": False}
+    capped_only = lib[: lib.index("class Unbounded")]
+    assert _missing_hooks({"lib": capped_only}) == {"lib.Capped": True}
 
 
 # Handlers that may end without a `raise`, keyed by (module, function, caught

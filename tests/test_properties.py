@@ -2,15 +2,18 @@
 
 Each small world's five files, written from `run(cfg)`, read back to what the
 world holds, and a rerun writes the same bytes. A config rendered from
-in-bound values parses back to those values. Examples are derandomized, so
-every run of this file checks the same cases.
+in-bound values parses back to those values, and on a small world it runs or
+raises `SimulatorError`, with no warning. Examples are derandomized, so every
+run of this file checks the same cases.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import tempfile
+import warnings
 
 import pytest
 
@@ -22,6 +25,7 @@ from conscient_sim.configio import (
     parse_config_text,
     render_config,
 )
+from conscient_sim.errors import SimulatorError
 from conscient_sim.traceio import (
     iter_trace_csv,
     read_percepts_csv,
@@ -142,7 +146,8 @@ def _in_bounds(draw, entry, lo, hi, strict):
 @st.composite
 def effective_values(draw) -> dict[str, str]:
     """Rendered values for every int, float and list key, each inside its bound, its
-    `at_most` partner and the grid; the graph labels keep their default."""
+    `at_most` partner and the grid, with a finite `kernel.amplitude` +
+    `kernel.jitter`; the graph labels keep their default."""
     rules = {entry.key: _rule(entry) for entry in ENTRIES}
     # an `at_most` partner is at least the lower bound of the field it caps
     floors = {f"{e.section}.{rules[e.key][3]}": rules[e.key][0] for e in ENTRIES if rules[e.key][3]}
@@ -169,6 +174,8 @@ def effective_values(draw) -> dict[str, str]:
         lo, hi, strict, at_most = rules[entry.key]
         top = values[f"{entry.section}.{at_most}"]
         values[entry.key] = _in_bounds(draw, entry, lo, top if hi is None else min(hi, top), strict)
+    # the covariance's diagonal, their sum, must stay finite as well
+    hypothesis.assume(math.isfinite(values["kernel.amplitude"] + values["kernel.jitter"]))
     rendered = default_values()
     rendered.update({e.key: e.render(values[e.key]) for e in ENTRIES if e.key in values})
     return rendered
@@ -182,3 +189,38 @@ def effective_values(draw) -> dict[str, str]:
 @hypothesis.example({**default_values(), "ga.eval_seeds": str(2**64 - 1)})
 def test_a_rendered_config_parses_back_to_its_values(values):
     assert parse_config_text(render_config(values)).effective == values
+
+
+@st.composite
+def small_effective_values(draw) -> dict[str, str]:
+    """`effective_values()` on a small world: 2-6 cells a side, at most 4 agents,
+    80 ticks and 8 features, with the agents and the rewards within r^2 cells."""
+    values = draw(effective_values())
+    r = draw(st.integers(2, 6))
+    values["world.resolution"] = str(r)
+    values["world.n_agents"] = str(draw(st.integers(1, min(4, r * r))))
+    values["world.reward_count"] = str(draw(st.integers(0, r * r)))
+    values["world.total_ticks"] = str(draw(st.integers(0, 80)))
+    values["world.feature_dim"] = str(draw(st.integers(1, 8)))
+    return values
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, deadline=None)
+@hypothesis.given(small_effective_values())
+# each in bounds, but the covariance's diagonal, their sum, overflows
+@hypothesis.example(
+    {
+        **default_values(),
+        "world.total_ticks": "5",
+        "kernel.amplitude": "1e+308",
+        "kernel.jitter": "1e+308",
+    }
+)
+def test_an_accepted_config_runs_or_raises_a_simulator_error(values):
+    # a numpy warning or any other error would reach the user as a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run(parse_config_text(render_config(values)).world)
+        except SimulatorError:
+            pass  # the CLI's one `error:` line and exit 1

@@ -152,32 +152,29 @@ def test_csv_memos_stay_within_their_cap(tmp_path, monkeypatch):
     # floats, so a cap of 256 makes every memo fill and start over
     cap = 256
     monkeypatch.setattr(traceio, "MEMO_CAP", cap)
-    seen: dict[str, list[int]] = {}  # memo class: [most entries held, clears]
+    seen: dict[str, list[int]] = {}  # memo's function: [most entries held, clears]
+    missing = traceio._Memo.__missing__
 
-    def counted(missing):
-        def counted_missing(memo, key):
-            before = len(memo)
-            value = missing(memo, key)
-            most = seen.setdefault(type(memo).__name__, [0, 0])
-            most[0] = max(most[0], len(memo))
-            most[1] += len(memo) < before
-            return value
+    def counted_missing(memo, key):
+        before = len(memo)
+        value = missing(memo, key)
+        most = seen.setdefault(memo._make.__name__, [0, 0])
+        most[0] = max(most[0], len(memo))
+        most[1] += len(memo) < before
+        return value
 
-        return counted_missing
-
-    for memo in (traceio._FloatMemo, traceio._UnitMemo, traceio._FiniteMemo, traceio._VectorMemo):
-        monkeypatch.setattr(memo, "__missing__", counted(memo.__missing__))
+    monkeypatch.setattr(traceio._Memo, "__missing__", counted_missing)
     write_trace_csv(str(path), rows)
     assert path.read_bytes() == written  # a memo that starts over renders the same text
     assert read_trace_csv(str(path)) == rows
-    assert sorted(seen) == ["_FiniteMemo", "_FloatMemo", "_UnitMemo"]
+    assert sorted(seen) == ["_finite_float", "_fmt", "_unit_float"]
     assert all(most <= cap and clears for most, clears in seen.values()), seen
     # its 1,708 percept rows hold 244 distinct feature vectors
     cap = 64
     monkeypatch.setattr(traceio, "MEMO_CAP", cap)
     write_percepts_csv(str(percepts), trace.percept_rows)
     assert percepts.read_bytes() == percepts_written
-    most, clears = seen["_VectorMemo"]
+    most, clears = seen["_render_vector"]
     assert most <= cap and clears, seen
 
 
