@@ -157,25 +157,17 @@ def receive_percept(agent: Agent, percept: Percept) -> float:
     """Evaluate an exchanged percept by the receiver's own field.
 
     The evaluation is the receiver's field value at the percept's origin,
-    computed before any feedback. A novel percept is stored as kind
-    `received`, nudges the field at its origin up or down depending on how
-    the evaluation compares with the high-value cutoff, and moves friendship;
-    a duplicate id changes nothing but is still evaluated.
+    computed before any feedback. A novel percept is stored as the sender's
+    own object, attached as received (no copy is made), nudges the field at
+    its origin up or down depending on how the evaluation compares with the
+    high-value cutoff, and moves friendship; a duplicate id changes nothing
+    but is still evaluated.
     """
     evaluation = agent.field.values.item(percept.origin)
     if percept.id in agent.percepts:
         return evaluation
     cfg = agent.config
-    agent.percepts.attach(
-        Percept(
-            id=percept.id,
-            features=percept.features,
-            category=percept.category,
-            origin=percept.origin,
-            tick=percept.tick,
-            kind="received",
-        )
-    )
+    agent.percepts.attach(percept, received=True)
     apply_event(agent.emotions, "interaction", evaluation, cfg.emotion, agent.rng)
     peak = cfg.visit_reward if evaluation > cfg.emotion.high_value_cutoff else -cfg.visit_reward
     if peak != 0.0:

@@ -140,8 +140,8 @@ def _cmd_dream(args) -> int:
     content_store = PerceptStore(content_graph)
     style_store = PerceptStore(style_graph)
     log = args.percept_log
-    for _, p in read_percepts_csv(log, world_cfg, content_graph, style_graph):
-        (style_store if p.kind == "style" else content_store).attach(p)
+    for _, p, kind in read_percepts_csv(log, world_cfg, content_graph, style_graph):
+        (style_store if kind == "style" else content_store).attach(p)
     for kind, store in (("content", content_store), ("style", style_store)):
         if len(store) == 0:
             raise TraceError(f"percept log {log}: no {kind} percepts to dream with")

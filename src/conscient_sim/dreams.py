@@ -5,14 +5,15 @@ content graph and one on the style graph (step sizes drawn uniformly from an
 integer interval), picks a stored percept at each resulting category, and
 blends their features. The walk over categories is what gives dreams their
 drift; the blend weight decides how strongly style tints content.
-`DreamWalk.step` returns each frame whole and frozen; a `DreamFrameRow` keeps
-it for dreams.csv.
+`DreamWalk.step` returns each frame as one `DreamFrame` tuple, and a
+`DreamFrameRow` tuple keeps it for dreams.csv: a frame costs those two tuples
+and the dreamed percept an agent stores, and no frozen dataclass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,9 +38,11 @@ class DreamConfig:
         check_bounds(self, "dream")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class DreamFrame:
-    """One blended frame: mixed features and where its two sources came from."""
+class DreamFrame(NamedTuple):
+    """One blended frame: mixed features and where its two sources came from.
+
+    A tuple compared, like a `Percept`, by identity: its features are an array.
+    """
 
     features: np.ndarray
     content_category: str
@@ -48,9 +51,12 @@ class DreamFrame:
     # Edge distance from the previous frame's content category; None when unreachable.
     pair_distance: Optional[int]
 
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, slots=True)
-class DreamFrameRow:
+
+class DreamFrameRow(NamedTuple):
     """A frame as dreams.csv records it: who dreamed it, when, and its valence."""
 
     agent_id: int

@@ -73,7 +73,7 @@ class GridCell(NamedTuple):
     j: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ValueField:
     """Importance values on an r x r grid, row-major, always finite; r is `len(values)`.
 

@@ -6,7 +6,8 @@ carries a prototype feature vector derived deterministically from the load
 seed, and `classify`, a pure function, names the nearest prototype to a
 feature vector. A percept store is an insertion-ordered memory over one
 graph's categories that also keeps its last percept of a kind an agent sends
-to a peer.
+to a peer. A percept a peer sent is stored as the sender's own object, with
+a one-byte mark that it was received.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .errors import GraphParseError
 from .fields import GridCell
 from .seeds import derive_seed, make_rng
 
+# The kinds a percept log names: an agent makes the first three, and a percept
+# its store holds as received is logged as `received`.
 PERCEPT_KINDS = ("observed", "style", "dreamed", "received")
 # Percept kinds an agent is willing to send to a peer.
 SENDABLE_KINDS = ("observed", "dreamed")
@@ -178,7 +181,11 @@ def classify(features: np.ndarray, graph: SemanticGraph) -> str:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Percept:
-    """One remembered frame: features plus provenance; `kind` is one of PERCEPT_KINDS."""
+    """One remembered frame: features plus provenance; `kind` is one of PERCEPT_KINDS.
+
+    An agent makes `observed`, `style` and `dreamed` percepts; only one read
+    back from a percept log says `received`, as a store marks the ones it holds.
+    """
 
     id: str
     features: np.ndarray
@@ -192,10 +199,13 @@ class PerceptStore:
     """Insertion-ordered percept memory with category buckets, each a node of `graph`.
 
     Attaching a percept whose id is already present is a no-op, which makes
-    repeated exchanges of the same percept idempotent. The store keeps its
-    sorted category names, its last percept of a sendable kind, and a memo of
-    the bucket a dream pick at each category draws from, at most one entry
-    per node of the graph; a new category clears that memo.
+    repeated exchanges of the same percept idempotent. A percept attached as
+    received is the sender's own object, not a copy: the store keeps one byte
+    per attach that marks it, `kinds` names it `received`, and it never
+    becomes `latest`. The store keeps its sorted category names, its last
+    percept of a sendable kind, and a memo of the bucket a dream pick at each
+    category draws from, at most one entry per node of the graph; a new
+    category clears that memo.
     """
 
     def __init__(self, graph: SemanticGraph) -> None:
@@ -205,11 +215,12 @@ class PerceptStore:
         self._categories: tuple[str, ...] = ()
         self._dream_buckets: dict[str, list[Percept]] = {}
         self._latest: Optional[Percept] = None
+        self._received = bytearray()  # in attach order: 1 for a percept attached as received
 
     def __contains__(self, percept_id: str) -> bool:
         return percept_id in self._by_id
 
-    def attach(self, percept: Percept) -> bool:
+    def attach(self, percept: Percept, received: bool = False) -> bool:
         if percept.id in self._by_id:
             return False
         self._by_id[percept.id] = percept
@@ -219,9 +230,17 @@ class PerceptStore:
             self._categories = tuple(sorted(self._by_category))
             self._dream_buckets.clear()
         bucket.append(percept)
-        if percept.kind in SENDABLE_KINDS:
+        self._received.append(received)
+        if not received and percept.kind in SENDABLE_KINDS:
             self._latest = percept
         return True
+
+    def kinds(self) -> Iterator[str]:
+        """The kind a percept log names each percept by, in attach order:
+        `received` for one attached as received, else the percept's own."""
+        return (
+            "received" if mark else p.kind for p, mark in zip(self._by_id.values(), self._received)
+        )
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -38,6 +38,7 @@ from .world import (
     EVENT_WORDS,
     InteractionRecord,
     Metrics,
+    PerceptRow,
     TraceRow,
     WorldConfig,
     row_metrics,
@@ -143,7 +144,8 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
     """Yield a text handle on a temp file beside `path`, renamed into place on success.
 
     Readers never see a partial file, and on any exception the temp file is
-    removed and `path` keeps its old bytes. The temp file is created with mode
+    removed and `path` keeps its old bytes; an `OSError` about the temp file is
+    raised afresh, naming `path` alone. The temp file is created with mode
     0o666, so the kernel applies the umask just as `open(path, "w")` does.
     """
     directory = os.path.dirname(os.path.abspath(path))
@@ -156,9 +158,10 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
     except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename in (None, tmp) and exc.filename2 is None:
-            # a failed write names no file, a failed create the temp file: name `path`
-            exc.filename = path
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename in (None, tmp):
+            # a failed write names no file, a failed create the temp file and a
+            # failed rename the temp file, then `path`: name `path` alone
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -396,25 +399,28 @@ def write_dreams_csv(path: str, rows: Iterable[DreamFrameRow]) -> None:
     )
 
 
-def write_percepts_csv(path: str, rows: Iterable[tuple[int, Percept]]) -> None:
-    """One row per (owner agent id, percept) pair."""
+def write_percepts_csv(path: str, rows: Iterable[PerceptRow]) -> None:
+    """One line per (owner agent id, percept, kind) row; `kind` is written as given."""
     # observed, style and received percepts share vectors: render each once
     features = _Memo(_render_vector)
     _write_lines(
         path,
         PERCEPTS_HEADER,
         (
-            f"{aid},{_cell(p.id)},{_cell(p.kind)},{_cell(p.category)},{p.origin.i},{p.origin.j},"
+            f"{aid},{_cell(p.id)},{_cell(kind)},{_cell(p.category)},{p.origin.i},{p.origin.j},"
             f"{p.tick},{features[np.asarray(p.features, dtype=np.float64).tobytes()]}\n"
-            for aid, p in rows
+            for aid, p, kind in rows
         ),
     )
 
 
 def read_percepts_csv(
     path: str, world: WorldConfig, content_graph: SemanticGraph, style_graph: SemanticGraph
-) -> list[tuple[int, Percept]]:
-    """(owner agent id, percept) pairs of a percept log, in file order.
+) -> list[PerceptRow]:
+    """(owner agent id, percept, kind) rows of a percept log, in file order.
+
+    Each percept's own `kind` is its row's, `received` included, as the log
+    does not say what kind a received percept was made as.
 
     Here percepts, and so cells, enter from outside: each must fit `world` and
     its graph (`style_graph` for style percepts, `content_graph` for the rest),
@@ -460,7 +466,7 @@ def read_percepts_csv(
                 raise ValueError(f"feature {feats[outside][0]} is outside [0, 1]")
             if not (0 <= i < r and 0 <= j < r):
                 raise ValueError(f"origin ({i}, {j}) is off the grid, but world.resolution is {r}")
-            percepts.append((aid, percept))
+            percepts.append((aid, percept, percept.kind))
         except ValueError as exc:
             where = f"percept log {path}, line {lineno}: percept {rec[1]}"
             raise TraceError(f"{where}: {exc}") from None

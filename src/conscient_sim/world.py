@@ -112,6 +112,10 @@ class InteractionRecord(NamedTuple):
     eval_by_b: float
 
 
+# (owner agent id, percept, kind): one percepts.csv row, whose kind is the one
+# the owner's store names the percept by (`PerceptStore.kinds`)
+PerceptRow = tuple[int, Percept, str]
+
 # what `agent_tick` and `World.step` write in an event cell: whole words and payload prefixes
 EVENT_WORDS = frozenset({"sleep", "dreamless", "wake"})
 EVENT_PREFIXES = ("photo:", "stim:", "dream:", "int:")
@@ -139,19 +143,23 @@ class TraceRow(NamedTuple):
         e = agent.emotions
         pos = agent.position
         i, j = pos.i, pos.j
-        return cls(
-            tick,
-            agent.id,
-            i,
-            j,
-            agent.mode,
-            e.happiness,
-            e.curiosity,
-            e.friendship,
-            e.courage,
-            e.fatigue,
-            agent.field.values.item(i, j),
-            events,
+        # tuple.__new__ skips the namedtuple's Python-level __new__, built per agent-tick
+        return tuple.__new__(
+            cls,
+            (
+                tick,
+                agent.id,
+                i,
+                j,
+                agent.mode,
+                e.happiness,
+                e.curiosity,
+                e.friendship,
+                e.courage,
+                e.fatigue,
+                agent.field.values.item(i, j),
+                events,
+            ),
         )
 
 
@@ -356,13 +364,13 @@ class World:
         self.tick = t
 
     @property
-    def percept_rows(self) -> list[tuple[int, Percept]]:
-        """(owner id, percept) per stored percept: agent by agent, content before style."""
+    def percept_rows(self) -> list[PerceptRow]:
+        """A percept row per stored percept: agent by agent, content before style."""
         return [
-            (agent.id, p)
+            (agent.id, p, kind)
             for agent in self.agents
             for store in (agent.percepts, agent.styles)
-            for p in store
+            for p, kind in zip(store, store.kinds())
         ]
 
     def snapshot_trace(self) -> World:

@@ -241,12 +241,14 @@ def test_receive_percept_evaluates_then_bumps():
     agent = _agent(vals, config=cfg)
     origin = GridCell(1, 2)
     f0 = agent.emotions.friendship
-    ev = receive_percept(agent, _foreign_percept("b2-p9", origin))
+    sent = _foreign_percept("b2-p9", origin)
+    ev = receive_percept(agent, sent)
     assert ev == pytest.approx(0.4)
-    assert sum(p.kind == "received" for p in agent.percepts) == 1
+    assert list(agent.percepts.kinds()).count("received") == 1
     assert agent.emotions.friendship > f0
-    stored = {p.id: p for p in agent.percepts}["b2-p9"]
-    assert stored.kind == "received"
+    # the store holds the sender's own percept, marked received: no copy
+    stored = {p.id: (p, kind) for p, kind in zip(agent.percepts, agent.percepts.kinds())}
+    assert stored["b2-p9"][0] is sent and stored["b2-p9"][1] == "received"
     # positive evaluation rewards the origin cell by the full peak
     assert agent.field.values.item(origin) == pytest.approx(0.7, abs=1e-12)
     # next exchange at the same origin sees the post-bump field
@@ -274,7 +276,7 @@ def test_receive_percept_duplicate_is_inert():
     snapshot_rng = agent.rng.bit_generator.state
     ev = receive_percept(agent, p)
     assert ev == pytest.approx(agent.field.values.item(GridCell(2, 2)))
-    assert sum(p.kind == "received" for p in agent.percepts) == 1
+    assert list(agent.percepts.kinds()).count("received") == 1
     assert len(agent.percepts) == 1
     assert np.array_equal(agent.field.values, snapshot_field)
     assert agent.emotions == snapshot_emotions

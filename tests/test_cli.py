@@ -391,6 +391,22 @@ def test_a_temp_file_that_cannot_be_created_names_the_output_file(tmp_path, caps
     assert os.listdir(out) == []  # no temp file is left
 
 
+def test_a_rename_that_fails_names_the_output_file_alone(tmp_path, capsys):
+    # the rename into place fails when the output path is a directory; its
+    # error would name the random temp file first, then the output
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("world.total_ticks = 5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    trace = out / "trace.csv"
+    trace.mkdir(parents=True)
+    rc = run_command(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{trace}'"]
+    assert ".tmp-" not in err[0]
+    assert os.listdir(out) == ["trace.csv"] and trace.is_dir()  # no .part is left
+
+
 def test_simulate_writes_all_outputs(tmp_path, cfg_path, capsys):
     out = tmp_path / "out"
     rc = run_command(["simulate", "--config", cfg_path, "--seed", "7", "--out", str(out)])

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from conscient_sim.dreams import (
     DreamConfig,
     DreamFrame,
+    DreamFrameRow,
     DreamWalk,
     _pick,
     blend,
@@ -304,3 +307,22 @@ def test_dream_valence_thresholds():
     # thresholds are strict: sitting exactly on one scores neutral
     assert dream_valence(frame_hi, field, theta_high=0.9, theta_low=0.0) == 0
     assert dream_valence(frame_mid, field, theta_high=0.5, theta_low=0.2) == 0
+
+
+def test_a_frame_compares_by_identity_and_a_row_by_value():
+    # a frame is a tuple holding a feature array: it compares, like a percept,
+    # by identity, so no comparison asks an array for its truth value
+    frame = DreamFrame(np.full(3, 0.5), "dog", "dark", GridCell(0, 1), 2)
+    twin = DreamFrame(frame.features.copy(), "dog", "dark", GridCell(0, 1), 2)
+    assert frame == frame and frame != twin and not frame == twin
+    assert len({frame, twin, frame}) == 2
+    assert tuple(frame)[1:] == tuple(twin)[1:]
+    with pytest.raises(AttributeError):
+        frame.pair_distance = 3
+    copy = pickle.loads(pickle.dumps(frame))
+    assert copy != frame and np.array_equal(copy.features, frame.features)
+    # a row is a value record over its frame: equal rows hold the same frame
+    row = DreamFrameRow(0, 5, 1, "a0-d1", frame, 1)
+    assert row == DreamFrameRow(0, 5, 1, "a0-d1", frame, 1) and hash(row) == hash(row._replace())
+    assert row != row._replace(frame=twin)
+    assert not hasattr(frame, "__dict__") and not hasattr(row, "__dict__")

@@ -10,8 +10,9 @@ helper, no `functools` cache grows without bound, no class but the one
 capped memo defines `__missing__`, no `except` handler swallows an error
 outside `SWALLOW_ALLOWED`, and no error message names a config key that does
 not exist. Every package error also survives pickling, which
-is how a pool worker's error reaches the parent, and every source file parses
-at the Python floor that `requires-python` declares.
+is how a pool worker's error reaches the parent, every source file parses
+at the Python floor that `requires-python` declares, and no record a run
+builds per agent-tick or per event carries a per-instance `__dict__`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import conscient_sim
 from conscient_sim import errors
 from conscient_sim.agents import AgentConfig
 from conscient_sim.configio import default_values
+from conscient_sim.world import WorldConfig, run
 
 PACKAGE_DIR = Path(conscient_sim.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -689,3 +691,22 @@ def test_every_source_file_parses_at_the_python_floor(top):
     # the check bites: an exception group needs 3.11
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_no_record_a_run_builds_per_tick_or_event_has_a_dict():
+    # a per-instance `__dict__` would add its size to each of these records,
+    # which a long run builds by the hundred thousand
+    w = run(WorldConfig(resolution=4, n_agents=4, total_ticks=120, master_seed=3))
+    agent = w.agents[0]
+    assert w.interactions and w.dream_rows
+    records = {
+        "TraceRow": w.rows[-1],
+        "InteractionRecord": w.interactions[0],
+        "DreamFrameRow": w.dream_rows[0],
+        "DreamFrame": w.dream_rows[0].frame,
+        "Percept": w.percept_rows[0][1],
+        "ValueField": agent.field,
+        "EmotionState": agent.emotions,
+    }
+    assert {name: type(r).__name__ for name, r in records.items()} == {n: n for n in records}
+    assert [name for name, r in records.items() if hasattr(r, "__dict__")] == []

@@ -3,8 +3,9 @@
 Each small world's five files, written from `run(cfg)`, read back to what the
 world holds, and a rerun writes the same bytes. A config rendered from
 in-bound values parses back to those values, and on a small world it runs or
-raises `SimulatorError`, with no warning. Examples are derandomized, so every
-run of this file checks the same cases.
+raises `SimulatorError`, with no warning. A small search gives the same
+history in one process as in a pool of two. Examples are derandomized, so
+every run of this file checks the same cases.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from conscient_sim.configio import (
     render_config,
 )
 from conscient_sim.errors import SimulatorError
+from conscient_sim.optimizer import GAConfig, evolve
 from conscient_sim.traceio import (
     iter_trace_csv,
     read_percepts_csv,
@@ -88,8 +90,8 @@ def _write_record(world: World, out: str) -> dict[str, bytes]:
 
 
 def _percept_key(row):
-    aid, p = row
-    return (aid, p.id, p.kind, p.category, p.origin, p.tick, p.features.tolist())
+    aid, p, kind = row
+    return (aid, p.id, kind, p.category, p.origin, p.tick, p.features.tolist())
 
 
 @RECORD
@@ -103,7 +105,7 @@ def test_the_written_record_reads_back_as_the_world_holds_it(cfg):
         back = read_percepts_csv(os.path.join(out, "percepts.csv"), cfg, *load_graphs(cfg))
     assert [_percept_key(row) for row in back] == [_percept_key(row) for row in world.percept_rows]
     # agent by agent, each agent's content percepts before its style percepts
-    order = [(aid, p.kind == "style") for aid, p in back]
+    order = [(aid, kind == "style") for aid, _, kind in back]
     assert order == sorted(order)
     assert len(back) == sum(len(a.percepts) + len(a.styles) for a in world.agents)
 
@@ -224,3 +226,42 @@ def test_an_accepted_config_runs_or_raises_a_simulator_error(values):
             run(parse_config_text(render_config(values)).world)
         except SimulatorError:
             pass  # the CLI's one `error:` line and exit 1
+
+
+@st.composite
+def small_searches(draw) -> tuple[GAConfig, WorldConfig, int]:
+    """(search, base world, search seed): 2-4 genomes for 1-2 generations over
+    1-2 eval seeds, on worlds of 2-6 cells a side, 1-4 agents and 0-60 ticks."""
+    r = draw(st.integers(2, 6))
+    population = draw(st.integers(2, 4))
+    ga = GAConfig(
+        population_size=population,
+        generations=draw(st.integers(1, 2)),
+        elite_count=draw(st.integers(1, population)),
+        eval_seeds=tuple(draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=2))),
+        movement_budget=draw(st.integers(0, 60)),
+    )
+    base = WorldConfig(
+        resolution=r,
+        n_agents=draw(st.integers(1, min(4, r * r))),
+        total_ticks=draw(st.integers(0, 60)),
+        reward_count=draw(st.integers(0, min(4, r * r))),
+    )
+    return ga, base, draw(st.integers(0, 2**64 - 1))
+
+
+def _history_key(history) -> list[tuple]:
+    return [
+        (h.generation, h.best_fitness, h.mean_fitness, h.best_genome.tolist()) for h in history
+    ]
+
+
+# each pooled search starts two worker processes: 20 searches take about 2 s
+@hypothesis.settings(max_examples=20, derandomize=True, deadline=None)
+@hypothesis.given(small_searches())
+def test_a_pooled_search_gives_the_in_process_history(search):
+    ga, base, seed = search
+    best_seq, hist_seq = evolve(ga, base, seed=seed, workers=1)
+    best_par, hist_par = evolve(ga, base, seed=seed, workers=2)
+    assert _history_key(hist_par) == _history_key(hist_seq)
+    assert _history_key([best_par]) == _history_key([best_seq])

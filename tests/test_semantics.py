@@ -257,6 +257,21 @@ def test_percept_store_categories_and_latest():
     assert store.dream_bucket("fish") is store.dream_bucket("dog")
 
 
+def test_a_received_percept_is_the_senders_object_marked_by_its_id():
+    store = PerceptStore(PETS)
+    own = _percept("a", "dog", 1)
+    sent = _percept("b", "cat", 2, kind="dreamed")
+    assert store.attach(own) and store.attach(sent, received=True)
+    assert list(store) == [own, sent] and store.dream_bucket("cat") == [sent]
+    assert list(store.kinds()) == ["observed", "received"] and sent.kind == "dreamed"
+    # a received percept is never sent on, and a second receipt is inert
+    assert store.latest() is own
+    assert store.attach(sent, received=True) is False and len(store) == 2
+    c = _percept("c", "cat", 3, kind="dreamed")
+    assert store.attach(c) and store.latest() is c
+    assert list(store.kinds()) == ["observed", "received", "dreamed"]
+
+
 def test_latest_matches_a_walk_back_over_the_store():
     rng = make_rng(5)
     store = PerceptStore(PETS)

@@ -313,7 +313,7 @@ def test_row_metrics_counts_what_the_records_hold():
     trace = run(CROWDED)
     m = row_metrics(trace.rows)
     assert m.interactions == len(trace.interactions) > 0
-    assert m.photos == sum(1 for _, p in trace.percept_rows if p.kind == "observed") > 0
+    assert m.photos == sum(1 for _, _, kind in trace.percept_rows if kind == "observed") > 0
     assert m.dream_frames == len(trace.dream_rows) > 0
     assert row_metrics(iter(trace.rows)) == m  # one pass over any iterable
 
@@ -378,8 +378,9 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
     graphs = load_graphs(CFG)
     back = read_percepts_csv(str(path), CFG, *graphs)
     assert len(back) == len(trace.percept_rows)
-    for (aid, a), (bid, b) in zip(trace.percept_rows, back):
-        assert (aid, a.id, a.kind, a.category) == (bid, b.id, b.kind, b.category)
+    for (aid, a, a_kind), (bid, b, b_kind) in zip(trace.percept_rows, back):
+        assert (aid, a.id, a_kind, a.category) == (bid, b.id, b_kind, b.category)
+        assert b.kind == b_kind
         assert (a.origin, a.tick) == (b.origin, b.tick)
         assert np.array_equal(a.features, b.features)  # repr round-trip is exact
     with pytest.raises(TraceError):
@@ -389,14 +390,14 @@ def test_percepts_csv_roundtrip(tmp_path, trace):
     # through the reader `conscient-sim dream` uses
     quoted_graph = load_graph('dog,cat "\n" x"",y', seed=0, feature_dim=2)
     quoted = [
-        (0, Percept('p,1', np.zeros(2), 'dog,cat', GridCell(1, 2), 3, "observed")),
-        (1, Percept('say "hi"', np.ones(2), '"', GridCell(0, 0), 0, "style")),
-        (1, Percept('a,"b",', np.ones(2), 'x"",y', GridCell(3, 1), 7, "received")),
+        (0, Percept('p,1', np.zeros(2), 'dog,cat', GridCell(1, 2), 3, "observed"), "observed"),
+        (1, Percept('say "hi"', np.ones(2), '"', GridCell(0, 0), 0, "style"), "style"),
+        (1, Percept('a,"b",', np.ones(2), 'x"",y', GridCell(3, 1), 7, "observed"), "received"),
     ]
     write_percepts_csv(str(path), quoted)
     back = read_percepts_csv(str(path), NARROW, quoted_graph, quoted_graph)
-    assert [(aid, p.id, p.category) for aid, p in back] == [
-        (aid, p.id, p.category) for aid, p in quoted
+    assert [(aid, p.id, p.category) for aid, p, _ in back] == [
+        (aid, p.id, p.category) for aid, p, _ in quoted
     ]
 
 
@@ -554,10 +555,10 @@ def _oracle_dream(r: DreamFrameRow) -> list:
     ]
 
 
-def _oracle_percept(pair: tuple[int, Percept]) -> list:
-    aid, p = pair
+def _oracle_percept(row: tuple[int, Percept, str]) -> list:
+    aid, p, kind = row
     features = ";".join(_fmt(x) for x in p.features)
-    return [aid, p.id, p.kind, p.category, p.origin.i, p.origin.j, p.tick, features]
+    return [aid, p.id, kind, p.category, p.origin.i, p.origin.j, p.tick, features]
 
 
 def _oracle_ga_history(h: GenerationStats) -> list:
@@ -617,6 +618,7 @@ def test_writers_match_the_plain_renderer_byte_for_byte(tmp_path):
         (
             t % 2,
             Percept(texts[t] if t % 2 else f"p{t}", vec, texts[-1 - t], GridCell(1, 2), t, "observed"),
+            "received" if t % 3 else "observed",
         )
         for t, vec in enumerate(vectors)
     ]
@@ -696,7 +698,10 @@ def test_cell_quotes_exactly_what_csv_writer_quotes():
                 0, 1, 1, "p1", DreamFrame(np.zeros(2), "dog", "dark", GridCell(1, 2), None), 0
             ),
         ),
-        (write_percepts_csv, (0, Percept("p1", np.full(8, 0.1), "dog", GridCell(1, 2), 1, "style"))),
+        (
+            write_percepts_csv,
+            (0, Percept("p1", np.full(8, 0.1), "dog", GridCell(1, 2), 1, "style"), "style"),
+        ),
     ],
     ids=["trace", "interactions", "dreams", "percepts"],
 )
@@ -729,8 +734,8 @@ def test_standalone_dream_rows_schema(tmp_path, capsys):
     write_percepts_csv(
         str(log),
         [
-            (0, Percept("p1", np.zeros(3), "a", GridCell(1, 2), tick=1, kind="observed")),
-            (0, Percept("s1", np.zeros(3), "dark", GridCell(0, 0), tick=1, kind="style")),
+            (0, Percept("p1", np.zeros(3), "a", GridCell(1, 2), tick=1, kind="observed"), "observed"),
+            (0, Percept("s1", np.zeros(3), "dark", GridCell(0, 0), tick=1, kind="style"), "style"),
         ],
     )
     out = tmp_path / "out"

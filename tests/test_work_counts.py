@@ -24,7 +24,7 @@ from conscient_sim.cli import run_command
 from conscient_sim.fields import KernelConfig, _covariance_factor, moore_neighbors, sample_field
 from conscient_sim.optimizer import DEFAULT_BOUNDS, GAConfig, Genome, evolve, fitness
 from conscient_sim.seeds import Stream, make_rng
-from conscient_sim.semantics import classify
+from conscient_sim.semantics import Percept, classify
 from conscient_sim.traceio import (
     iter_trace_csv,
     read_trace_csv,
@@ -37,6 +37,7 @@ from conscient_sim.world import (
     WorldConfig,
     _cached_layout,
     build_world,
+    metrics,
     run,
     world_layout,
 )
@@ -89,6 +90,31 @@ def test_neighbourhoods_and_classes_are_computed_once_per_cell(monkeypatch):
     assert calls == 0
 
 
+def test_an_exchange_constructs_no_percept(monkeypatch):
+    # one percept per photo, per style copy and per dream frame; a received
+    # percept is its sender's own object, so an exchange constructs none
+    made = 0
+    init = Percept.__init__
+
+    def counted(percept, *args, **kwargs):
+        nonlocal made
+        made += 1
+        init(percept, *args, **kwargs)
+
+    monkeypatch.setattr(Percept, "__init__", counted)
+    world = run(CROWDED)
+    m = metrics(world)
+    styles = sum(len(a.styles) for a in world.agents)
+    assert (m.photos, styles, m.dream_frames) == (341, 65, 390)
+    assert made == m.photos + styles + m.dream_frames == 796
+    # 722 meetings left 912 received percepts in the stores, each the object
+    # its sender stores
+    own = {p.id: p for _, p, kind in world.percept_rows if kind != "received"}
+    received = [p for _, p, kind in world.percept_rows if kind == "received"]
+    assert (len(world.interactions), len(received), len(own)) == (722, 912, 796)
+    assert all(p is own[p.id] for p in received)
+
+
 def test_covariance_factors_stay_cached_for_two_kernels():
     _covariance_factor.cache_clear()
     kernels = (KernelConfig(), KernelConfig(lengthscale=1.5))
@@ -124,15 +150,16 @@ def test_a_run_rewinds_its_streams_once_per_wake(monkeypatch):
 
 
 def test_a_fitness_call_builds_one_trace_row_per_agent_tick_and_seed(monkeypatch):
+    # a run builds its rows in `TraceRow.of`, through tuple.__new__
     built = 0
-    new = TraceRow.__new__
+    of = TraceRow.of
 
     def counted(cls, *fields):
         nonlocal built
         built += 1
-        return new(cls, *fields)
+        return of(*fields)
 
-    monkeypatch.setattr(TraceRow, "__new__", counted)
+    monkeypatch.setattr(TraceRow, "of", classmethod(counted))
     ga = GAConfig(eval_seeds=(11, 12))
     base = WorldConfig(resolution=8, n_agents=3, total_ticks=50)
     fitness(Genome(np.full(len(DEFAULT_BOUNDS), 0.5)), ga, base)
@@ -273,8 +300,9 @@ def _grown_per_agent_tick(keep_trace: bool) -> float:
 
 
 def test_a_long_run_grows_by_its_known_slope():
-    # measured: 430 B per agent-tick, 128 B of it stored percepts (README,
-    # "Configuration"); a run of 10**6 reference ticks holds about 0.86 GB
+    # measured: 438 B per agent-tick, 128 B of it stored percepts (README,
+    # "Configuration"), against 430 B when dream frames were dataclasses; a
+    # run of 10**6 reference ticks holds about 0.88 GB
     whole, percepts = _grown_per_agent_tick(True), _grown_per_agent_tick(False)
     assert whole <= 1.25 * 430, whole
     assert percepts <= 1.25 * 128, percepts

@@ -243,7 +243,7 @@ def test_the_cell_table_holds_each_photographed_cell_with_its_oracle_categories(
     _cached_layout.cache_clear()
     world = run(cfg)
     layout = world_layout(cfg)
-    photographed = {p.origin for _, p in world.percept_rows if p.kind == "observed"}
+    photographed = {p.origin for _, p, kind in world.percept_rows if kind == "observed"}
     assert set(layout.cells) == photographed
     for cell, (feats, content, style) in layout.cells.items():
         seed = derive_seed(cfg.master_seed, "cell", cell.i, cell.j)
@@ -251,10 +251,10 @@ def test_the_cell_table_holds_each_photographed_cell_with_its_oracle_categories(
         assert content == classify_oracle(feats, layout.content_graph)
         assert style == classify_oracle(feats, layout.style_graph)
     # a photo and its style copy carry the categories of their cell's entry
-    for _, p in world.percept_rows:
-        if p.kind in ("observed", "style"):
+    for _, p, kind in world.percept_rows:
+        if kind in ("observed", "style"):
             _, content, style = layout.cells[p.origin]
-            assert p.category == (style if p.kind == "style" else content)
+            assert p.category == (style if kind == "style" else content)
 
 
 def test_take_stimulus_is_one_shot():
@@ -311,8 +311,8 @@ def test_interact_exchanges_and_records():
     assert rec.sent_by_a == "a0-p1" and rec.sent_by_b == "a1-p1"
     assert rec.eval_by_b == pytest.approx(ev_b_expected)
     assert rec.eval_by_a == pytest.approx(ev_a_expected)
-    assert {p.id: p for p in b.percepts}["a0-p1"].kind == "received"
-    assert {p.id: p for p in a.percepts}["a1-p1"].kind == "received"
+    assert dict(zip((p.id for p in b.percepts), b.percepts.kinds()))["a0-p1"] == "received"
+    assert dict(zip((p.id for p in a.percepts), a.percepts.kinds()))["a1-p1"] == "received"
     # a record is a value: equal and hashed by its fields, immutable, picklable
     same = InteractionRecord(*rec)
     assert same == rec and hash(same) == hash(rec) and same is not rec
@@ -381,8 +381,8 @@ def test_step_resends_are_recorded_but_idempotent():
     assert len(w.interactions) == 2
     assert w.interactions[0].sent_by_a == w.interactions[1].sent_by_a
     for a in w.agents:
-        assert sum(p.kind == "received" for p in a.percepts) == 1
-        assert len(a.percepts) == 2  # own photo + the single received copy
+        assert list(a.percepts.kinds()).count("received") == 1
+        assert len(a.percepts) == 2  # own photo + the single received percept
 
 
 def test_run_is_deterministic(tmp_path):
@@ -396,8 +396,8 @@ def test_run_is_deterministic(tmp_path):
         write_dreams_csv(str(tmp_path / name), t.dream_rows)
     assert (tmp_path / "d1.csv").read_bytes() == (tmp_path / "d2.csv").read_bytes()
     assert len(t1.percept_rows) == len(t2.percept_rows)
-    for (pa, p), (qa, q) in zip(t1.percept_rows, t2.percept_rows):
-        assert p.id == q.id and pa == qa
+    for (pa, p, pk), (qa, q, qk) in zip(t1.percept_rows, t2.percept_rows):
+        assert p.id == q.id and pa == qa and pk == qk
         assert np.array_equal(p.features, q.features)
     t3 = run(WorldConfig(resolution=8, n_agents=2, total_ticks=60, master_seed=78))
     assert t3.rows != t1.rows
@@ -433,16 +433,16 @@ def test_percept_rows_provenance():
     cfg = WorldConfig(resolution=8, n_agents=2, total_ticks=80, master_seed=40)
     trace = run(cfg)
     w = build_world(cfg)  # fresh features oracle
-    kinds = {p.kind for _, p in trace.percept_rows}
+    kinds = {kind for _, _, kind in trace.percept_rows}
     assert "observed" in kinds
-    for _, p in trace.percept_rows:
-        if p.kind == "observed":
+    for _, p, kind in trace.percept_rows:
+        if kind == "observed":
             assert np.array_equal(p.features, w.cell_view(p.origin)[0])
         assert np.all(p.features >= 0.0) and np.all(p.features <= 1.0)
         assert 0 <= p.origin.i < 8 and 0 <= p.origin.j < 8
     # ids are globally unique within an agent's combined stores
     for aid in (0, 1):
-        ids = [p.id for owner, p in trace.percept_rows if owner == aid]
+        ids = [p.id for owner, p, _ in trace.percept_rows if owner == aid]
         assert len(ids) == len(set(ids))
 
 
@@ -458,9 +458,9 @@ def test_a_world_is_its_own_record():
     assert w.snapshot_trace() is w and w.snapshot_trace().rows is w.rows
     # every stored percept once, agent by agent, content store before style store
     expected = [(a.id, id(p)) for a in w.agents for p in (*a.percepts, *a.styles)]
-    assert [(aid, id(p)) for aid, p in w.percept_rows] == expected
+    assert [(aid, id(p)) for aid, p, _ in w.percept_rows] == expected
     for a in w.agents:
-        styles = [p.kind == "style" for aid, p in w.percept_rows if aid == a.id]
+        styles = [kind == "style" for aid, _, kind in w.percept_rows if aid == a.id]
         assert False in styles and True in styles
         assert styles == sorted(styles)
 
@@ -469,7 +469,7 @@ def test_dream_rows_reference_attached_percepts():
     cfg = WorldConfig(resolution=8, n_agents=2, total_ticks=200, master_seed=7)
     trace = run(cfg)
     assert trace.dream_rows, "expected at least one dream frame in 200 ticks"
-    percept_ids = {p.id for _, p in trace.percept_rows}
+    percept_ids = {p.id for _, p, _ in trace.percept_rows}
     for row in trace.dream_rows:
         assert row.percept_id in percept_ids
         assert row.valence in (-1, 0, 1)
